@@ -26,6 +26,9 @@
 #   make bench-service   — service-tier SLO suite (cmd/dedcload drives real
 #                          dedcd processes); gates against BENCH_service.json
 #                          when recorded, records it otherwise
+#   make bench-e2e       — one untraced end-to-end run (perfbench/run.sh) of
+#                          every BENCHMARK.json workload; prints one JSON
+#                          result line per workload
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -40,7 +43,7 @@ SUITE ?= quick
 
 .PHONY: all build vet test race fuzz chaos chaos-resume chaos-store \
 	stream-chaos chaos-fleet ci check bench-telemetry journal-check bench \
-	bench-compare bench-check bench-parallel bench-atpg bench-service clean
+	bench-compare bench-check bench-parallel bench-atpg bench-service bench-e2e clean
 
 all: build
 
@@ -185,6 +188,19 @@ bench-parallel:
 bench-atpg:
 	$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) \
 		-min-atpg-speedup $(MINATPGSPEEDUP)
+
+# End-to-end benchmark: perfbench/run.sh builds perfbench and dedcd under
+# .bench_build/ and runs each BENCHMARK.json workload once with -trace 0,
+# for the run_seconds BENCHMARK.json declares (its workloads array holds one
+# workload object per line). The workload name goes to stderr, the run's
+# JSON result line to stdout.
+bench-e2e:
+	@secs=$$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in $$(sed -n '/"workloads"/,/\]/s/.*{"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); do \
+		echo "bench-e2e: $$w" >&2; \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds $$secs --trace 0) || exit 1; \
+		printf '%s\n' "$$out" | tail -n 1; \
+	done
 
 check: ci journal-check bench-telemetry bench-check bench-parallel bench-atpg bench-service chaos-resume chaos-store stream-chaos chaos-fleet
 

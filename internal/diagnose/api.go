@@ -232,6 +232,14 @@ func AuditRoot(netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n in
 // h1rank and screen phases; a tracer carried by ctx wires the sim/pathtrace
 // counters and span histograms exactly as a full RunContext would.
 func ExpandRoot(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) ([]RankedCorrection, Stats) {
+	r := newExpandRun(ctx, netlist, specOut, pi, n, model, opt, p)
+	nd := r.expand(nil)
+	return nd.cands, r.res.Stats
+}
+
+// newExpandRun prepares the run state for standalone node expansions under
+// the fixed thresholds p: no schedule, no search, no checkpointing.
+func newExpandRun(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) *runState {
 	opt = opt.defaults()
 	r := &runState{
 		ctx:     ctx,
@@ -248,8 +256,7 @@ func ExpandRoot(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint6
 	}
 	r.instrument()
 	r.initWorkers()
-	nd := r.expand(nil)
-	return nd.cands, r.res.Stats
+	return r
 }
 
 // Verify checks that a circuit reproduces the reference outputs on the

@@ -48,3 +48,25 @@ func BenchmarkExpandRootScreenPooled(b *testing.B) {
 		expand(4)
 	}
 }
+
+// BenchmarkExpandRootErrorModel is the design-error counterpart: the root
+// expansion of an alu with two injected design errors under the exhaustive
+// ErrorModel, whose Theorem-1 screen rejects most of its candidates. Run
+// with -benchmem to see allocs/op.
+func BenchmarkExpandRootErrorModel(b *testing.B) {
+	c := gen.Alu(4)
+	vecs := tpg.BuildVectors(c, tpg.Options{Random: 256, Seed: 1, Deterministic: true})
+	bad, _, err := injectK(c, 2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specOut := DeviceOutputs(c, vecs.PI, vecs.N)
+	model := NewErrorModel(bad, 0, 1)
+	params := DefaultSchedule()[2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ExpandRoot(context.Background(), bad, specOut, vecs.PI, vecs.N, model,
+			Options{MaxErrors: 3, Workers: 1}, params)
+	}
+}

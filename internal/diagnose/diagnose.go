@@ -218,8 +218,6 @@ type Stats struct {
 	// independent re-simulation in a different vector order). With the gate
 	// disabled (Options.NoVerify) it stays zero.
 	Verified int
-	// RankOfInjected is filled by audits (see ValidCorrectionRank): the
-	// best rank position of an actual error's correction, or -1.
 }
 
 // Result is the output of Run. Status explains how the search ended; when

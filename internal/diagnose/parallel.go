@@ -62,16 +62,16 @@ func (r *runState) poolStop() func() bool {
 }
 
 // rankSuspectsParallel is the pooled heuristic-1 ranking: one trial per
-// suspect, sharded across workers, rectified-bit counts gathered by suspect
-// index and folded in index order. An unclaimed index (stop fired first)
-// stays at the -1 sentinel and is skipped, exactly like the sequential
-// loop's early break.
+// suspect on the Verr engine and its forks, sharded across workers,
+// rectified-bit counts gathered by suspect index and folded in index order.
+// An unclaimed index (stop fired first) stays at the -1 sentinel and is
+// skipped, exactly like the sequential loop's early break.
 func (r *runState) rankSuspectsParallel(ec *expandCtx, suspects []circuit.Line) []scoredLine {
 	rects := make([]int32, len(suspects))
 	for i := range rects {
 		rects[i] = -1
 	}
-	r.bindPool(ec.e)
+	r.bindPool(ec.verr.e)
 	r.pool.Each(r.poolStop(), len(suspects), func(e *sim.Engine, w, i int) {
 		rects[i] = int32(r.h1Trial(e, &r.ws[w], ec, suspects[i]))
 	})
@@ -91,15 +91,30 @@ func (r *runState) rankSuspectsParallel(ec *expandCtx, suspects []circuit.Line) 
 	return lines
 }
 
-// screenCorrectionsParallel is the pooled correction screen: each candidate
-// of the flat work list is screened on a worker engine, outcomes land in a
-// slot per candidate index, and the fold walks the slots in enumeration
-// order applying the same stats/ranking rule as the sequential loop.
+// screenCorrectionsParallel is the pooled correction screen. The Theorem-1
+// tests run on the calling goroutine — a few-word evaluation on the Verr
+// engine, which rejects most candidates — and only the survivors' full-width
+// trials fan out across the pool. Outcomes land in a slot per candidate
+// index, and the fold walks the slots in enumeration order applying the
+// same stats/ranking rule as the sequential loop.
 func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) []RankedCorrection {
 	outs := make([]screenResult, len(work))
-	r.bindPool(ec.e)
-	r.pool.Each(r.poolStop(), len(work), func(e *sim.Engine, w, i int) {
-		outs[i] = r.screenOne(e, &r.ws[w], ec, work[i])
+	stop := r.poolStop()
+	var survivors []int
+	for i, corr := range work {
+		if stop != nil && stop() {
+			break
+		}
+		if r.theorem1(ec.verr.e, &r.ws[0], ec, corr) {
+			survivors = append(survivors, i)
+		} else {
+			outs[i].outcome = screenRejected
+		}
+	}
+	r.bindPool(ec.full.e)
+	r.pool.Each(stop, len(survivors), func(e *sim.Engine, w, k int) {
+		i := survivors[k]
+		outs[i] = r.screenTrial(e, &r.ws[w], ec, work[i])
 	})
 	r.stopNow() // fold a mid-fan-out cancellation/deadline into halt status
 	var cands []RankedCorrection

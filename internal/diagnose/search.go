@@ -557,47 +557,34 @@ func (r *runState) expand(corrs []Correction) *node {
 	e := sim.NewEngine(ckt, r.pi, r.n)
 	e.CTrials, e.CEvents = r.cTrials, r.cEvents
 	r.res.Stats.Simulations++
-
-	// Failing-vector bookkeeping.
-	failMask := make([]uint64, e.W)
-	diff := make([][]uint64, len(ckt.POs))
-	errBits := 0
-	for i, po := range ckt.POs {
-		d := make([]uint64, e.W)
-		row := e.BaseVal(po)
-		for w := 0; w < e.W; w++ {
-			d[w] = row[w] ^ r.specOut[i][w]
-		}
-		d[e.W-1] &= sim.TailMask(r.n)
-		diff[i] = d
-		errBits += popcount(d)
-		for w := 0; w < e.W; w++ {
-			failMask[w] |= d[w]
-		}
-	}
-	nd.fails = popcount(failMask)
+	ec := r.newExpandCtx(e)
+	nd.fails = ec.fails
 	if nd.fails == 0 {
 		return nd
 	}
 	if len(corrs) >= r.maxDepth() {
 		return nd // depth limit: no candidates needed
 	}
-	poIndex := make(map[circuit.Line]int, len(ckt.POs))
-	for i, po := range ckt.POs {
-		poIndex[po] = i
-	}
-	passCount := r.n - nd.fails
+	ec.verr = r.failSpace(ec.full, ec.fails)
+	nd.cands = r.candidates(ec)
+	return nd
+}
 
+// candidates runs a node's diagnosis (path trace, then heuristic 1) and
+// correction (enumerate, screen with h2 then h3, rank) steps and returns the
+// ranked, capped candidate list.
+func (r *runState) candidates(ec *expandCtx) []RankedCorrection {
 	// --- Diagnosis: path trace, then heuristic 1. ---
 	t0 := time.Now()
 	restorePhase := r.tr.Phase(r.ctx, "diagnosis")
 	var suspects []circuit.Line
 	if r.opt.DisablePathTrace {
-		for l := 0; l < ckt.NumLines(); l++ {
+		for l := 0; l < ec.ckt.NumLines(); l++ {
 			suspects = append(suspects, circuit.Line(l))
 		}
 	} else {
-		pt := pathtrace.Trace(ckt, e.Values(), r.specOut, r.n)
+		v := &ec.verr
+		pt := pathtrace.Trace(ec.ckt, v.e.Values(), v.spec, v.e.N)
 		suspects = pt.Top(r.opt.PathTraceKeep, r.opt.MinKeep)
 		// Theorem-1 pigeonhole widening: under the current (relaxed)
 		// assumption that a single error need only explain an H1 fraction of
@@ -621,17 +608,6 @@ func (r *runState) expand(corrs []Correction) *node {
 			r.cKept.Add(int64(len(suspects)))
 			r.cDropped.Add(int64(pt.MarkedCount() - len(suspects)))
 		}
-	}
-
-	ec := &expandCtx{
-		e:         e,
-		ckt:       ckt,
-		failMask:  failMask,
-		diff:      diff,
-		poIndex:   poIndex,
-		errBits:   errBits,
-		fails:     nd.fails,
-		passCount: passCount,
 	}
 	lines := r.rankSuspects(ec, suspects)
 	sort.Slice(lines, func(i, j int) bool {
@@ -659,25 +635,107 @@ func (r *runState) expand(corrs []Correction) *node {
 	if len(cands) > r.opt.MaxCorrectionsPerNode {
 		cands = cands[:r.opt.MaxCorrectionsPerNode]
 	}
-	nd.cands = cands
 	r.res.Stats.CorrTime += time.Since(t1)
 	restorePhase()
-	return nd
+	return cands
+}
+
+// vecView is one vector space a node's trials run in: an engine simulated
+// over those vectors plus the reference output rows, the erroneous bits of
+// each output and the failing-vector mask, all at the engine's width and
+// in netlist PO order. Rows are tail-masked where the count matters.
+type vecView struct {
+	e    *sim.Engine
+	spec [][]uint64
+	diff [][]uint64
+	mask []uint64
 }
 
 // expandCtx bundles the per-node state shared by the diagnosis and
-// correction loops of one expansion: the node's engine, the failing-vector
-// bookkeeping, and the counts the screens and scores are computed against.
-// Everything here is read-only during a fan-out.
+// correction loops of one expansion: the node's two vector spaces, the
+// failing-vector counts the screens and scores are computed against, and
+// the PO lookup. Everything here is read-only during a fan-out.
+//
+// full spans all of V; it carries the Vcorr/h3 screen, the ranking counts
+// and the verify gate. verr spans the failing vectors alone (the paper's
+// Verr) and carries path trace, heuristic 1 and the Theorem-1 screen —
+// every step the paper defines over the failing vectors. All three count
+// only failing-vector bits, and the simulation of a vector does not depend
+// on any other vector, so their counts are the same in either space.
 type expandCtx struct {
-	e         *sim.Engine
 	ckt       *circuit.Circuit
-	failMask  []uint64
-	diff      [][]uint64
+	full      vecView
+	verr      vecView
 	poIndex   map[circuit.Line]int
 	errBits   int
 	fails     int
 	passCount int
+}
+
+// newExpandCtx computes a node's failing-vector bookkeeping over all of V
+// from its simulated engine. The Verr view is left unset (see failSpace).
+func (r *runState) newExpandCtx(e *sim.Engine) *expandCtx {
+	ckt := e.C
+	failMask := make([]uint64, e.W)
+	diff := make([][]uint64, len(ckt.POs))
+	rows := make([]uint64, len(ckt.POs)*e.W)
+	errBits := 0
+	for i, po := range ckt.POs {
+		d := rows[i*e.W : (i+1)*e.W : (i+1)*e.W]
+		row := e.BaseVal(po)
+		for w := range d {
+			d[w] = row[w] ^ r.specOut[i][w]
+		}
+		d[e.W-1] &= sim.TailMask(r.n)
+		diff[i] = d
+		errBits += popcount(d)
+		for w := range d {
+			failMask[w] |= d[w]
+		}
+	}
+	fails := popcount(failMask)
+	poIndex := make(map[circuit.Line]int, len(ckt.POs))
+	for i, po := range ckt.POs {
+		poIndex[po] = i
+	}
+	return &expandCtx{
+		ckt:       ckt,
+		full:      vecView{e: e, spec: r.specOut, diff: diff, mask: failMask},
+		poIndex:   poIndex,
+		errBits:   errBits,
+		fails:     fails,
+		passCount: r.n - fails,
+	}
+}
+
+// failSpace builds a node's Verr view: the failing columns of the primary
+// inputs, reference outputs and diff rows, gathered into Words(fails)-word
+// rows, and a second engine simulating the node's circuit over them. When
+// the gather would not save a word the full view serves as the Verr view,
+// its failMask selecting the failing vectors in place.
+func (r *runState) failSpace(full vecView, fails int) vecView {
+	if sim.Words(fails) == full.e.W {
+		return full
+	}
+	idx := make([]int, 0, fails)
+	for w, x := range full.mask {
+		for ; x != 0; x &= x - 1 {
+			idx = append(idx, w<<6|bits.TrailingZeros64(x))
+		}
+	}
+	e := sim.NewEngine(full.e.C, sim.PermutePatterns(r.pi, r.n, idx), fails)
+	e.CTrials, e.CEvents = full.e.CTrials, full.e.CEvents
+	mask := make([]uint64, e.W)
+	for w := range mask {
+		mask[w] = ^uint64(0)
+	}
+	mask[e.W-1] = sim.TailMask(fails)
+	return vecView{
+		e:    e,
+		spec: sim.PermutePatterns(full.spec, r.n, idx),
+		diff: sim.PermutePatterns(full.diff, r.n, idx),
+		mask: mask,
+	}
 }
 
 type scoredLine struct {
@@ -688,23 +746,21 @@ type scoredLine struct {
 // rankSuspects runs heuristic 1 over the surviving path-trace lines: invert
 // each suspect's Verr bit-list (its values on failing vectors), propagate,
 // and keep the lines whose maximum effect rectifies at least H1·errBits
-// erroneous output bits. Workers>1 runs the trials on the engine pool with
-// results merged in suspect order, bit-identical to the sequential loop.
+// erroneous output bits. The trials run on the node's Verr engine.
+// Workers>1 runs them on the engine pool with results merged in suspect
+// order, bit-identical to the sequential loop.
 func (r *runState) rankSuspects(ec *expandCtx, suspects []circuit.Line) []scoredLine {
 	if r.useParallel(len(suspects)) {
 		return r.rankSuspectsParallel(ec, suspects)
 	}
-	e := ec.e
 	ws := &r.ws[0]
 	var lines []scoredLine
 	for _, l := range suspects {
 		if r.stop() {
 			break
 		}
-		// Invert the line's Verr bit-list (its values on failing vectors)
-		// and propagate: the maximum effect any modification of l can have.
 		r.res.Stats.Simulations++
-		rect := r.h1Trial(e, ws, ec, l)
+		rect := r.h1Trial(ec.verr.e, ws, ec, l)
 		r.hRect.Observe(int64(rect))
 		if float64(rect) >= r.params.H1*float64(ec.errBits)-1e-9 {
 			lines = append(lines, scoredLine{l, rect})
@@ -713,19 +769,22 @@ func (r *runState) rankSuspects(ec *expandCtx, suspects []circuit.Line) []scored
 	return lines
 }
 
-// h1Trial forces the inverted-Verr row onto l and counts the erroneous
-// output bits the propagation rectifies. Safe for concurrent use when each
-// worker owns its engine and workerRows.
+// h1Trial forces l's values with its Verr bit-list inverted — the maximum
+// effect any modification of l can have — and counts the erroneous output
+// bits the propagation rectifies. e is the node's Verr engine or a pool
+// fork of it. Safe for concurrent use when each worker owns its engine and
+// workerRows.
 func (r *runState) h1Trial(e *sim.Engine, ws *workerRows, ec *expandCtx, l circuit.Line) int {
+	v := &ec.verr
 	row := e.BaseVal(l)
-	for w := 0; w < e.W; w++ {
-		ws.forced[w] = row[w] ^ ec.failMask[w]
+	forced := ws.forced[:e.W]
+	for w := range forced {
+		forced[w] = row[w] ^ v.mask[w]
 	}
-	changed := e.Trial(l, ws.forced[:e.W])
 	rect := 0
-	for _, x := range changed {
+	for _, x := range e.Trial(l, forced) {
 		if i, ok := ec.poIndex[x]; ok {
-			rect += r.rectifiedBits(e, x, ec.diff[i], i)
+			rect += rectifiedBits(e, x, v.diff[i], v.spec[i])
 		}
 	}
 	return rect
@@ -754,9 +813,10 @@ type screenResult struct {
 
 // screenCorrections enumerates the correction model at every ranked suspect
 // and screens each candidate: the Theorem-1 complement test (one local gate
-// evaluation), then a full trial propagation for the Vcorr screen and the
-// ranking metrics. Workers>1 fans the per-candidate work out across the
-// engine pool; enumeration, stats accounting and ranking stay on the
+// evaluation on the Verr engine), then a full-width trial propagation for
+// the Vcorr screen and the ranking metrics. Workers>1 runs the Theorem-1
+// tests on the calling goroutine and fans the survivors' trials out across
+// the engine pool; enumeration, stats accounting and ranking stay on the
 // calling goroutine, folding results in enumeration order.
 func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []RankedCorrection {
 	if r.pool != nil {
@@ -773,7 +833,6 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 		}
 		return r.screenCorrectionsFlat(ec, work)
 	}
-	e := ec.e
 	ws := &r.ws[0]
 	var cands []RankedCorrection
 	for _, sl := range lines {
@@ -785,7 +844,7 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 				break
 			}
 			r.res.Stats.Candidates++
-			sr := r.screenOne(e, ws, ec, corr)
+			sr := r.screenOne(ws, ec, corr)
 			if done, rc := r.foldScreen(ec, corr, sr); done {
 				cands = append(cands, rc)
 			}
@@ -798,7 +857,6 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 // list — the small-batch fallback of pooled runs. It matches the nested
 // sequential loop exactly: same item order, same stop points, same stats.
 func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []RankedCorrection {
-	e := ec.e
 	ws := &r.ws[0]
 	var cands []RankedCorrection
 	for _, corr := range work {
@@ -806,7 +864,7 @@ func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []Ran
 			break
 		}
 		r.res.Stats.Candidates++
-		sr := r.screenOne(e, ws, ec, corr)
+		sr := r.screenOne(ws, ec, corr)
 		if done, rc := r.foldScreen(ec, corr, sr); done {
 			cands = append(cands, rc)
 		}
@@ -836,61 +894,79 @@ func (r *runState) foldScreen(ec *expandCtx, corr Correction, sr screenResult) (
 	return true, r.rankCorrection(ec, corr, sr)
 }
 
-// screenOne runs the two screens on a single candidate correction using the
-// given engine and scratch rows. It mutates only the engine's trial state
-// and ws, so distinct workers can screen distinct candidates concurrently.
-func (r *runState) screenOne(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
-	target := corr.Target()
-	corr.NewValues(e, ws.cand[:e.W])
-	// Theorem-1 screen: the correction must complement at least h2·|Verr|
-	// bits of the target's erroneous bit-list.
-	base := e.BaseVal(target)
-	comp := 0
-	for w := 0; w < e.W; w++ {
-		comp += bits.OnesCount64((ws.cand[w] ^ base[w]) & ec.failMask[w])
-	}
-	if float64(comp) < r.params.H2*float64(ec.fails)-1e-9 {
+// screenOne runs both screens on a single candidate correction in the
+// sequential loops: the Theorem-1 test on the node's Verr engine and, for
+// survivors, the full-width trial.
+func (r *runState) screenOne(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+	if !r.theorem1(ec.verr.e, ws, ec, corr) {
 		return screenResult{outcome: screenRejected}
 	}
-	// Full trial for the Vcorr screen and the ranking metrics. Multi-target
-	// corrections (bridging faults) force the same candidate row onto every
-	// affected net at once.
+	return r.screenTrial(ec.full.e, ws, ec, corr)
+}
+
+// theorem1 is the Theorem-1 screen: the correction must complement at least
+// h2·|Verr| bits of its target's Verr bit-list. e is the node's Verr engine,
+// so the local evaluation spans the failing vectors alone.
+func (r *runState) theorem1(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) bool {
+	cand := ws.cand[:e.W]
+	corr.NewValues(e, cand)
+	base := e.BaseVal(corr.Target())
+	mask := ec.verr.mask
+	comp := 0
+	for w := range cand {
+		comp += bits.OnesCount64((cand[w] ^ base[w]) & mask[w])
+	}
+	return float64(comp) >= r.params.H2*float64(ec.fails)-1e-9
+}
+
+// screenTrial is the full-width half of the screen for a Theorem-1
+// survivor: it trial-propagates the correction over all of V for the Vcorr
+// screen and the ranking metrics. e is the node's full engine or a pool
+// fork of it. It mutates only the engine's trial state and ws, so distinct
+// workers can screen distinct candidates concurrently.
+func (r *runState) screenTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+	v := &ec.full
+	cand := ws.cand[:e.W]
+	corr.NewValues(e, cand)
+	// Multi-target corrections (bridging faults) force the same candidate
+	// row onto every affected net at once.
 	var changed []circuit.Line
 	if mt, ok := corr.(interface{ Targets() []circuit.Line }); ok {
 		targets := mt.Targets()
 		rows := make([][]uint64, len(targets))
 		for i := range rows {
-			rows[i] = ws.cand[:e.W]
+			rows[i] = cand
 		}
 		changed = e.TrialMulti(targets, rows)
 	} else {
-		changed = e.Trial(target, ws.cand[:e.W])
+		changed = e.Trial(corr.Target(), cand)
 	}
 	if len(changed) == 0 {
 		return screenResult{outcome: screenNoChange}
 	}
 	rect := 0
-	for w := 0; w < e.W; w++ {
-		ws.orBad[w] = 0
+	orBad := ws.orBad[:e.W]
+	for w := range orBad {
+		orBad[w] = 0
 	}
 	for _, x := range changed {
 		i, ok := ec.poIndex[x]
 		if !ok {
 			continue
 		}
-		rect += r.rectifiedBits(e, x, ec.diff[i], i)
+		rect += rectifiedBits(e, x, v.diff[i], v.spec[i])
 		tv := e.TrialVal(x)
-		spec := r.specOut[i]
-		for w := 0; w < e.W; w++ {
-			ws.orBad[w] |= (tv[w] ^ spec[w]) &^ ec.failMask[w]
+		spec := v.spec[i]
+		for w := range orBad {
+			orBad[w] |= (tv[w] ^ spec[w]) &^ v.mask[w]
 		}
 	}
-	ws.orBad[e.W-1] &= sim.TailMask(r.n)
-	newFails := popcount(ws.orBad[:e.W])
+	orBad[e.W-1] &= sim.TailMask(r.n)
+	newFails := popcount(orBad)
 	if float64(newFails) > (1-r.params.H3)*float64(ec.passCount)+1e-9 {
 		return screenResult{outcome: screenNewFails}
 	}
-	fixes := r.fixedVectors(e, ws, ec.failMask)
+	fixes := fixedVectors(e, ws, v)
 	return screenResult{
 		outcome:  screenKept,
 		rect:     int32(rect),
@@ -926,11 +1002,10 @@ func (r *runState) rankCorrection(ec *expandCtx, corr Correction, sr screenResul
 	}
 }
 
-// rectifiedBits counts erroneous bits of PO x (diff row d) that the current
-// trial turns correct.
-func (r *runState) rectifiedBits(e *sim.Engine, x circuit.Line, d []uint64, poIdx int) int {
+// rectifiedBits counts erroneous bits of PO x (diff row d, reference row
+// spec) that the current trial turns correct.
+func rectifiedBits(e *sim.Engine, x circuit.Line, d, spec []uint64) int {
 	tv := e.TrialVal(x)
-	spec := r.specOut[poIdx]
 	rect := 0
 	for w := 0; w < e.W; w++ {
 		rect += bits.OnesCount64(d[w] &^ (tv[w] ^ spec[w]))
@@ -939,9 +1014,9 @@ func (r *runState) rectifiedBits(e *sim.Engine, x circuit.Line, d []uint64, poId
 }
 
 // fixedVectors counts failing vectors that the current trial fully
-// rectifies (all POs correct). It works entirely in ws scratch so the
-// screening hot loop stays allocation-free.
-func (r *runState) fixedVectors(e *sim.Engine, ws *workerRows, failMask []uint64) int {
+// rectifies (all POs correct) in view v. It works entirely in ws scratch so
+// the screening hot loop stays allocation-free.
+func fixedVectors(e *sim.Engine, ws *workerRows, v *vecView) int {
 	// stillBad = OR over POs of their post-trial diff. TrialVal falls back to
 	// the base row for POs the trial never reached, so tv^spec is the
 	// post-trial diff for changed and unchanged outputs alike.
@@ -951,14 +1026,14 @@ func (r *runState) fixedVectors(e *sim.Engine, ws *workerRows, failMask []uint64
 	}
 	for i, po := range e.C.POs {
 		tv := e.TrialVal(po)
-		spec := r.specOut[i]
-		for w := 0; w < e.W; w++ {
+		spec := v.spec[i]
+		for w := range still {
 			still[w] |= tv[w] ^ spec[w]
 		}
 	}
 	fixed := 0
-	for w := 0; w < e.W; w++ {
-		fixed += bits.OnesCount64(failMask[w] &^ still[w])
+	for w := range still {
+		fixed += bits.OnesCount64(v.mask[w] &^ still[w])
 	}
 	return fixed
 }

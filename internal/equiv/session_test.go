@@ -158,3 +158,41 @@ func TestSessionInterfaceErrors(t *testing.T) {
 		t.Error("sequential reference accepted")
 	}
 }
+
+// TestSessionLearntCounter: the solver's live learnt-clause counter, which
+// drives clause-database reduction, must match a from-scratch recount after
+// every check of a long-lived session — through reductions, retired
+// candidate groups and solver rebuilds alike.
+func TestSessionLearntCounter(t *testing.T) {
+	spec := gen.WallaceMultiplier(5)
+	ss, err := NewSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := []*circuit.Circuit{spec.Clone()}
+	if oc, err := opt.Optimize(spec); err == nil {
+		candidates = append(candidates, oc)
+	}
+	for k := int64(0); k < 4; k++ {
+		if bad, _, err := errmodel.Inject(spec, 1, errmodel.InjectOptions{Seed: 40 + k}); err == nil {
+			candidates = append(candidates, bad)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for ci, cand := range candidates {
+			res, err := ss.Check(cand, Options{})
+			if err != nil {
+				t.Fatalf("round %d cand %d: %v", round, ci, err)
+			}
+			if res.Aborted {
+				t.Fatalf("round %d cand %d: aborted", round, ci)
+			}
+			if err := ss.s.Validate(); err != nil {
+				t.Fatalf("round %d cand %d: %v", round, ci, err)
+			}
+		}
+	}
+	if ss.s.LearntKept == 0 {
+		t.Error("no clause-database reduction ran; the check exercised only additions")
+	}
+}

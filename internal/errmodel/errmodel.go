@@ -251,72 +251,63 @@ func (m Mod) Apply(c *circuit.Circuit) error {
 	return nil
 }
 
+// stackFanin is the fanin count up to which NewValues and Trial build a
+// mod's fanin list and pin complements in stack buffers; wider gates spill
+// to the heap.
+const stackFanin = 16
+
 // NewValues computes, into dst, the value row the target line would carry
 // under this mod — one local gate evaluation over base values, with no
 // propagation. This is the cheap form the diagnosis algorithm's Theorem-1
-// screen consumes before paying for a full Trial.
+// screen consumes before paying for a full Trial. It does not allocate for
+// gates of up to stackFanin inputs.
 func (m Mod) NewValues(e *sim.Engine, dst []uint64) {
-	c := e.C
-	g := &c.Gates[m.Line]
-	switch m.Kind {
-	case GateReplace:
-		e.EvalCandidate(dst, m.NewType, g.Fanin, nil, false)
-	case ToggleOutInv:
-		e.EvalCandidate(dst, g.Type, g.Fanin, nil, true)
-	case ToggleInInv:
-		comp := make([]bool, len(g.Fanin))
-		comp[m.Pin] = true
-		e.EvalCandidate(dst, g.Type, g.Fanin, comp, false)
-	case AddWire:
-		fin := append(append([]circuit.Line(nil), g.Fanin...), m.Src)
-		e.EvalCandidate(dst, m.addWireType(g.Type), fin, nil, false)
-	case RemoveWire:
-		fin := make([]circuit.Line, 0, len(g.Fanin)-1)
-		for p, f := range g.Fanin {
-			if p != m.Pin {
-				fin = append(fin, f)
-			}
-		}
-		e.EvalCandidate(dst, g.Type, fin, nil, false)
-	case ReplaceWire:
-		fin := append([]circuit.Line(nil), g.Fanin...)
-		fin[m.Pin] = m.Src
-		e.EvalCandidate(dst, g.Type, fin, nil, false)
-	default:
-		panic("errmodel: unknown kind")
-	}
+	var finBuf [stackFanin]circuit.Line
+	var compBuf [stackFanin]bool
+	t, fin, comp, outComp := m.gate(&e.C.Gates[m.Line], finBuf[:0], compBuf[:0])
+	e.EvalCandidate(dst, t, fin, comp, outComp)
 }
 
 // Trial evaluates the mod on the engine without touching the circuit and
 // returns the changed lines. The engine's circuit must be the one the mod
-// addresses.
+// addresses. Like NewValues it builds the modified gate on the stack.
 func (m Mod) Trial(e *sim.Engine) []circuit.Line {
-	c := e.C
-	g := &c.Gates[m.Line]
+	var finBuf [stackFanin]circuit.Line
+	var compBuf [stackFanin]bool
+	t, fin, comp, outComp := m.gate(&e.C.Gates[m.Line], finBuf[:0], compBuf[:0])
+	return e.TrialEval(m.Line, t, fin, comp, outComp)
+}
+
+// gate describes the gate the target evaluates as under the mod, given its
+// current gate g: type, fanin lines, per-pin complements (nil for none) and
+// whether the output is complemented. Modified fanin and complement lists
+// are built by appending to finBuf and compBuf.
+func (m Mod) gate(g *circuit.Gate, finBuf []circuit.Line, compBuf []bool) (t circuit.GateType, fin []circuit.Line, comp []bool, outComp bool) {
 	switch m.Kind {
 	case GateReplace:
-		return e.TrialEval(m.Line, m.NewType, g.Fanin, nil, false)
+		return m.NewType, g.Fanin, nil, false
 	case ToggleOutInv:
-		return e.TrialEval(m.Line, g.Type, g.Fanin, nil, true)
+		return g.Type, g.Fanin, nil, true
 	case ToggleInInv:
-		comp := make([]bool, len(g.Fanin))
-		comp[m.Pin] = true
-		return e.TrialEval(m.Line, g.Type, g.Fanin, comp, false)
+		comp = compBuf
+		for p := range g.Fanin {
+			comp = append(comp, p == m.Pin)
+		}
+		return g.Type, g.Fanin, comp, false
 	case AddWire:
-		fin := append(append([]circuit.Line(nil), g.Fanin...), m.Src)
-		return e.TrialEval(m.Line, m.addWireType(g.Type), fin, nil, false)
+		return m.addWireType(g.Type), append(append(finBuf, g.Fanin...), m.Src), nil, false
 	case RemoveWire:
-		fin := make([]circuit.Line, 0, len(g.Fanin)-1)
+		fin = finBuf
 		for p, f := range g.Fanin {
 			if p != m.Pin {
 				fin = append(fin, f)
 			}
 		}
-		return e.TrialEval(m.Line, g.Type, fin, nil, false)
+		return g.Type, fin, nil, false
 	case ReplaceWire:
-		fin := append([]circuit.Line(nil), g.Fanin...)
+		fin = append(finBuf, g.Fanin...)
 		fin[m.Pin] = m.Src
-		return e.TrialEval(m.Line, g.Type, fin, nil, false)
+		return g.Type, fin, nil, false
 	}
 	panic("errmodel: unknown kind")
 }

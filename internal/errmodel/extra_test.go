@@ -152,3 +152,37 @@ func TestKindStringOutOfRange(t *testing.T) {
 		t.Fatal("out-of-range kind renders empty")
 	}
 }
+
+// TestNewValuesTrialAllocFree guards the correction screen's inner loop:
+// NewValues and Trial build the modified gate in stack buffers, so neither
+// allocates for any Kind.
+func TestNewValuesTrialAllocFree(t *testing.T) {
+	c := gen.Alu(4)
+	n := 192
+	e := sim.NewEngine(c, sim.RandomPatterns(len(c.PIs), n, 5), n)
+	srcs := make([]circuit.Line, c.NumLines())
+	for i := range srcs {
+		srcs[i] = circuit.Line(i)
+	}
+	byKind := map[Kind]Mod{}
+	for l := 0; l < c.NumLines() && len(byKind) < int(numKinds); l++ {
+		for _, m := range Enumerate(c, circuit.Line(l), srcs) {
+			if _, ok := byKind[m.Kind]; !ok && len(c.Fanin(m.Line)) >= 2 {
+				byKind[m.Kind] = m
+			}
+		}
+	}
+	dst := make([]uint64, e.W)
+	for k := Kind(0); k < numKinds; k++ {
+		m, ok := byKind[k]
+		if !ok {
+			t.Fatalf("no %v candidate enumerated", k)
+		}
+		if a := testing.AllocsPerRun(50, func() { m.NewValues(e, dst) }); a != 0 {
+			t.Errorf("%v NewValues: %.1f allocs, want 0", m, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { m.Trial(e) }); a != 0 {
+			t.Errorf("%v Trial: %.1f allocs, want 0", m, a)
+		}
+	}
+}

@@ -104,6 +104,11 @@ type Solver struct {
 	learnt  []Lit
 	toClear []Lit
 
+	// nLearnt counts the live (learnt, not deleted) clauses in clauses: the
+	// search adds one per learnt clause and reduceDB subtracts the ones it
+	// deletes, so the per-conflict reduction check is O(1).
+	nLearnt int
+
 	// Stats (cumulative across Solve calls on a reused solver).
 	Conflicts    int64
 	Decisions    int64
@@ -578,11 +583,12 @@ func (s *Solver) search(assumptions []Lit, budget int64, learntCap *int) Status 
 				c := &clause{lits: lits, learnt: true, act: s.claInc}
 				s.attach(c)
 				s.clauses = append(s.clauses, c)
+				s.nLearnt++
 				s.enqueue(lits[0], c)
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if s.nLearnt() > *learntCap {
+			if s.nLearnt > *learntCap {
 				s.reduceDB()
 				*learntCap += *learntCap / 10
 			}
@@ -623,14 +629,21 @@ func (s *Solver) search(assumptions []Lit, budget int64, learntCap *int) Status 
 	}
 }
 
-func (s *Solver) nLearnt() int {
+// Validate recounts from scratch the live learnt-clause count the solver
+// maintains incrementally (the search consults it after every conflict)
+// and reports a disagreement. It is a consistency check for tests; the
+// solver never calls it.
+func (s *Solver) Validate() error {
 	n := 0
 	for _, c := range s.clauses {
 		if c.learnt && !c.deleted {
 			n++
 		}
 	}
-	return n
+	if n != s.nLearnt {
+		return fmt.Errorf("sat: live learnt clauses: counter %d, recount %d", s.nLearnt, n)
+	}
+	return nil
 }
 
 // reduceDB discards the less active half of the learnt clauses (those not
@@ -650,10 +663,11 @@ func (s *Solver) reduceDB() {
 	for _, c := range learnts {
 		if c.act < med {
 			c.deleted = true
+			s.nLearnt--
 		}
 	}
 	s.compact()
-	s.LearntKept += int64(s.nLearnt())
+	s.LearntKept += int64(s.nLearnt)
 }
 
 func medianActivity(cs []*clause) float64 {

@@ -19,7 +19,8 @@ type Engine struct {
 	W int // words per row
 
 	val     [][]uint64 // base values, one row per line
-	scratch [][]uint64 // trial values, one row per line (slab-backed)
+	scratch [][]uint64 // trial values, one row per line (carved from slab)
+	slab    []uint64   // backing store of scratch
 
 	stamp   []uint32 // epoch when scratch[l] was last written
 	queued  []uint32 // epoch when l was last enqueued
@@ -90,13 +91,18 @@ func newEngineVal(c *circuit.Circuit, val [][]uint64, n int) *Engine {
 		levels: c.Levels(),
 		fanout: c.Fanout(),
 	}
-	slab := make([]uint64, c.NumLines()*w)
+	e.slab = make([]uint64, c.NumLines()*w)
 	e.scratch = make([][]uint64, c.NumLines())
-	for i := range e.scratch {
-		e.scratch[i] = slab[i*w : (i+1)*w]
-	}
+	e.carve()
 	e.buckets = make([][]circuit.Line, numLevels(e.levels))
 	return e
+}
+
+// carve cuts the per-line scratch rows of width W out of the slab.
+func (e *Engine) carve() {
+	for i := range e.scratch {
+		e.scratch[i] = e.slab[i*e.W : (i+1)*e.W : (i+1)*e.W]
+	}
 }
 
 func numLevels(levels []int32) int {
@@ -127,22 +133,36 @@ func (e *Engine) Fork() *Engine {
 }
 
 // rebind repoints a fork at a new parent engine, reusing the fork's scratch
-// allocations when the circuit dimensions still match. It backs
-// EnginePool.Bind so a pool can move between per-node engines without
-// reallocating per-worker slabs.
-func (e *Engine) rebind(root *Engine) *Engine {
-	if len(e.stamp) != root.C.NumLines() || e.W != root.W || e.N != root.N {
-		return root.Fork()
-	}
-	e.C, e.val, e.levels, e.fanout = root.C, root.val, root.levels, root.fanout
+// allocations and growing them only when the new engine has more lines or
+// wider rows than any engine the fork served before. It backs
+// EnginePool.Bind so a pool moves between per-node engines — whose line
+// counts change as corrections add gates — and between a node's
+// failing-vector and full-width engines without reallocating per-worker
+// slabs after warm-up.
+func (e *Engine) rebind(root *Engine) {
+	lines := root.C.NumLines()
+	e.C, e.N, e.W, e.val = root.C, root.N, root.W, root.val
+	e.levels, e.fanout = root.levels, root.fanout
 	e.zeroRow, e.onesRow = root.ConstRow(false), root.ConstRow(true)
 	e.CTrials, e.CEvents = root.CTrials, root.CEvents
+	e.slab = resize(e.slab, lines*e.W)
+	e.scratch = resize(e.scratch, lines)
+	e.carve()
+	// Stale epoch stamps are harmless: the next trial bumps e.epoch past
+	// every stamp this fork ever wrote, and fresh entries are zero.
+	e.stamp, e.queued, e.pinned = resize(e.stamp, lines), resize(e.queued, lines), resize(e.pinned, lines)
 	if n := numLevels(e.levels); n > len(e.buckets) {
 		e.buckets = append(e.buckets, make([][]circuit.Line, n-len(e.buckets))...)
 	}
-	// Stale epoch stamps are harmless: the next trial bumps e.epoch past
-	// every stamp this fork ever wrote.
-	return e
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // BaseVal returns the base (no-trial) value row of line l. Callers must not
@@ -298,9 +318,7 @@ func (e *Engine) EvalCandidate(dst []uint64, t circuit.GateType, fin []circuit.L
 	e.complementPins(finComp)
 	EvalGateInto(t, dst, e.W, e.faninV...)
 	if outComp {
-		for i := 0; i < e.W; i++ {
-			dst[i] = ^dst[i]
-		}
+		invertRow(dst[:e.W])
 	}
 }
 
@@ -317,9 +335,12 @@ func (e *Engine) complementPins(finComp []bool) {
 			continue
 		}
 		if nc == len(e.comp) {
-			e.comp = append(e.comp, make([]uint64, e.W))
+			e.comp = append(e.comp, nil)
 		}
-		row := e.comp[nc]
+		if len(e.comp[nc]) < e.W { // new, or narrower than a rebind's width
+			e.comp[nc] = make([]uint64, e.W)
+		}
+		row := e.comp[nc][:e.W]
 		nc++
 		src := e.faninV[p]
 		for i := 0; i < e.W; i++ {
@@ -351,9 +372,7 @@ func (e *Engine) evalInto(out []uint64, t circuit.GateType, fin []circuit.Line, 
 	e.complementPins(finComp)
 	EvalGateInto(t, out, e.W, e.faninV...)
 	if outComp {
-		for i := 0; i < e.W; i++ {
-			out[i] = ^out[i]
-		}
+		invertRow(out[:e.W])
 	}
 }
 

@@ -61,8 +61,8 @@ func (p *EnginePool) Instrument(reg *telemetry.Registry) {
 
 // Bind points the pool at a parent engine: worker 0 runs on the parent
 // itself, workers 1..size-1 on forks sharing its base state. Existing forks
-// are rebound in place (reusing their scratch slabs) when the circuit shape
-// matches. Bind also warms the parent circuit's derived tables (levels,
+// are rebound in place, reusing their scratch slabs (grown when the new
+// engine is larger than any before). Bind also warms the parent circuit's derived tables (levels,
 // fanout) on the calling goroutine so forks never race on lazy caches.
 func (p *EnginePool) Bind(root *Engine) {
 	p.engines[0] = root
@@ -70,7 +70,7 @@ func (p *EnginePool) Bind(root *Engine) {
 		if p.engines[i] == nil {
 			p.engines[i] = root.Fork()
 		} else {
-			p.engines[i] = p.engines[i].rebind(root)
+			p.engines[i].rebind(root)
 		}
 	}
 }

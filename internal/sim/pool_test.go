@@ -136,14 +136,16 @@ func TestEnginePoolTrialHammer(t *testing.T) {
 	}
 }
 
-// TestEnginePoolRebind moves one pool across engines of the same and of a
-// different circuit shape; results must always match a fresh sequential
-// engine on the current binding.
+// TestEnginePoolRebind moves one pool across engines of different circuit
+// shapes and across widths of one circuit, so the forks' scratch is both
+// reused and grown; results must always match a fresh sequential engine on
+// the current binding.
 func TestEnginePoolRebind(t *testing.T) {
-	_, e1, _ := poolCircuit(t, 5, 80, 256)
-	c2, e2, _ := poolCircuit(t, 6, 150, 1024) // different shape: forces re-fork
+	c1, e1, _ := poolCircuit(t, 5, 80, 256)
+	narrow := NewEngine(c1, RandomPatterns(len(c1.PIs), 100, 9), 100)
+	c2, e2, _ := poolCircuit(t, 6, 150, 1024) // more lines and wider rows
 	p := NewEnginePool(4)
-	for round, e := range []*Engine{e1, e2, e1} {
+	for round, e := range []*Engine{e1, narrow, e1, e2, e1} {
 		p.Bind(e)
 		ckt := e.C
 		n := ckt.NumLines()

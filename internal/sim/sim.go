@@ -2,9 +2,12 @@
 // netlists of package circuit, plus an event-driven trial engine that lets
 // callers ask "what if line l took these values?" without disturbing the
 // base simulation state. The trial engine is the computational core behind
-// the paper's heuristics: heuristic 1 (invert Verr and propagate), the
-// Theorem-1 screen (local gate evaluation) and the Vcorr screen (fanout-cone
-// propagation of a candidate correction).
+// the paper's heuristics. Package diagnose runs two engines per search node:
+// one over the failing vectors alone (gathered with PermutePatterns), which
+// carries heuristic 1 (invert Verr and propagate) and the Theorem-1 screen
+// (a local gate evaluation over Verr), and one over all of V, which carries
+// the Vcorr screen (fanout-cone propagation of a candidate correction) and
+// the ranking.
 //
 // Values are stored one row per line, packed 64 patterns per uint64 word.
 // Bits beyond the pattern count are unspecified garbage; every counting and
@@ -75,61 +78,159 @@ func ExhaustivePatterns(nPI int) ([][]uint64, int, error) {
 
 // EvalGateInto computes the word-parallel output of a gate of type t over
 // the given fanin value rows, writing w words into out. Fanin rows must each
-// have at least w words. DFF is treated as a transparent buffer (package
-// scan is responsible for giving sequential circuits combinational meaning).
+// have at least w words, and out must not alias any fanin row: the AND, OR
+// and XOR families accumulate into out one fanin at a time. DFF is treated
+// as a transparent buffer (package scan is responsible for giving
+// sequential circuits combinational meaning).
 func EvalGateInto(t circuit.GateType, out []uint64, w int, fanin ...[]uint64) {
+	out = out[:w]
 	switch t {
 	case circuit.Const0:
-		for i := 0; i < w; i++ {
+		for i := range out {
 			out[i] = 0
 		}
 	case circuit.Const1:
-		for i := 0; i < w; i++ {
+		for i := range out {
 			out[i] = ^uint64(0)
 		}
 	case circuit.Input:
 		// Inputs carry externally assigned values; nothing to compute.
 	case circuit.Buf, circuit.DFF:
-		copy(out[:w], fanin[0][:w])
+		copy(out, fanin[0][:w])
 	case circuit.Not:
-		for i := 0; i < w; i++ {
-			out[i] = ^fanin[0][i]
+		a := fanin[0][:w]
+		for i := range out {
+			out[i] = ^a[i]
 		}
 	case circuit.And, circuit.Nand:
-		for i := 0; i < w; i++ {
-			acc := fanin[0][i]
-			for _, f := range fanin[1:] {
-				acc &= f[i]
-			}
-			if t == circuit.Nand {
-				acc = ^acc
-			}
-			out[i] = acc
-		}
+		evalAnd(out, fanin, invMask(t == circuit.Nand))
 	case circuit.Or, circuit.Nor:
-		for i := 0; i < w; i++ {
-			acc := fanin[0][i]
-			for _, f := range fanin[1:] {
-				acc |= f[i]
-			}
-			if t == circuit.Nor {
-				acc = ^acc
-			}
-			out[i] = acc
-		}
+		evalOr(out, fanin, invMask(t == circuit.Nor))
 	case circuit.Xor, circuit.Xnor:
-		for i := 0; i < w; i++ {
-			acc := fanin[0][i]
-			for _, f := range fanin[1:] {
-				acc ^= f[i]
-			}
-			if t == circuit.Xnor {
-				acc = ^acc
-			}
-			out[i] = acc
-		}
+		evalXor(out, fanin, invMask(t == circuit.Xnor))
 	default:
 		panic("sim: cannot evaluate gate type " + t.String())
+	}
+}
+
+// evalAnd, evalOr and evalXor are the multi-input kernels of EvalGateInto.
+// They loop fanin-outer and word-inner: gates of up to three inputs are one
+// fused pass, wider gates fold each further fanin into out with one tight
+// pass per fanin. m is the output inversion mask (all ones for the
+// inverting type), XORed in once per word.
+func evalAnd(out []uint64, fanin [][]uint64, m uint64) {
+	a := fanin[0][:len(out)]
+	switch len(fanin) {
+	case 1:
+		for i := range out {
+			out[i] = a[i] ^ m
+		}
+	case 2:
+		b := fanin[1][:len(out)]
+		for i := range out {
+			out[i] = (a[i] & b[i]) ^ m
+		}
+	case 3:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = (a[i] & b[i] & c[i]) ^ m
+		}
+	default:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = a[i] & b[i] & c[i]
+		}
+		for _, f := range fanin[3:] {
+			f = f[:len(out)]
+			for i := range out {
+				out[i] &= f[i]
+			}
+		}
+		if m != 0 {
+			invertRow(out)
+		}
+	}
+}
+
+func evalOr(out []uint64, fanin [][]uint64, m uint64) {
+	a := fanin[0][:len(out)]
+	switch len(fanin) {
+	case 1:
+		for i := range out {
+			out[i] = a[i] ^ m
+		}
+	case 2:
+		b := fanin[1][:len(out)]
+		for i := range out {
+			out[i] = (a[i] | b[i]) ^ m
+		}
+	case 3:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = (a[i] | b[i] | c[i]) ^ m
+		}
+	default:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = a[i] | b[i] | c[i]
+		}
+		for _, f := range fanin[3:] {
+			f = f[:len(out)]
+			for i := range out {
+				out[i] |= f[i]
+			}
+		}
+		if m != 0 {
+			invertRow(out)
+		}
+	}
+}
+
+func evalXor(out []uint64, fanin [][]uint64, m uint64) {
+	a := fanin[0][:len(out)]
+	switch len(fanin) {
+	case 1:
+		for i := range out {
+			out[i] = a[i] ^ m
+		}
+	case 2:
+		b := fanin[1][:len(out)]
+		for i := range out {
+			out[i] = (a[i] ^ b[i]) ^ m
+		}
+	case 3:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = (a[i] ^ b[i] ^ c[i]) ^ m
+		}
+	default:
+		b, c := fanin[1][:len(out)], fanin[2][:len(out)]
+		for i := range out {
+			out[i] = a[i] ^ b[i] ^ c[i]
+		}
+		for _, f := range fanin[3:] {
+			f = f[:len(out)]
+			for i := range out {
+				out[i] ^= f[i]
+			}
+		}
+		if m != 0 {
+			invertRow(out)
+		}
+	}
+}
+
+// invMask returns the XOR mask that applies an output inversion.
+func invMask(inv bool) uint64 {
+	if inv {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+func invertRow(row []uint64) {
+	for i := range row {
+		row[i] = ^row[i]
 	}
 }
 
@@ -215,15 +316,19 @@ func Popcount(row []uint64, n int) int {
 }
 
 // PermutePatterns returns copies of the packed rows with the patterns
-// reordered: output pattern j carries input pattern perm[j]. It backs the
+// reordered: output pattern j carries input pattern perm[j]. perm may also
+// select a subset of the n patterns, in which case the result is a gather
+// holding len(perm) patterns in Words(len(perm)) words per row. It backs the
 // verified-results gate in diagnose, which re-proves solutions over the same
 // vector set in a different order so a result can never depend on an
-// order-sensitive bug in the incremental engine.
+// order-sensitive bug in the incremental engine, and the per-node
+// failing-vector engine, which gathers the failing columns of V.
 func PermutePatterns(rows [][]uint64, n int, perm []int) [][]uint64 {
-	w := Words(n)
+	w := Words(len(perm))
 	out := make([][]uint64, len(rows))
+	storage := make([]uint64, len(rows)*w)
 	for i, row := range rows {
-		dst := make([]uint64, w)
+		dst := storage[i*w : (i+1)*w : (i+1)*w]
 		for j, p := range perm {
 			bit := (row[p>>6] >> (uint(p) & 63)) & 1
 			dst[j>>6] |= bit << (uint(j) & 63)

@@ -176,6 +176,52 @@ func TestEvalGateThreeInput(t *testing.T) {
 	}
 }
 
+// TestEvalGateIntoMatchesReference checks the word-parallel kernel against
+// the per-bit reference naiveEval for every gate type at arities 1–5, over
+// pattern counts that fill whole words and that end in a partial tail word.
+// Words past w must stay untouched.
+func TestEvalGateIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bit := func(row []uint64, p int) bool { return row[p/64]>>(uint(p)%64)&1 == 1 }
+	for _, n := range []int{1, 37, 64, 100, 128, 191, 320} {
+		w := Words(n)
+		for gt := circuit.Const0; gt <= circuit.DFF; gt++ {
+			arities := []int{1, 2, 3, 4, 5}
+			switch gt {
+			case circuit.Const0, circuit.Const1:
+				arities = []int{0}
+			case circuit.Buf, circuit.Not, circuit.DFF:
+				arities = []int{1}
+			}
+			for _, k := range arities {
+				fanin := make([][]uint64, k)
+				for i := range fanin {
+					fanin[i] = make([]uint64, w)
+					for j := range fanin[i] {
+						fanin[i][j] = rng.Uint64()
+					}
+				}
+				const sentinel = 0xdeadbeef
+				out := make([]uint64, w+1)
+				out[w] = sentinel
+				EvalGateInto(gt, out, w, fanin...)
+				if out[w] != sentinel {
+					t.Fatalf("%s/%d n=%d: wrote past w words", gt, k, n)
+				}
+				in := make([]bool, k)
+				for p := 0; p < n; p++ {
+					for i := range in {
+						in[i] = bit(fanin[i], p)
+					}
+					if got, want := bit(out, p), naiveEval(gt, in); got != want {
+						t.Fatalf("%s/%d n=%d pattern %d: got %v, want %v", gt, k, n, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSimulateMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
