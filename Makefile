@@ -2,7 +2,8 @@
 #
 #   make ci              — everything a pull request must pass
 #   make check           — ci plus the telemetry gates
-#   make fuzz            — short fuzzing pass over the .bench parser
+#   make fuzz            — short fuzzing pass over the .bench parser and
+#                          PODEM's verdicts (checked by SAT and fault sim)
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -60,10 +61,12 @@ race:
 	$(GO) test -race ./...
 
 # Native fuzzing of the .bench parser, seeded from the checked-in corpus in
-# internal/bench/testdata/fuzz plus the f.Add seeds.
+# internal/bench/testdata/fuzz plus the f.Add seeds, and of PODEM's verdicts
+# on random circuits against SAT and fault-simulation oracles.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveEdgeCases -fuzztime $(FUZZTIME) ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/tpg
 
 # The chaos harness: corrupted-input and randomized-cancellation trials must
 # hold "no panic, well-formed partial results" under the race detector.

@@ -21,40 +21,41 @@ type genOutcome struct {
 }
 
 // generateAll runs one PODEM Generate per fault and returns the outcomes in
-// fault order, the total backtrack count, and whether the pass was cut short
-// by cancellation (some fault never reached a verdict).
+// fault order, the total backtrack and gate-evaluation counts, and whether the
+// pass was cut short by cancellation (some fault never reached a verdict).
 //
 // With opt.Workers < 2 this is the exact legacy sequential loop: one
 // generator instance, faults in order, a context poll between faults. With
 // opt.Workers >= 2 the faults are claimed by atomic index from Workers
 // goroutines (the caller's goroutine is worker 0), each with its own Podem
-// over shared read-only guidance tables. Per-fault searches are independent
-// — each Generate starts from a clean assignment and the backtrack limit is
-// per fault — so the outcome slots are identical at any worker count; only
-// wall-clock and the partial-result shape under cancellation vary (the
-// sequential loop stops on a prefix, workers stop mid-flight wherever the
-// claim counter stood).
-func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, opt Options, tr *telemetry.Tracer) ([]genOutcome, int64, bool) {
+// and scratch over shared read-only guidance tables. Per-fault searches are
+// independent — each Generate starts from a clean assignment and the
+// backtrack limit is per fault — so the outcome slots are identical at any
+// worker count; only wall-clock and the partial-result shape under
+// cancellation vary (the sequential loop stops on a prefix, workers stop
+// mid-flight wherever the claim counter stood).
+func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, opt Options, tr *telemetry.Tracer) ([]genOutcome, int64, int64, bool) {
 	outs := make([]genOutcome, len(faults))
 	cBacktracks := tr.Registry().Counter("tpg.backtracks", "PODEM backtracks during deterministic test generation.")
+	cEvals := tr.Registry().Counter("tpg.evals", "Gate evaluations made by PODEM implication.")
 	workers := opt.Workers
 	if workers > len(faults) {
 		workers = len(faults)
 	}
 
-	newGen := func(topo []circuit.Line, piIdx map[circuit.Line]int, scoap *Scoap) *Podem {
-		p := newPodemWith(c, topo, piIdx, scoap)
+	newGen := func(t *podemTables) *Podem {
+		p := newPodemWith(c, t)
 		p.Ctx = ctx
 		p.CBacktracks = cBacktracks
+		p.CEvals = cEvals
 		if opt.BacktrackLimit > 0 {
 			p.BacktrackLimit = opt.BacktrackLimit
 		}
 		return p
 	}
 
-	var backtracks int64
 	if workers < 2 {
-		p := newGen(c.Topo(), piIndex(c), ComputeScoap(c))
+		p := newGen(newPodemTables(c))
 		cancelled := false
 		for i, f := range faults {
 			if ctx.Err() != nil {
@@ -64,27 +65,28 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 			assign, outcome := p.Generate(f)
 			outs[i] = genOutcome{done: true, assign: assign, result: outcome}
 		}
-		return outs, p.Backtracks, cancelled
+		return outs, p.Backtracks, p.Evals, cancelled
 	}
 
-	// Pre-warm every lazily derived structure Generate touches (topo order,
-	// fanout lists) on this goroutine, and compute the SCOAP tables once;
-	// after this point workers only read the circuit.
-	topo := c.Topo()
-	c.Fanout()
-	piIdx := piIndex(c)
-	scoap := ComputeScoap(c)
+	// Build the guidance tables (and with them every lazily derived
+	// structure of the circuit) once on this goroutine; after this point
+	// workers only read them and the circuit.
+	tables := newPodemTables(c)
 	cTrials := tr.Registry().Counter("tpg.pool.trials", "Per-fault PODEM generations dispatched by the fault-parallel driver.")
 
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
 		btTotal  atomic.Int64
+		evTotal  atomic.Int64
 		panicked atomic.Pointer[any]
 	)
 	work := func() {
-		p := newGen(topo, piIdx, scoap)
-		defer func() { btTotal.Add(p.Backtracks) }()
+		p := newGen(tables)
+		defer func() {
+			btTotal.Add(p.Backtracks)
+			evTotal.Add(p.Evals)
+		}()
 		for !stop.Load() {
 			i := int(next.Add(1) - 1)
 			if i >= len(faults) {
@@ -118,7 +120,6 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
-	backtracks = btTotal.Load()
 	cancelled := false
 	for i := range outs {
 		if !outs[i].done {
@@ -126,5 +127,5 @@ func generateAll(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, 
 			break
 		}
 	}
-	return outs, backtracks, cancelled
+	return outs, btTotal.Load(), evTotal.Load(), cancelled
 }

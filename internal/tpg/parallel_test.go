@@ -1,6 +1,8 @@
 package tpg
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -32,11 +34,15 @@ func TestWorkerCountParity(t *testing.T) {
 
 // TestWorkerPoolTelemetry: the parallel driver counts dispatched per-fault
 // generations on tpg.pool.trials and folds per-worker backtracks into the
-// shared tpg.backtracks counter, matching the result's own total.
+// shared tpg.backtracks counter and per-worker gate evaluations into
+// tpg.evals, matching the result's own totals, which the atpg span's end
+// reports too.
 func TestWorkerPoolTelemetry(t *testing.T) {
 	c := gen.Random(gen.RandomOptions{PIs: 10, Gates: 120, Seed: 2})
 	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{Registry: reg}))
+	var buf bytes.Buffer
+	j := telemetry.NewJournal(&buf)
+	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{Registry: reg, Journal: j}))
 	res := BuildVectorsContext(ctx, c, Options{Random: 32, Seed: 2, Deterministic: true, Workers: 4})
 	dispatched := res.Generated + res.Untestable + res.Aborted
 	if dispatched == 0 {
@@ -47,6 +53,30 @@ func TestWorkerPoolTelemetry(t *testing.T) {
 	}
 	if got := reg.Counter("tpg.backtracks").Value(); got != res.Backtracks {
 		t.Errorf("tpg.backtracks = %d, result says %d", got, res.Backtracks)
+	}
+	if got := reg.Counter("tpg.evals").Value(); got != res.Evals || got == 0 {
+		t.Errorf("tpg.evals = %d, result says %d", got, res.Evals)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ended := false
+	for sc := bufio.NewScanner(&buf); sc.Scan(); {
+		ev, err := telemetry.ParseEvent(sc.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Span != "atpg" || ev.Event != "span_end" {
+			continue
+		}
+		ended = true
+		if ev.Attrs["evals"] != float64(res.Evals) || ev.Attrs["backtracks"] != float64(res.Backtracks) {
+			t.Errorf("atpg span end evals=%v backtracks=%v, result says %d and %d",
+				ev.Attrs["evals"], ev.Attrs["backtracks"], res.Evals, res.Backtracks)
+		}
+	}
+	if !ended {
+		t.Error("no atpg span_end in the journal")
 	}
 }
 

@@ -37,6 +37,7 @@ type Result struct {
 	Untestable int     // faults proven redundant
 	Aborted    int     // faults abandoned at the backtrack limit
 	Backtracks int64   // total PODEM backtracks across the deterministic pass
+	Evals      int64   // gate evaluations made by PODEM implication
 	// Cancelled is set when the deterministic pass stopped early on context
 	// cancellation; the vector set holds everything produced up to that
 	// point and Coverage reflects the partial set.
@@ -45,8 +46,10 @@ type Result struct {
 
 // BuildVectors produces the vector set V used by the diagnosis experiments:
 // Random patterns first, then (optionally) one deterministic PODEM test for
-// every collapsed stuck-at fault the random set missed, with fault dropping
-// after every added test. Don't-care PI positions are filled randomly.
+// every collapsed stuck-at fault the random set missed. Faults are not
+// dropped as tests are added: every missed fault gets its own PODEM run,
+// and the whole set is fault-simulated once, after the PODEM pass, for
+// Coverage. Don't-care PI positions are filled randomly.
 func BuildVectors(c *circuit.Circuit, opt Options) *Result {
 	return BuildVectorsContext(context.Background(), c, opt)
 }
@@ -73,6 +76,7 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 			telemetry.Int("untestable", res.Untestable),
 			telemetry.Int("aborted", res.Aborted),
 			telemetry.Int64("backtracks", res.Backtracks),
+			telemetry.Int64("evals", res.Evals),
 			telemetry.Bool("cancelled", res.Cancelled))
 	}()
 	reps, _ := fault.Collapse(c)
@@ -89,7 +93,7 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 		// over opt.Workers goroutines — and hands back outcomes in fault
 		// order, so everything below (pattern append order, the don't-care
 		// rng stream, the counters) is identical at any worker count.
-		outs, backtracks, cancelled := generateAll(ctx, c, remaining, opt, tr)
+		outs, backtracks, evals, cancelled := generateAll(ctx, c, remaining, opt, tr)
 		res.Cancelled = cancelled
 		var extra [][]v3
 		for i := range outs {
@@ -109,7 +113,7 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 		if len(extra) > 0 {
 			appendPatterns(res, extra, rng)
 		}
-		res.Backtracks = backtracks
+		res.Backtracks, res.Evals = backtracks, evals
 		det = fault.Detected(c, reps, res.PI, res.N)
 	}
 
