@@ -2,8 +2,9 @@
 #
 #   make ci              — everything a pull request must pass
 #   make check           — ci plus the telemetry gates
-#   make fuzz            — short fuzzing pass over the .bench parser and
+#   make fuzz            — short fuzzing pass over the .bench parser,
 #                          PODEM's verdicts (checked by SAT and fault sim)
+#                          and the word-parallel path trace
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -62,11 +63,13 @@ race:
 
 # Native fuzzing of the .bench parser, seeded from the checked-in corpus in
 # internal/bench/testdata/fuzz plus the f.Add seeds, and of PODEM's verdicts
-# on random circuits against SAT and fault-simulation oracles.
+# on random circuits against SAT and fault-simulation oracles, and of the
+# word-parallel path trace against the per-vector reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveEdgeCases -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/tpg
+	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/pathtrace
 
 # The chaos harness: corrupted-input and randomized-cancellation trials must
 # hold "no panic, well-formed partial results" under the race detector.

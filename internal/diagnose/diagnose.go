@@ -218,6 +218,9 @@ type Stats struct {
 	// independent re-simulation in a different vector order). With the gate
 	// disabled (Options.NoVerify) it stays zero.
 	Verified int
+	// VerifyTime is the wall time of the verified-results gate. It is
+	// zeroed by Deterministic, so checkpoints omit it.
+	VerifyTime time.Duration `json:",omitempty"`
 }
 
 // Result is the output of Run. Status explains how the search ended; when

@@ -10,6 +10,8 @@ import (
 
 // ProvenResult is the outcome of the counterexample-guided repair loop.
 type ProvenResult struct {
+	// RepairResult is the final round's repair. Its Stats cover every
+	// round: each round's search is folded in with Stats.Merge.
 	*RepairResult
 	// Proven is set when the final repair was SAT-certified equivalent to
 	// the specification (not merely matching on the vector set).
@@ -40,6 +42,7 @@ func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options
 	if err != nil {
 		return nil, err
 	}
+	var total Stats
 	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
 		specOut := DeviceOutputs(spec, curPI, curN)
@@ -47,6 +50,8 @@ func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options
 		if err != nil {
 			return nil, fmt.Errorf("diagnose: iteration %d: %w", iter, err)
 		}
+		total = total.Merge(rep.Stats)
+		rep.Stats = total
 		res.RepairResult = rep
 		eq, err := session.Check(rep.Repaired, equiv.Options{MaxConflicts: satConflicts})
 		if err != nil {
@@ -59,20 +64,28 @@ func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options
 			res.Proven = true
 			return res, nil
 		}
-		// Fold the distinguishing input back into V, along with a few
-		// single-bit perturbations of it — neighbours of a counterexample
-		// often separate further near-miss repairs and save whole
-		// refinement rounds.
-		curPI, curN = AppendPattern(curPI, curN, eq.Counterexample)
-		res.AddedVectors++
-		for i := 0; i < len(eq.Counterexample) && i < 8; i++ {
-			nb := append([]bool(nil), eq.Counterexample...)
-			nb[(iter*7+i*13)%len(nb)] = !nb[(iter*7+i*13)%len(nb)]
-			curPI, curN = AppendPattern(curPI, curN, nb)
-			res.AddedVectors++
-		}
+		var added int
+		curPI, curN, added = foldCounterexample(curPI, curN, eq.Counterexample, iter)
+		res.AddedVectors += added
 	}
 	return res, nil
+}
+
+// foldCounterexample folds iteration iter's distinguishing input back into
+// V, along with a few single-bit perturbations of it — neighbours of a
+// counterexample often separate further near-miss repairs and save whole
+// refinement rounds. It returns the grown set and the number of vectors
+// added.
+func foldCounterexample(pi [][]uint64, n int, cex []bool, iter int) ([][]uint64, int, int) {
+	pi, n = AppendPattern(pi, n, cex)
+	added := 1
+	for i := 0; i < len(cex) && i < 8; i++ {
+		nb := append([]bool(nil), cex...)
+		nb[(iter*7+i*13)%len(nb)] = !nb[(iter*7+i*13)%len(nb)]
+		pi, n = AppendPattern(pi, n, nb)
+		added++
+	}
+	return pi, n, added
 }
 
 // AppendPattern extends a packed vector set with one additional pattern.

@@ -78,3 +78,56 @@ func TestRepairProvenFirstTryWithGoodVectors(t *testing.T) {
 		t.Logf("took %d iterations, %d added vectors (acceptable)", res.Iterations, res.AddedVectors)
 	}
 }
+
+// TestRepairProvenStatsCumulative checks that a multi-round refinement
+// reports the work of every round: it replays the loop round by round with
+// the same SAT session sequence and sums each round's Repair stats.
+func TestRepairProvenStatsCumulative(t *testing.T) {
+	spec := gen.Alu(4)
+	opt := Options{MaxErrors: 2}
+	for seed := int64(0); seed < 8; seed++ {
+		bad, _, err := injectK(spec, 1, 700+seed)
+		if err != nil {
+			continue
+		}
+		pi := sim.RandomPatterns(len(spec.PIs), 16, seed)
+		res, err := RepairProven(bad, spec, pi, 16, opt, 32, 0)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Iterations < 2 {
+			continue
+		}
+
+		session, err := equiv.NewSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum Stats
+		var last int
+		curPI, curN := pi, 16
+		for iter := 1; iter <= res.Iterations; iter++ {
+			rep, err := Repair(bad, DeviceOutputs(spec, curPI, curN), curPI, curN, opt)
+			if err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, iter, err)
+			}
+			sum, last = sum.Merge(rep.Stats), rep.Stats.Nodes
+			eq, err := session.Check(rep.Repaired, equiv.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eq.Equivalent {
+				break
+			}
+			curPI, curN, _ = foldCounterexample(curPI, curN, eq.Counterexample, iter)
+		}
+		if got, want := res.Stats.Deterministic(), sum.Deterministic(); got != want {
+			t.Fatalf("seed %d, %d rounds: Stats = %+v, want the sum over rounds %+v", seed, res.Iterations, got, want)
+		}
+		if res.Stats.Nodes <= last {
+			t.Fatalf("seed %d: Stats.Nodes = %d, no more than the last round's %d", seed, res.Stats.Nodes, last)
+		}
+		return
+	}
+	t.Fatal("no seed needed more than one refinement round")
+}

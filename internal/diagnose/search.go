@@ -710,20 +710,19 @@ func (r *runState) newExpandCtx(e *sim.Engine) *expandCtx {
 
 // failSpace builds a node's Verr view: the failing columns of the primary
 // inputs, reference outputs and diff rows, gathered into Words(fails)-word
-// rows, and a second engine simulating the node's circuit over them. When
-// the gather would not save a word the full view serves as the Verr view,
-// its failMask selecting the failing vectors in place.
+// rows, and a second engine simulating the node's circuit over them. All
+// the rows go through one GatherMask call, so the failMask's compress masks
+// are computed once per node. When the gather would not save a word the
+// full view serves as the Verr view, its failMask selecting the failing
+// vectors in place.
 func (r *runState) failSpace(full vecView, fails int) vecView {
 	if sim.Words(fails) == full.e.W {
 		return full
 	}
-	idx := make([]int, 0, fails)
-	for w, x := range full.mask {
-		for ; x != 0; x &= x - 1 {
-			idx = append(idx, w<<6|bits.TrailingZeros64(x))
-		}
-	}
-	e := sim.NewEngine(full.e.C, sim.PermutePatterns(r.pi, r.n, idx), fails)
+	np, ns := len(r.pi), len(full.spec)
+	rows := make([][]uint64, 0, np+ns+len(full.diff))
+	g := sim.GatherMask(append(append(append(rows, r.pi...), full.spec...), full.diff...), full.mask)
+	e := sim.NewEngine(full.e.C, g[:np:np], fails)
 	e.CTrials, e.CEvents = full.e.CTrials, full.e.CEvents
 	mask := make([]uint64, e.W)
 	for w := range mask {
@@ -732,8 +731,8 @@ func (r *runState) failSpace(full vecView, fails int) vecView {
 	mask[e.W-1] = sim.TailMask(fails)
 	return vecView{
 		e:    e,
-		spec: sim.PermutePatterns(full.spec, r.n, idx),
-		diff: sim.PermutePatterns(full.diff, r.n, idx),
+		spec: g[np : np+ns : np+ns],
+		diff: g[np+ns:],
 		mask: mask,
 	}
 }

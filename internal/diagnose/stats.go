@@ -28,6 +28,7 @@ func (s Stats) Merge(o Stats) Stats {
 	s.Verified += o.Verified
 	s.DiagTime += o.DiagTime
 	s.CorrTime += o.CorrTime
+	s.VerifyTime += o.VerifyTime
 	if o.Rounds > s.Rounds {
 		s.Rounds = o.Rounds
 	}
@@ -69,5 +70,6 @@ func (s Stats) MonotoneSince(prev Stats) error {
 func (s Stats) Deterministic() Stats {
 	s.DiagTime = 0
 	s.CorrTime = 0
+	s.VerifyTime = 0
 	return s
 }

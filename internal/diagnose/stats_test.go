@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dedc/internal/gen"
+	"dedc/internal/sim"
 )
 
 func TestStatsString(t *testing.T) {
@@ -76,5 +79,38 @@ func TestStatsDeterministic(t *testing.T) {
 	}
 	if d.Nodes != 1 || d.Rounds != 2 {
 		t.Errorf("Deterministic disturbed counters: %+v", d)
+	}
+}
+
+func TestStatsVerifyTime(t *testing.T) {
+	a, b := Stats{VerifyTime: time.Millisecond}, Stats{VerifyTime: 2 * time.Millisecond}
+	if got := a.Merge(b).VerifyTime; got != 3*time.Millisecond {
+		t.Errorf("Merge VerifyTime = %v, want 3ms", got)
+	}
+	if got := a.Deterministic().VerifyTime; got != 0 {
+		t.Errorf("Deterministic kept VerifyTime %v", got)
+	}
+
+	spec := gen.Alu(4)
+	bad, _, err := injectK(spec, 1, 701)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := sim.RandomPatterns(len(spec.PIs), 256, 1)
+	specOut := DeviceOutputs(spec, pi, 256)
+	rep, err := Repair(bad, specOut, pi, 256, Options{MaxErrors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Verified == 0 || rep.Stats.VerifyTime <= 0 {
+		t.Errorf("verified %d solution(s) in %v, want at least one in nonzero time",
+			rep.Stats.Verified, rep.Stats.VerifyTime)
+	}
+	rep, err = Repair(bad, specOut, pi, 256, Options{MaxErrors: 2, NoVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.VerifyTime != 0 {
+		t.Errorf("NoVerify run spent %v in the verify gate", rep.Stats.VerifyTime)
 	}
 }

@@ -1,6 +1,10 @@
 package diagnose
 
-import "dedc/internal/sim"
+import (
+	"time"
+
+	"dedc/internal/sim"
+)
 
 // verifySolution is the verified-results gate: it re-proves a candidate
 // solution with machinery independent of the search that produced it. The
@@ -10,17 +14,20 @@ import "dedc/internal/sim"
 // patterns means a bookkeeping bug that happens to be consistent between the
 // search's base simulation and its trial propagations still cannot slip an
 // unproven tuple through: the gate's word layout shares nothing with the
-// engine's.
+// engine's. The reversal is word-level (sim.ReversePatterns) and is redone
+// for every solution rather than cached, so it always reflects the run's
+// current vector set and reference outputs. Its wall time is charged to
+// Stats.VerifyTime.
 func (r *runState) verifySolution(corrs []Correction) bool {
+	defer func(t0 time.Time) { r.res.Stats.VerifyTime += time.Since(t0) }(time.Now())
 	ckt := r.base.Clone()
 	for _, c := range corrs {
 		if c.Apply(ckt) != nil {
 			return false
 		}
 	}
-	perm := sim.ReversedPerm(r.n)
-	pi := sim.PermutePatterns(r.pi, r.n, perm)
-	spec := sim.PermutePatterns(r.specOut, r.n, perm)
+	pi := sim.ReversePatterns(r.pi, r.n)
+	spec := sim.ReversePatterns(r.specOut, r.n)
 	r.res.Stats.Simulations++
 	// SimulateParallel shards the pattern words across workers; per-pattern
 	// values are independent, so the result matches Simulate bit for bit and

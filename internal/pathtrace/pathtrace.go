@@ -7,9 +7,15 @@
 // marks at least one line from every set of lines where valid corrections
 // exist — for a single fault, the actual fault site is marked on every
 // failing vector.
+//
+// The marks are defined per vector, but Trace computes them for 64 vectors
+// per machine word: it keeps one mark row per line, one bit per vector, and
+// settles every line's row in a single reverse-topological pass over the
+// netlist.
 package pathtrace
 
 import (
+	"math/bits"
 	"sort"
 
 	"dedc/internal/circuit"
@@ -28,72 +34,103 @@ type Result struct {
 // value matrix of the circuit being diagnosed; specOut holds the expected
 // (device/specification) primary output rows in circuit PO order. A vector
 // fails when any PO row disagrees with specOut.
+//
+// Bit v of line l's mark row says whether vector v's trace reaches l. Each
+// PO's row starts as its diff row (val ^ specOut, tail-masked), and Fail is
+// the popcount of their OR. Lines are then visited in reverse topological
+// order, so every reader of a line has passed its marks on before the line
+// itself is visited; a line whose row is all zero is skipped, which keeps
+// the pass inside the marked cone. At an AND/NAND/OR/NOR with controlling
+// value cv, fanin f receives mark & (val[f]==cv | no fanin at cv); BUF, NOT
+// and DFF pass the whole row to their fanin, and XOR, XNOR and every other
+// type without a controlling value to each fanin; inputs and constants
+// stop. Counts[l] is the popcount of l's row.
+//
+// This is the per-vector procedure with the vectors side by side. Where a
+// vector's trace marks a line is decided only by that vector's values, and
+// the per-vector walk's visited check merely stops a line from being
+// counted twice — which the OR into the row does as well. So Counts is the
+// number of failing vectors whose trace marks each line, exactly.
 func Trace(c *circuit.Circuit, val [][]uint64, specOut [][]uint64, n int) *Result {
 	res := &Result{Counts: make([]int32, c.NumLines())}
-	visited := make([]int32, c.NumLines())
-	for i := range visited {
-		visited[i] = -1
+	if n <= 0 {
+		return res
 	}
-	stack := make([]circuit.Line, 0, 128)
-	bit := func(row []uint64, v int) bool { return row[v/64]>>(uint(v)%64)&1 == 1 }
-
-	for v := 0; v < n; v++ {
-		failing := false
-		for i, po := range c.POs {
-			if bit(val[po], v) != bit(specOut[i], v) {
-				failing = true
-				break
-			}
+	w := sim.Words(n)
+	storage := make([]uint64, (c.NumLines()+2)*w)
+	row := func(l circuit.Line) []uint64 { return storage[int(l)*w : (int(l)+1)*w : (int(l)+1)*w] }
+	fail := storage[c.NumLines()*w : (c.NumLines()+1)*w]
+	anyCv := storage[(c.NumLines()+1)*w:]
+	tail := sim.TailMask(n)
+	for i, po := range c.POs {
+		m, v, s := row(po), val[po][:w], specOut[i][:w]
+		for k := range m {
+			m[k] |= v[k] ^ s[k]
 		}
-		if !failing {
+		m[w-1] &= tail
+		for k := range m {
+			fail[k] |= m[k]
+		}
+	}
+	res.Fail = popcount(fail)
+	if res.Fail == 0 {
+		return res
+	}
+
+	topo := c.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		l := topo[i]
+		m := row(l)
+		cnt := popcount(m)
+		if cnt == 0 {
 			continue
 		}
-		vid := int32(res.Fail)
-		res.Fail++
-		stack = stack[:0]
-		for i, po := range c.POs {
-			if bit(val[po], v) != bit(specOut[i], v) && visited[po] != vid {
-				visited[po] = vid
-				res.Counts[po]++
-				stack = append(stack, po)
+		res.Counts[l] = int32(cnt)
+		g := &c.Gates[l]
+		fanin := g.Fanin
+		switch g.Type {
+		case circuit.Input, circuit.Const0, circuit.Const1:
+			continue
+		case circuit.Buf, circuit.Not, circuit.DFF:
+			fanin = fanin[:1]
+		case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
+			// flip turns a fanin row into its "at controlling value" row.
+			var flip uint64
+			if cv, _ := g.Type.ControllingValue(); !cv {
+				flip = ^uint64(0)
 			}
+			clear(anyCv)
+			for _, f := range fanin {
+				v := val[f][:w]
+				for k := range anyCv {
+					anyCv[k] |= v[k] ^ flip
+				}
+			}
+			for _, f := range fanin {
+				dst, v := row(f), val[f][:w]
+				for k := range dst {
+					dst[k] |= m[k] & (v[k] ^ flip | ^anyCv[k])
+				}
+			}
+			continue
 		}
-		for len(stack) > 0 {
-			l := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g := &c.Gates[l]
-			if g.Type == circuit.Input || g.Type == circuit.Const0 || g.Type == circuit.Const1 {
-				continue
-			}
-			push := func(f circuit.Line) {
-				if visited[f] != vid {
-					visited[f] = vid
-					res.Counts[f]++
-					stack = append(stack, f)
-				}
-			}
-			cv, hasCtrl := g.Type.ControllingValue()
-			if g.Type == circuit.Buf || g.Type == circuit.Not || g.Type == circuit.DFF {
-				push(g.Fanin[0])
-				continue
-			}
-			traced := false
-			if hasCtrl {
-				for _, f := range g.Fanin {
-					if bit(val[f], v) == cv {
-						push(f)
-						traced = true
-					}
-				}
-			}
-			if !traced {
-				for _, f := range g.Fanin {
-					push(f)
-				}
+		for _, f := range fanin {
+			dst := row(f)
+			for k := range dst {
+				dst[k] |= m[k]
 			}
 		}
 	}
 	return res
+}
+
+// popcount counts the set bits of a tail-masked row.
+func popcount(row []uint64) int {
+	n := 0
+	for _, x := range row {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 // TraceAgainst is a convenience wrapper: it simulates c over pi and traces

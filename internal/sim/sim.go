@@ -3,7 +3,7 @@
 // callers ask "what if line l took these values?" without disturbing the
 // base simulation state. The trial engine is the computational core behind
 // the paper's heuristics. Package diagnose runs two engines per search node:
-// one over the failing vectors alone (gathered with PermutePatterns), which
+// one over the failing vectors alone (gathered with GatherMask), which
 // carries heuristic 1 (invert Verr and propagate) and the Theorem-1 screen
 // (a local gate evaluation over Verr), and one over all of V, which carries
 // the Vcorr screen (fanout-cone propagation of a candidate correction) and
@@ -315,37 +315,99 @@ func Popcount(row []uint64, n int) int {
 	return t
 }
 
-// PermutePatterns returns copies of the packed rows with the patterns
-// reordered: output pattern j carries input pattern perm[j]. perm may also
-// select a subset of the n patterns, in which case the result is a gather
-// holding len(perm) patterns in Words(len(perm)) words per row. It backs the
-// verified-results gate in diagnose, which re-proves solutions over the same
-// vector set in a different order so a result can never depend on an
-// order-sensitive bug in the incremental engine, and the per-node
-// failing-vector engine, which gathers the failing columns of V.
-func PermutePatterns(rows [][]uint64, n int, perm []int) [][]uint64 {
-	w := Words(len(perm))
+// ReversePatterns returns copies of the packed rows with the first n
+// patterns in reverse order: output pattern j carries input pattern n-1-j,
+// and the tail bits are zero. It is the verified-results gate's "different
+// vector order" — the gate in diagnose re-proves solutions over the same
+// vector set reversed, so a result can never depend on an order-sensitive
+// bug in the incremental engine. Reversing every bit of the row's 64·W-bit
+// span puts pattern p at 64·W-1-p; one funnel shift down by 64·W-n then
+// moves it to n-1-p. Each word costs one bits.Reverse64.
+func ReversePatterns(rows [][]uint64, n int) [][]uint64 {
+	w := Words(n)
+	s := uint(64*w - n)
 	out := make([][]uint64, len(rows))
 	storage := make([]uint64, len(rows)*w)
 	for i, row := range rows {
 		dst := storage[i*w : (i+1)*w : (i+1)*w]
-		for j, p := range perm {
-			bit := (row[p>>6] >> (uint(p) & 63)) & 1
-			dst[j>>6] |= bit << (uint(j) & 63)
+		if w > 0 {
+			lo := bits.Reverse64(row[w-1])
+			for k := range dst {
+				var hi uint64
+				if k+1 < w {
+					hi = bits.Reverse64(row[w-2-k])
+				}
+				dst[k] = lo>>s | hi<<(64-s)
+				lo = hi
+			}
 		}
 		out[i] = dst
 	}
 	return out
 }
 
-// ReversedPerm returns the permutation n-1, n-2, …, 0 — the deterministic
-// "different vector order" the verification gate uses.
-func ReversedPerm(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = n - 1 - i
+// GatherMask returns copies of the packed rows holding only the patterns
+// whose bit is set in mask, in ascending order: Popcount(mask) patterns in
+// Words(Popcount(mask)) words per row, tail bits zero. It builds the
+// per-node failing-vector engine in diagnose, which gathers the failing
+// columns of V. Each mask word is compressed with the parallel-suffix
+// method of Hacker's Delight §7-1: its six move masks are computed once and
+// then shared by every row, and the compressed word is funnelled in at the
+// running bit offset.
+func GatherMask(rows [][]uint64, mask []uint64) [][]uint64 {
+	total := 0
+	for _, m := range mask {
+		total += bits.OnesCount64(m)
 	}
-	return perm
+	w := Words(total)
+	out := make([][]uint64, len(rows))
+	storage := make([]uint64, len(rows)*w)
+	for i := range rows {
+		out[i] = storage[i*w : (i+1)*w : (i+1)*w]
+	}
+	pos := 0
+	for k, m := range mask {
+		if m == 0 {
+			continue
+		}
+		mv, c := compressMasks(m), bits.OnesCount64(m)
+		off, at := uint(pos&63), pos>>6
+		spill := int(off)+c > 64
+		for i, row := range rows {
+			x := row[k] & m
+			for j, v := range mv {
+				t := x & v
+				x = x ^ t | t>>(1<<j)
+			}
+			dst := out[i]
+			dst[at] |= x << off
+			if spill {
+				dst[at+1] |= x >> (64 - off)
+			}
+		}
+		pos += c
+	}
+	return out
+}
+
+// compressMasks returns the six move masks that compress the bits of a word
+// selected by m down to its low end (Hacker's Delight §7-1, compress): step
+// j moves the bits in mv[j] right by 2^j.
+func compressMasks(m uint64) [6]uint64 {
+	var mv [6]uint64
+	mk := ^m << 1 // counts the zeros to the right of each bit
+	for j := range mv {
+		mp := mk ^ mk<<1 // parallel suffix
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv[j] = mp & m
+		m = m ^ mv[j] | mv[j]>>(1<<j)
+		mk &^= mp
+	}
+	return mv
 }
 
 // EqualRows reports whether two rows agree on the first n patterns.
