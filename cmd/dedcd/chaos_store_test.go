@@ -23,7 +23,10 @@ import (
 // it SIGKILLs a real dedcd at random points mid-workload and checks that a
 // restart over the same store directory loses nothing — every accepted job
 // still exists and reaches a terminal state, and the completed jobs' solution
-// sets are identical to an uninterrupted run.
+// sets are identical to an uninterrupted run. Every post-kill restart must
+// also be listening within 2× the lease TTL, the bound within which the
+// reaper hands a dead worker's job on, so a crash costs no more availability
+// than a lost lease.
 //
 // Defaults to a handful of trials so the regular test run stays quick; the
 // `make chaos-store` target scales it up:
@@ -98,6 +101,7 @@ func TestChaosStoreKill(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(20260808))
 	resumed := 0
+	var slowest time.Duration
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
@@ -126,6 +130,11 @@ func TestChaosStoreKill(t *testing.T) {
 			// the orphans and finish the workload.
 			d2 := startStoreDaemon(t, bin, storeDir)
 			defer d2.stop(t)
+			slowest = max(slowest, d2.boot)
+			if d2.boot > 2*chaosLeaseTTL {
+				t.Errorf("kill at %v: restart took %v to listen, over 2× lease TTL (%v)",
+					delay, d2.boot, 2*chaosLeaseTTL)
+			}
 			deadline := time.Now().Add(5 * time.Minute)
 			for _, id := range ids {
 				state, _ := waitTerminal(t, d2.base, id, deadline)
@@ -147,6 +156,7 @@ func TestChaosStoreKill(t *testing.T) {
 	// checkpoint reruns fresh), so it is reported rather than asserted here;
 	// TestRestartResumesFromCheckpoint pins it deterministically.
 	t.Logf("%d of %d post-kill completions resumed a checkpoint", resumed, 2*trials)
+	t.Logf("slowest restart: %v from exec to listening (bound %v)", slowest, 2*chaosLeaseTTL)
 }
 
 // TestRestartResumesFromCheckpoint kills dedcd only after a checkpoint ref is
@@ -216,11 +226,17 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// chaosLeaseTTL is the -lease-ttl every store daemon in these tests runs with.
+const chaosLeaseTTL = 2 * time.Second
+
 // storeDaemon is one dedcd subprocess bound to a durable store directory.
 type storeDaemon struct {
 	cmd    *exec.Cmd
 	stderr *syncBuffer
 	base   string
+	// boot is the time from exec to the "dedcd listening" log line (to the
+	// 10 ms poll granularity of startStoreDaemon).
+	boot time.Duration
 }
 
 func startStoreDaemon(t *testing.T, bin, storeDir string) *storeDaemon {
@@ -228,10 +244,11 @@ func startStoreDaemon(t *testing.T, bin, storeDir string) *storeDaemon {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-workers", "2",
 		"-store-dir", storeDir,
-		"-lease-ttl", "2s", "-max-attempts", "10", "-retry-backoff", "25ms",
+		"-lease-ttl", chaosLeaseTTL.String(), "-max-attempts", "10", "-retry-backoff", "25ms",
 		"-drain-timeout", "15s")
 	stderr := &syncBuffer{}
 	cmd.Stderr = stderr
+	start := time.Now()
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +264,7 @@ func startStoreDaemon(t *testing.T, bin, storeDir string) *storeDaemon {
 	if addr == "" {
 		t.Fatalf("no listen address announced:\n%s", stderr.String())
 	}
-	return &storeDaemon{cmd: cmd, stderr: stderr, base: "http://" + addr}
+	return &storeDaemon{cmd: cmd, stderr: stderr, base: "http://" + addr, boot: time.Since(start)}
 }
 
 // stop drains the daemon cleanly; jobs still running ride out the drain.

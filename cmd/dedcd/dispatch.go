@@ -22,24 +22,20 @@ import (
 // beyond the cancel functions of attempts currently executing here.
 
 // cFenced counts the fence in action: attempts cancelled mid-run because a
-// renew or checkpoint write proved their lease dead — stale token (expired,
-// reassigned, job requeued by a new owner's boot replay) or the owner
-// unreachable past the retry window. Fencing frees the worker slot
-// immediately instead of letting a doomed attempt run to completion; its
-// late outcome write would be rejected anyway, so no duplicate settlement
-// is possible either way.
+// renew or checkpoint write proved their lease dead — a stale token (the
+// lease expired and was reassigned, or a restart's boot replay requeued the
+// job). Fencing frees the worker slot immediately instead of letting a
+// doomed attempt run to completion; its late outcome write would be
+// rejected anyway, so no duplicate settlement is possible either way.
 var cFenced = telemetry.Default.Counter("dedcd.fenced_attempts",
-	"Running attempts cancelled because their lease was lost (stale token, requeue, or store ownership change).")
+	"Running attempts cancelled because their lease was lost (stale token, requeue, or cancel).")
 
 // leaseLost reports errors that prove this attempt's lease is no longer
-// live: the store rejected the token, the job left the running state, or the
-// fleet lost its owner for longer than the remote retry window (in which
-// case the lease has certainly expired or been orphan-requeued by the new
-// owner's boot replay).
+// live: the store rejected the token, or the job left the running state.
 func leaseLost(err error) bool {
 	return errors.Is(err, store.ErrLeaseExpired) || errors.Is(err, store.ErrWrongWorker) ||
 		errors.Is(err, store.ErrNotRunning) || errors.Is(err, store.ErrTerminal) ||
-		errors.Is(err, store.ErrUnknownJob) || errors.Is(err, store.ErrUnavailable)
+		errors.Is(err, store.ErrUnknownJob)
 }
 
 // dispatch claims jobs whenever the pool has room, waking on submits and on
@@ -310,9 +306,8 @@ func (s *server) reap(ctx context.Context) {
 				if errors.Is(err, store.ErrClosed) {
 					return
 				}
-				// Transient in a fleet: a follower's expire RPC fails through
-				// a failover window, then the next tick reaches the new
-				// owner. The reaper must outlive that.
+				// An append failure (disk full, I/O error) may clear; the
+				// reaper must outlive it and retry on the next tick.
 				s.log.Warn("lease reaper", "err", err)
 				continue
 			}

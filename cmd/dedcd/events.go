@@ -19,7 +19,7 @@ import (
 
 // This file is the live-introspection layer of dedcd: GET /v1/jobs/{id}/events
 // streams one job's lifecycle and search progress as Server-Sent Events, and
-// GET /v1/stats serves a one-shot fleet summary (dedctop's poll target).
+// GET /v1/stats serves a one-shot daemon summary (dedctop's poll target).
 //
 // Every frame flows through one bounded fan-out bus (telemetry.Bus): the store
 // watch pump publishes persisted timeline transitions, and running attempts
@@ -315,8 +315,6 @@ var statsCounters = map[string]string{
 	"compactions":       "store.compactions",
 	"evictions":         "store.evictions",
 	"fenced_attempts":   "dedcd.fenced_attempts",
-	"elections_won":     "store.elections_won",
-	"remote_retries":    "store.remote_retries",
 }
 
 // handleStats serves GET /v1/stats: per-state job counts, pool occupancy,
@@ -340,20 +338,16 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.progressMu.Unlock()
 	sort.Slice(running, func(i, k int) bool { return running[i].Job < running[k].Job })
-	role, owner := s.roleInfo()
 
 	writeJSON(w, http.StatusOK, stream.Stats{
-		TS:    time.Now(),
-		Role:  role,
-		Owner: owner,
-		Jobs:  jobs,
+		TS:   time.Now(),
+		Jobs: jobs,
 		Pool: stream.PoolStats{
 			Workers:     s.poolWorkers,
 			QueueFree:   s.pool.QueueFree(),
 			Submitted:   ps.Submitted,
 			Completed:   ps.Completed,
 			Failed:      ps.Failed,
-			Retries:     ps.Retries,
 			Panics:      ps.Panics,
 			Shed:        ps.Shed,
 			WorkersLost: ps.WorkersLost,
@@ -380,9 +374,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // /healthz still reports the process alive.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{}
-	if role, owner := s.roleInfo(); role != "" {
-		body["role"], body["owner"] = role, owner
-	}
 	switch {
 	case s.draining.Load():
 		body["ready"], body["reason"] = false, "draining"

@@ -19,7 +19,7 @@
 //	GET  /v1/jobs/{id}/result terminal result (409 while queued/running)
 //	GET  /v1/jobs/{id}/events SSE stream: lifecycle + live search progress (resumable via Last-Event-ID)
 //	POST /v1/jobs/{id}/cancel cancel a queued or running job
-//	GET  /v1/stats            fleet summary: job counts, pool occupancy, latency quantiles, running attempts
+//	GET  /v1/stats            daemon summary: job counts, pool occupancy, latency quantiles, running attempts
 //	GET  /healthz             liveness + pool counters + job counts
 //	GET  /readyz              readiness: 503 while starting or draining
 //
@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -57,7 +56,6 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("dedcd", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	advertise := fs.String("advertise", "", "address other replicas dial to reach this one (default: the bound listen address; set it when -addr binds a wildcard)")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for harnesses using -addr :0)")
 	workers := fs.Int("workers", 2, "concurrent diagnosis workers")
 	simWorkers := fs.Int("sim-workers", telemetry.DefaultWorkers(),
@@ -94,59 +92,28 @@ func run(args []string) int {
 		BackoffBase: *backoff,
 	}
 
-	// Bind before opening the store: a replicated store advertises this
-	// address in the ownership record the instant it wins the election, so
-	// the listener must exist first. Requests arriving before the handler is
-	// attached just wait in the accept backlog.
+	// Bind before opening the store: a busy or bad address must fail before
+	// boot replay requeues orphans or the dispatcher claims anything.
+	// Requests arriving before the handler is attached wait in the accept
+	// backlog.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("listen failed", "addr", *addr, "err", err)
 		return 1
 	}
-	if *advertise == "" {
-		*advertise = ln.Addr().String()
-	}
 
-	// srvPtr hands the server to the replica's promotion callback, which can
-	// fire before newServer below has run (an immediately-contested election)
-	// or any time after.
-	var srvMu sync.Mutex
-	var srvPtr *server
-
-	var st store.JobStore
-	var replica *store.Replicated
+	var st *store.Store
 	if *storeDir != "" {
-		rep, err := store.OpenReplicated(*storeDir, store.ReplicaOptions{
-			Advertise: *advertise,
-			Store:     sopt,
-			OnRole: func(role store.Role, owner string) {
-				log.Info("store ownership changed", "role", role, "owner", owner)
-				srvMu.Lock()
-				sp := srvPtr
-				srvMu.Unlock()
-				if sp != nil {
-					// The boot replay just orphan-requeued every running job,
-					// including this replica's own fenced attempts; get the
-					// dispatcher claiming again immediately.
-					sp.kick()
-				}
-			},
-		})
+		st, err = store.Open(*storeDir, sopt)
 		if err != nil {
 			ln.Close()
 			log.Error("opening job store", "dir", *storeDir, "err", err)
 			return 1
 		}
-		replica = rep
-		st = rep
 		if *journalDir == "" {
 			*journalDir = filepath.Join(*storeDir, "journals")
 		}
-		role, owner := rep.Role()
-		log.Info("joined store fleet", "dir", *storeDir, "role", role, "owner", owner, "advertise", *advertise)
-		if role == store.RoleOwner {
-			log.Info("job store recovered", "dir", *storeDir, "jobs", rep.Counts())
-		}
+		log.Info("job store recovered", "dir", *storeDir, "jobs", st.Counts())
 	} else {
 		st = store.NewMemory(sopt)
 		log.Warn("running with in-memory job store; jobs will not survive a restart (set -store-dir)")
@@ -172,10 +139,6 @@ func run(args []string) int {
 		QueueDepth: *queue,
 		JobTimeout: *jobTimeout,
 	})
-	srv.replica = replica
-	srvMu.Lock()
-	srvPtr = srv
-	srvMu.Unlock()
 	srv.simWorkers = *simWorkers
 	srv.cache = cache.NewPipeline(*cacheBytes)
 	srv.cache.Instrument(telemetry.Default)

@@ -114,15 +114,10 @@ func detailOf(j store.Job) jobView {
 // supervised pool fed by the dispatcher in dispatch.go. The process can be
 // killed at any instant and a restart resumes the whole workload.
 type server struct {
-	st   store.JobStore
+	st   *store.Store
 	pool *supervise.Pool
 	log  *slog.Logger
 	run  runner
-
-	// replica is set when the store runs replicated (-store-dir): the same
-	// object as st, kept typed for role introspection and the RPC mount.
-	// Nil on an in-memory store.
-	replica *store.Replicated
 
 	baseCtx context.Context // process job lifetime: shutdown cancels attempts
 
@@ -189,7 +184,7 @@ type attempt struct {
 	cancel context.CancelFunc
 }
 
-func newServer(log *slog.Logger, st store.JobStore, popt supervise.Options) *server {
+func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *server {
 	workers := popt.Workers
 	if workers <= 0 {
 		workers = 4 // supervise.New's default
@@ -216,8 +211,6 @@ func newServer(log *slog.Logger, st store.JobStore, popt supervise.Options) *ser
 		env.Cache = s.cache
 		return runDiagnosis(ctx, req, env)
 	}
-	// Retries are the store's policy now: one pool attempt per claim.
-	popt.MaxRetries = 0
 	// The panicking attempt records its own terminal failure (under its own
 	// lease token) on the way out of the pool closure — see startJob; this
 	// hook only reports the quarantine.
@@ -259,23 +252,7 @@ func (s *server) handler(reg *telemetry.Registry) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	if s.replica != nil {
-		// The store RPC surface rides the same mux; on a follower it answers
-		// not_owner so a client that dialed a stale address re-resolves.
-		mux.Handle("/v1/store/", s.replica.RPCHandler())
-	}
 	return mux
-}
-
-// roleInfo reports the replica's fleet position for /readyz and /v1/stats:
-// ("", "") on an in-memory store, otherwise the role and the current owner's
-// advertised address.
-func (s *server) roleInfo() (role, owner string) {
-	if s.replica == nil {
-		return "", ""
-	}
-	r, addr := s.replica.Role()
-	return string(r), addr
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {

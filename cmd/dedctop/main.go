@@ -1,5 +1,5 @@
 // Command dedctop is a terminal dashboard for a running dedcd: it polls
-// GET /v1/stats and repaints a fleet summary — job counts, pool occupancy,
+// GET /v1/stats and repaints a daemon summary — job counts, pool occupancy,
 // latency quantiles, stream health, and a progress table with the latest
 // checkpoint of every running attempt.
 //
@@ -34,7 +34,6 @@ func main() {
 func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("dedctop", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:8080", "dedcd base URL")
-	addrs := fs.String("addrs", "", "comma-separated dedcd base URLs: aggregate /v1/stats across replicas into one fleet view with a per-replica role column")
 	interval := fs.Duration("interval", time.Second, "refresh interval")
 	frames := fs.Int("frames", 0, "stop after this many frames (0 = run until interrupted)")
 	once := fs.Bool("once", false, "print a single plain frame and exit (implies -frames 1 -plain)")
@@ -51,20 +50,6 @@ func run(args []string, out *os.File) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *addrs != "" && *job == "" {
-		var bases []string
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				bases = append(bases, normalizeBase(a))
-			}
-		}
-		if len(bases) == 0 {
-			fmt.Fprintln(os.Stderr, "dedctop: -addrs holds no addresses")
-			return 2
-		}
-		return runFleet(ctx, bases, *interval, *frames, *plain, out)
-	}
 
 	if *job != "" {
 		if err := tailJob(ctx, base, *job, out); err != nil && ctx.Err() == nil {
@@ -110,33 +95,6 @@ func normalizeBase(addr string) string {
 		base = "http://" + base
 	}
 	return base
-}
-
-// runFleet polls every replica's /v1/stats each frame and renders one fleet
-// view. A replica that is down (being restarted, mid-failover) renders as a
-// down row instead of failing the dashboard — losing replicas is the normal
-// operating condition the fleet exists for.
-func runFleet(ctx context.Context, bases []string, interval time.Duration, frames int, plain bool, out *os.File) int {
-	hc := &http.Client{Timeout: 10 * time.Second}
-	for n := 0; frames == 0 || n < frames; n++ {
-		if n > 0 {
-			select {
-			case <-ctx.Done():
-				return 0
-			case <-time.After(interval):
-			}
-		}
-		cur := make([]replicaStat, len(bases))
-		for i, b := range bases {
-			cur[i].Base = b
-			cur[i].Stats, cur[i].Err = fetchStats(ctx, hc, b)
-		}
-		if ctx.Err() != nil {
-			return 0
-		}
-		fmt.Fprint(out, renderFleet(cur, plain))
-	}
-	return 0
 }
 
 func fetchStats(ctx context.Context, hc *http.Client, base string) (*stream.Stats, error) {

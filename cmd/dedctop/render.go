@@ -21,18 +21,11 @@ func render(prev, cur *stream.Stats, elapsed time.Duration, plain bool) string {
 	}
 	fmt.Fprintf(&b, "dedctop — %s\n\n", cur.TS.Format("15:04:05"))
 
-	if cur.Role != "" {
-		fmt.Fprintf(&b, "replica   %s · owner %s\n", cur.Role, orDash(cur.Owner))
-	}
 	// Jobs by state, stable order, zero states omitted by the daemon.
 	fmt.Fprintf(&b, "jobs      %s\n", formatJobs(cur.Jobs))
-	busy := cur.Pool.Workers - cur.Pool.QueueFree
-	if busy < 0 {
-		busy = 0
-	}
-	fmt.Fprintf(&b, "pool      %d workers · queue free %d · completed %d · failed %d · retries %d · panics %d · shed %d\n",
+	fmt.Fprintf(&b, "pool      %d workers · queue free %d · completed %d · failed %d · panics %d · shed %d\n",
 		cur.Pool.Workers, cur.Pool.QueueFree, cur.Pool.Completed, cur.Pool.Failed,
-		cur.Pool.Retries, cur.Pool.Panics, cur.Pool.Shed)
+		cur.Pool.Panics, cur.Pool.Shed)
 	if prev != nil && elapsed > 0 {
 		done := cur.Pool.Completed - prev.Pool.Completed
 		fmt.Fprintf(&b, "rate      %.2f jobs/s over the last %s\n",
@@ -84,64 +77,6 @@ func render(prev, cur *stream.Stats, elapsed time.Duration, plain bool) string {
 			p.Candidates, p.Simulations, p.SatConflicts)
 	}
 	return b.String()
-}
-
-// replicaStat is one replica's polled /v1/stats, or the error that kept it
-// from answering.
-type replicaStat struct {
-	Base  string
-	Stats *stream.Stats
-	Err   error
-}
-
-// renderFleet formats one frame of the -addrs fleet view: a per-replica
-// table with a role column, then the shared job counts (every live replica
-// reports the same store, so the first live answer is the fleet's truth).
-func renderFleet(replicas []replicaStat, plain bool) string {
-	var b strings.Builder
-	if !plain {
-		b.WriteString("\x1b[H\x1b[2J")
-	}
-	fmt.Fprintf(&b, "dedctop fleet — %s\n\n", time.Now().Format("15:04:05"))
-	fmt.Fprintf(&b, "%-28s %-9s %-22s %5s %7s %9s %6s %7s\n",
-		"REPLICA", "ROLE", "OWNER", "BUSY", "QFREE", "COMPLETED", "FAILED", "FENCED")
-	var shared *stream.Stats
-	live, attempts := 0, 0
-	for _, r := range replicas {
-		name := strings.TrimPrefix(r.Base, "http://")
-		if r.Err != nil {
-			fmt.Fprintf(&b, "%-28s %-9s %s\n", trunc(name, 28), "down", trunc(r.Err.Error(), 60))
-			continue
-		}
-		live++
-		attempts += len(r.Stats.Running)
-		if shared == nil {
-			shared = r.Stats
-		}
-		busy := r.Stats.Pool.Workers - r.Stats.Pool.QueueFree
-		if busy < 0 {
-			busy = 0
-		}
-		fmt.Fprintf(&b, "%-28s %-9s %-22s %5d %7d %9d %6d %7d\n",
-			trunc(name, 28), orDash(r.Stats.Role), trunc(orDash(r.Stats.Owner), 22),
-			busy, r.Stats.Pool.QueueFree, r.Stats.Pool.Completed, r.Stats.Pool.Failed,
-			r.Stats.Counters["fenced_attempts"])
-	}
-	fmt.Fprintf(&b, "\nreplicas  %d live of %d\n", live, len(replicas))
-	if shared != nil {
-		fmt.Fprintf(&b, "jobs      %s\n", formatJobs(shared.Jobs))
-	}
-	if attempts > 0 {
-		fmt.Fprintf(&b, "running   %d attempts across the fleet (per-replica detail: dedctop -addr <replica>)\n", attempts)
-	}
-	return b.String()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "—"
-	}
-	return s
 }
 
 // formatBytes renders a byte count with a binary-unit suffix (KiB/MiB/GiB).

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,13 +8,11 @@ import (
 	"dedc/internal/stream"
 )
 
-var errConnRefused = errors.New("dial tcp: connection refused")
-
 func sampleStats() *stream.Stats {
 	return &stream.Stats{
 		TS:   time.Date(2026, 8, 8, 12, 30, 45, 0, time.UTC),
 		Jobs: map[string]int{"queued": 2, "running": 1, "done": 7},
-		Pool: stream.PoolStats{Workers: 4, QueueFree: 3, Completed: 7, Failed: 1, Retries: 2},
+		Pool: stream.PoolStats{Workers: 4, QueueFree: 3, Completed: 7, Failed: 1},
 		Counters: map[string]int64{
 			"submissions": 10,
 			"requeues":    2,
@@ -38,7 +35,7 @@ func TestRenderFrame(t *testing.T) {
 	for _, want := range []string{
 		"dedctop — 12:30:45",
 		"2 queued · 1 running · 7 done",
-		"4 workers · queue free 3 · completed 7 · failed 1 · retries 2",
+		"4 workers · queue free 3 · completed 7 · failed 1 · panics 0",
 		"3 subscribers · 12 frames dropped",
 		"requeues 2 · submissions 10",
 		"queue_wait",
@@ -79,58 +76,6 @@ func TestRenderIdle(t *testing.T) {
 	}
 	if !strings.Contains(got, "jobs      none") {
 		t.Errorf("idle frame should report no jobs: %s", got)
-	}
-}
-
-func TestRenderReplicaLine(t *testing.T) {
-	cur := sampleStats()
-	cur.Role = "follower"
-	cur.Owner = "10.0.0.7:8080"
-	got := render(nil, cur, 0, true)
-	if !strings.Contains(got, "replica   follower · owner 10.0.0.7:8080") {
-		t.Errorf("frame missing replica role line:\n%s", got)
-	}
-	// In-memory daemons report no role and must not grow the line.
-	if got := render(nil, sampleStats(), 0, true); strings.Contains(got, "replica") {
-		t.Errorf("role-less frame shows a replica line:\n%s", got)
-	}
-}
-
-func TestRenderFleet(t *testing.T) {
-	owner := sampleStats()
-	owner.Role, owner.Owner = "owner", "127.0.0.1:9001"
-	owner.Counters["fenced_attempts"] = 4
-	follower := sampleStats()
-	follower.Role, follower.Owner = "follower", "127.0.0.1:9001"
-	follower.Running = nil
-	got := renderFleet([]replicaStat{
-		{Base: "http://127.0.0.1:9001", Stats: owner},
-		{Base: "http://127.0.0.1:9002", Stats: follower},
-		{Base: "http://127.0.0.1:9003", Err: errConnRefused},
-	}, true)
-	for _, want := range []string{
-		"REPLICA", "ROLE", "OWNER", "FENCED",
-		"127.0.0.1:9001", "owner", "follower",
-		"127.0.0.1:9003", "down", "connection refused",
-		"replicas  2 live of 3",
-		"2 queued · 1 running · 7 done", // shared store view from the first live replica
-		"running   1 attempts across the fleet",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("fleet frame missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "\x1b[") {
-		t.Error("plain fleet frame contains ANSI escapes")
-	}
-}
-
-func TestRenderFleetAllDown(t *testing.T) {
-	got := renderFleet([]replicaStat{
-		{Base: "http://127.0.0.1:9001", Err: errConnRefused},
-	}, true)
-	if !strings.Contains(got, "replicas  0 live of 1") {
-		t.Errorf("all-down fleet frame:\n%s", got)
 	}
 }
 

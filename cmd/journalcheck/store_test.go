@@ -10,8 +10,9 @@ import (
 )
 
 // TestStoreMode: `journalcheck -store <dir>` validates a healthy store
-// directory, tolerates a crash-torn tail, and exits non-zero on interior
-// corruption or a missing directory.
+// directory (also one holding the replicated daemon's ownership record),
+// tolerates a crash-torn tail, and exits non-zero on interior corruption or
+// a missing directory.
 func TestStoreMode(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{NoSync: true})
@@ -26,6 +27,13 @@ func TestStoreMode(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The ownership record the replicated daemon kept beside the log is not
+	// store state; a directory that still holds it checks clean.
+	for _, name := range []string{"owner.json", "owner.json.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"addr":"127.0.0.1:18201","pid":4242}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if code := run([]string{"-store", dir}); code != 0 {

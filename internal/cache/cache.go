@@ -1,7 +1,7 @@
 // Package cache is the hot-path reuse layer: a content-addressed,
 // byte-budgeted LRU store keyed by canonical netlist fingerprints (see
-// Fingerprint), holding parsed circuits and ATPG vector-set results so fleet
-// jobs that share a circuit skip parse+ATPG entirely. Values are isolated on
+// Fingerprint), holding parsed circuits and ATPG vector-set results so
+// service jobs that share a circuit skip parse+ATPG entirely. Values are isolated on
 // the way out (circuits are cloned, vector sets deep-copied), so a cache hit
 // is observationally identical to recomputing — the determinism contract the
 // tests pin down is "cached-vs-fresh results are bit-identical".

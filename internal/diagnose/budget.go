@@ -20,9 +20,8 @@ const (
 	// StatusFirstSolution: the search stopped at the first valid correction
 	// set (non-exact / DEDC mode success).
 	StatusFirstSolution
-	// StatusTimedOut: the wall-clock budget (Options.TimeBudget,
-	// Budget.Time or a context deadline) expired. Solutions found before
-	// expiry are retained.
+	// StatusTimedOut: the wall-clock budget (Budget.Time or a context
+	// deadline) expired. Solutions found before expiry are retained.
 	StatusTimedOut
 	// StatusCancelled: the context was cancelled. Solutions found before
 	// cancellation are retained.

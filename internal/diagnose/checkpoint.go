@@ -61,7 +61,7 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 		Seed:      r.opt.Seed,
 		Exact:     r.opt.Exact,
 		MaxErrors: r.opt.MaxErrors,
-		Frontier: make([]FrontierEntry, len(frontier)),
+		Frontier:  make([]FrontierEntry, len(frontier)),
 		// Deterministic drops the wall-clock phase times: they would make
 		// checkpoints (and hence journals) non-reproducible, and a resumed
 		// run restarts its wall-clock budget anyway.

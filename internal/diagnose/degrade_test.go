@@ -81,15 +81,14 @@ func TestRepairContextDeadlineReturnsTimedOut(t *testing.T) {
 	}
 }
 
-// TestTimeBudgetExpiryMidSchedule drives the legacy TimeBudget option
-// through the new status plumbing: expiry mid-schedule reports TimedOut
-// with work recorded.
+// TestTimeBudgetExpiryMidSchedule drives Budget.Time through the status
+// plumbing: expiry mid-schedule reports TimedOut with work recorded.
 func TestTimeBudgetExpiryMidSchedule(t *testing.T) {
 	c := gen.Alu(6)
 	n := 512
 	pi := sim.RandomPatterns(len(c.PIs), n, 6)
 	ref := unsolvableReference(c, n)
-	res := Run(c, ref, pi, n, StuckAtModel{}, Options{MaxErrors: 3, TimeBudget: 30 * time.Millisecond})
+	res := Run(c, ref, pi, n, StuckAtModel{}, Options{MaxErrors: 3, Budget: Budget{Time: 30 * time.Millisecond}})
 	if res.Status != StatusTimedOut {
 		t.Fatalf("status %v, want TimedOut", res.Status)
 	}

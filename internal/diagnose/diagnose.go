@@ -117,11 +117,6 @@ type Options struct {
 	MaxCorrectionsPerNode int
 	// Schedule is the threshold relaxation sequence; nil = DefaultSchedule.
 	Schedule []Params
-	// TimeBudget bounds the wall-clock time of the whole search across all
-	// schedule steps (0 = unlimited). On expiry the search stops with
-	// StatusTimedOut and reports whatever solutions it has. It is a legacy
-	// alias for Budget.Time; when both are set the smaller wins.
-	TimeBudget time.Duration
 	// Budget bounds wall-clock and counted resources of the whole search.
 	// The zero value is unlimited. See Budget.
 	Budget Budget

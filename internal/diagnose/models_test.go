@@ -95,7 +95,7 @@ func TestTimeBudgetStopsSearch(t *testing.T) {
 			ref[i][j] = uint64(i)*0x9E3779B97F4A7C15 + uint64(j)
 		}
 	}
-	res := Run(c, ref, pi, n, StuckAtModel{}, Options{MaxErrors: 3, TimeBudget: 50e6 /* 50ms */})
+	res := Run(c, ref, pi, n, StuckAtModel{}, Options{MaxErrors: 3, Budget: Budget{Time: 50e6 /* 50ms */}})
 	if len(res.Solutions) != 0 {
 		t.Fatal("solved the unsolvable")
 	}

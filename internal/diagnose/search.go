@@ -58,12 +58,8 @@ func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64
 	}
 	r.instrument()
 	r.initWorkers()
-	budgetTime := opt.TimeBudget
-	if opt.Budget.Time > 0 && (budgetTime == 0 || opt.Budget.Time < budgetTime) {
-		budgetTime = opt.Budget.Time
-	}
-	if budgetTime > 0 {
-		r.deadline = time.Now().Add(budgetTime)
+	if opt.Budget.Time > 0 {
+		r.deadline = time.Now().Add(opt.Budget.Time)
 	}
 	runCtx := r.ctx
 	startStep := 0

@@ -141,10 +141,10 @@ func RunTable1Row(bm gen.Benchmark, faultCounts []int, cfg Config) (Table1Row, e
 			devOut := diagnose.DeviceOutputs(device, vecs.PI, vecs.N)
 			start := time.Now()
 			res, derr := diagnose.DiagnoseStuckAtContext(cfg.ctx(), c, devOut, vecs.PI, vecs.N, diagnose.Options{
-				MaxErrors:  k,
-				MaxNodes:   cfg.MaxNodes,
-				TimeBudget: cfg.RunBudget,
-				Workers:    cfg.Workers,
+				MaxErrors: k,
+				MaxNodes:  cfg.MaxNodes,
+				Budget:    diagnose.Budget{Time: cfg.RunBudget},
+				Workers:   cfg.Workers,
 			})
 			if derr != nil {
 				return Table1Row{}, derr
@@ -241,10 +241,10 @@ func RunTable2Row(bm gen.Benchmark, errorCounts []int, cfg Config) (Table2Row, e
 			}
 			start := time.Now()
 			rep, err := diagnose.RepairContext(cfg.ctx(), bad, specOut, vecs.PI, vecs.N, diagnose.Options{
-				MaxErrors:  k + 1,
-				MaxNodes:   cfg.MaxNodes,
-				TimeBudget: cfg.RunBudget,
-				Workers:    cfg.Workers,
+				MaxErrors: k + 1,
+				MaxNodes:  cfg.MaxNodes,
+				Budget:    diagnose.Budget{Time: cfg.RunBudget},
+				Workers:   cfg.Workers,
 			})
 			elapsed := time.Since(start)
 			cell.Runs++
@@ -288,10 +288,10 @@ func FaultMaskingRate(bm gen.Benchmark, k int, cfg Config) (rate float64, runs i
 		device := fault.Inject(c, fs...)
 		devOut := diagnose.DeviceOutputs(device, vecs.PI, vecs.N)
 		res, derr := diagnose.DiagnoseStuckAtContext(cfg.ctx(), c, devOut, vecs.PI, vecs.N, diagnose.Options{
-			MaxErrors:  k,
-			MaxNodes:   cfg.MaxNodes,
-			TimeBudget: cfg.RunBudget,
-			Workers:    cfg.Workers,
+			MaxErrors: k,
+			MaxNodes:  cfg.MaxNodes,
+			Budget:    diagnose.Budget{Time: cfg.RunBudget},
+			Workers:   cfg.Workers,
 		})
 		if derr != nil {
 			return 0, 0, derr

@@ -36,7 +36,7 @@ const (
 	PhaseSATCheck  = "satcheck"  // SAT equivalence self-proof (sat.conflicts)
 
 	// Reuse variants of the two hot phases above, measuring the repeated-
-	// circuit workload a fleet actually sees: the same vector build served
+	// circuit workload a service actually sees: the same vector build served
 	// from the content-addressed cache, and the same equivalence check
 	// re-proved on a persistent incremental SAT session. Their cold
 	// counterparts (vectors, satcheck) stay pinned to the fresh path, so a
@@ -260,7 +260,7 @@ func runScenario(sc Scenario, opt Options) (*ScenarioResult, error) {
 	}
 	// The warm-cache variant: measure's untimed warmup run pays the one miss
 	// that populates the pipeline, so every measured rep is a pure hit — the
-	// repeated-circuit fleet workload. The pipeline shares the scenario's
+	// repeated-circuit service workload. The pipeline shares the scenario's
 	// registry, so cache.hits lands in the phase's counter deltas.
 	pipe := cache.NewPipeline(64 << 20)
 	pipe.Instrument(reg)

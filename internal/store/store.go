@@ -69,14 +69,10 @@ var (
 	// expired lease may already have been handed to another worker, so the
 	// late worker must abandon the attempt instead of extending it.
 	ErrLeaseExpired = errors.New("store: lease expired")
-	// ErrNotOwner reports a write to a store this process does not own: the
-	// single-writer flock is held by another replica. Followers route through
-	// the owner's RPC surface (Remote) instead of touching the files.
+	// ErrNotOwner reports an Open of a directory whose single-writer flock
+	// is held by another process (or another open file description in this
+	// one).
 	ErrNotOwner = errors.New("store: not the store owner")
-	// ErrUnavailable reports that no owner could be reached within the remote
-	// retry window — every replica may be mid-election. Callers should back
-	// off and retry; the operation was not durably recorded.
-	ErrUnavailable = errors.New("store: owner unavailable")
 )
 
 // Store-level counters in the process-wide registry.
@@ -315,56 +311,8 @@ func (o Options) defaults() Options {
 	return o
 }
 
-// JobStore is the storage seam of the service: dedcd is written against this
-// interface, with the in-memory implementation for tests and the file-backed
-// one for production (and, eventually, a shared backend for replica fleets).
-type JobStore interface {
-	// Submit appends a new job and returns it (state queued).
-	Submit(spec json.RawMessage) (Job, error)
-	// Lookup resolves an ID to a job, distinguishing never-seen from
-	// evicted.
-	Lookup(id string) (Job, Presence)
-	// List returns all retained jobs, ordered by ID.
-	List() []Job
-	// Counts returns the number of retained jobs per state.
-	Counts() map[State]int
-	// Claim leases the oldest ready queued job to worker for LeaseTTL.
-	Claim(worker string) (Job, bool, error)
-	// Renew extends worker's lease by LeaseTTL. Renewal after expiry is
-	// rejected with ErrLeaseExpired.
-	Renew(id, worker string) error
-	// SetCheckpoint records the attempt's checkpoint ref (journal path) and
-	// renews the lease — the checkpoint-boundary renewal.
-	SetCheckpoint(id, worker, ref string) error
-	// Complete records the terminal result of worker's attempt.
-	Complete(id, worker string, result json.RawMessage) error
-	// Fail records a failed attempt: requeued with backoff while attempts
-	// remain, terminal failed after MaxAttempts.
-	Fail(id, worker, msg string) error
-	// FailTerminal fails the job immediately (poison pill: a panicking
-	// input is presumed to panic again).
-	FailTerminal(id, worker, msg string) error
-	// Release returns an unexecuted claim to the queue without a backoff
-	// penalty (the claim never ran: pool shed it, or shutdown raced it).
-	Release(id, worker string) error
-	// Cancel terminally cancels a queued or running job.
-	Cancel(id string) error
-	// ExpireLeases requeues (or terminally fails) every running job whose
-	// lease has expired, returning both sets.
-	ExpireLeases() (requeued, failed []Job, err error)
-	// Watch subscribes to one job's live timeline transitions; WatchAll to
-	// every job's. Transitions are delivered as apply folds them — live
-	// operations only, never boot replay — into a bounded per-subscriber
-	// ring that drops oldest-first instead of ever blocking a mutation.
-	Watch(id string, buf int) *telemetry.Sub[Update]
-	WatchAll(buf int) *telemetry.Sub[Update]
-	// Close releases the backing log and ends every watch subscription.
-	// Further mutations fail ErrClosed.
-	Close() error
-}
-
-// Store implements JobStore over a write-ahead log. Create with NewMemory or
-// Open.
+// Store is the service's job store: an event-sourced job table over a
+// write-ahead log. Create with NewMemory or Open.
 type Store struct {
 	mu     sync.Mutex
 	opt    Options

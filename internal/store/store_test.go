@@ -41,7 +41,7 @@ func memStore(t *testing.T, clk *fakeClock, opt Options) *Store {
 	return s
 }
 
-func submit(t *testing.T, s JobStore, spec string) Job {
+func submit(t *testing.T, s *Store, spec string) Job {
 	t.Helper()
 	j, err := s.Submit(json.RawMessage(spec))
 	if err != nil {
@@ -50,7 +50,7 @@ func submit(t *testing.T, s JobStore, spec string) Job {
 	return j
 }
 
-func mustClaim(t *testing.T, s JobStore, worker string) Job {
+func mustClaim(t *testing.T, s *Store, worker string) Job {
 	t.Helper()
 	j, ok, err := s.Claim(worker)
 	if err != nil || !ok {

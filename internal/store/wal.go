@@ -143,12 +143,12 @@ type fileWAL struct {
 	snapSize int64 // framed bytes in the snapshot file
 }
 
-// acquireLock takes the single-writer flock on dir's lock file without
-// blocking. This is the fleet's election primitive: exactly one process (or
-// one open file description within a process) holds it at a time, the kernel
-// releases it the instant the holder dies, and a loser gets the typed
-// ErrNotOwner so it can follow instead of fail.
-func acquireLock(dir string) (*os.File, error) {
+// openFileWAL takes the single-writer flock on dir's lock file without
+// blocking, then opens the event log for appending. Exactly one process (or
+// one open file description within a process) holds the flock at a time, and
+// the kernel releases it the instant the holder dies; a contender gets the
+// typed ErrNotOwner.
+func openFileWAL(dir string) (*fileWAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
@@ -158,23 +158,8 @@ func acquireLock(dir string) (*os.File, error) {
 	}
 	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		lock.Close()
-		return nil, fmt.Errorf("%s is held by another replica (%v): %w", dir, err, ErrNotOwner)
+		return nil, fmt.Errorf("%s is held by another process (%v): %w", dir, err, ErrNotOwner)
 	}
-	return lock, nil
-}
-
-func openFileWAL(dir string) (*fileWAL, error) {
-	lock, err := acquireLock(dir)
-	if err != nil {
-		return nil, err
-	}
-	return openFileWALLocked(dir, lock)
-}
-
-// openFileWALLocked builds the WAL over an already-held flock — the election
-// path, where the winner must reuse the exact lock it won rather than release
-// and re-race it.
-func openFileWALLocked(dir string, lock *os.File) (*fileWAL, error) {
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		lock.Close()
@@ -386,22 +371,11 @@ func (s *Store) loadSnapshot(payload []byte) error {
 // rejecting interior corruption with ErrCorrupt — and requeue jobs orphaned
 // mid-lease by the previous process.
 func Open(dir string, opt Options) (*Store, error) {
+	opt = opt.defaults()
 	// Take the single-writer flock before reading any state: opening a
 	// directory a live writer owns must fail with ErrNotOwner, not with a
 	// misleading ErrCorrupt (or torn-tail report) from files read mid-write.
-	lock, err := acquireLock(dir)
-	if err != nil {
-		return nil, err
-	}
-	return openWithLock(dir, lock, opt)
-}
-
-// openWithLock is Open past the election: recover the store under a flock the
-// caller already holds. On error the lock is released (closed) so another
-// replica can try.
-func openWithLock(dir string, lock *os.File, opt Options) (*Store, error) {
-	opt = opt.defaults()
-	w, err := openFileWALLocked(dir, lock)
+	w, err := openFileWAL(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -433,5 +407,3 @@ func openWithLock(dir string, lock *os.File, opt Options) (*Store, error) {
 	s.publishGaugesLocked()
 	return s, nil
 }
-
-var _ JobStore = (*Store)(nil)

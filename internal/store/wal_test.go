@@ -152,6 +152,67 @@ func TestOpenRecoversFullState(t *testing.T) {
 	}
 }
 
+// TestOpenIgnoresLegacyOwnerRecord: a store directory left by the replicated
+// daemon — ownership record and a torn restamp beside the log, the owner
+// SIGKILLed mid-attempt — validates clean and reopens with every job, the
+// dead owner's claim orphan-requeued and its token fenced.
+func TestOpenIgnoresLegacyOwnerRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := submit(t, s, `{"n":1}`)
+	mustClaim(t, s, "dedcd-4242.c1")
+	if err := s.Complete(done.ID, "dedcd-4242.c1", json.RawMessage(`{"ok":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	running := submit(t, s, `{"n":2}`)
+	queued := submit(t, s, `{"n":3}`)
+	stale := mustClaim(t, s, "dedcd-4242.c2")
+	// The replicated daemon restamped owner.json via owner.json.tmp + rename;
+	// a kill mid-restamp leaves the temp file torn.
+	rec := `{"addr":"127.0.0.1:18201","pid":4242,"started_at":"2026-01-02T03:04:05.123456789Z","heartbeat_at":"2026-01-02T03:09:35.5Z"}`
+	if err := os.WriteFile(filepath.Join(dir, "owner.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "owner.json.tmp"), []byte(rec[:40]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.Close() // SIGKILL: no Close, the flock dies with the fd
+
+	rep, err := Validate(dir)
+	if err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	if rep.Jobs[StateDone] != 1 || rep.Jobs[StateRunning] != 1 || rep.Jobs[StateQueued] != 1 || rep.TornTail {
+		t.Fatalf("report = %s", rep)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := s2.Counts(); got[StateDone] != 1 || got[StateQueued] != 2 || len(s2.List()) != 3 {
+		t.Fatalf("recovered counts = %v over %d jobs, want 1 done + 2 queued", got, len(s2.List()))
+	}
+	if got, p := s2.Lookup(running.ID); p != Found || got.State != StateQueued || got.Attempt != 1 {
+		t.Fatalf("orphaned job = %+v (presence %d), want queued at attempt 1", got, p)
+	}
+	if got, p := s2.Lookup(queued.ID); p != Found || got.State != StateQueued {
+		t.Fatalf("queued job = %+v (presence %d)", got, p)
+	}
+	if err := s2.Complete(stale.ID, stale.Worker, json.RawMessage(`{"stale":true}`)); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("stale-token complete = %v, want ErrNotRunning", err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Validate(dir); err != nil {
+		t.Fatalf("validate after reopen: %v", err)
+	}
+}
+
 // TestOpenTolerantOfTornTail: a partial final append (the normal SIGKILL
 // artefact) is dropped and the clean prefix recovered.
 func TestOpenTolerantOfTornTail(t *testing.T) {
@@ -504,6 +565,38 @@ func TestSecondOpenIsLockedOut(t *testing.T) {
 	defer s.Close()
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("second Open of a locked dir succeeded")
+	}
+}
+
+// TestOpenRaceTypedLoser: two Opens race one directory, exactly one wins, and
+// the loser gets the typed ErrNotOwner without disturbing the winner.
+func TestOpenRaceTypedLoser(t *testing.T) {
+	dir := t.TempDir()
+	winner, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("first open: %v", err)
+	}
+	defer winner.Close()
+	if _, err := winner.Submit(json.RawMessage(`{"n":1}`)); err != nil {
+		t.Fatalf("winner submit: %v", err)
+	}
+
+	loser, err := Open(dir, Options{})
+	if err == nil {
+		loser.Close()
+		t.Fatal("second open succeeded; the flock admitted two writers")
+	}
+	if !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("loser error = %v, want ErrNotOwner", err)
+	}
+
+	// The loser's probe must not have disturbed the winner: its boot state
+	// stays intact and it keeps writing.
+	if _, err := winner.Submit(json.RawMessage(`{"n":2}`)); err != nil {
+		t.Fatalf("winner submit after contested open: %v", err)
+	}
+	if n := len(winner.List()); n != 2 {
+		t.Fatalf("winner retains %d jobs, want 2", n)
 	}
 }
 

@@ -5,26 +5,24 @@ import "dedc/internal/telemetry"
 // Update is one live timeline transition, published as apply folds it. It
 // carries only value fields (no slices shared with the job table), so a
 // subscriber can hold an Update indefinitely while the store keeps mutating.
-// The JSON tags are the remote-watch wire format: followers stream Updates
-// from the owner's /v1/store/watch endpoint as newline-delimited JSON.
 type Update struct {
 	// JobID identifies the job; Seq is the log sequence of the event that
 	// produced the transition.
-	JobID string `json:"job"`
-	Seq   uint64 `json:"seq"`
+	JobID string
+	Seq   uint64
 	// Index is the entry's position in the job's persisted Timeline, so a
 	// consumer can stitch a live stream onto a replayed prefix (SSE
 	// Last-Event-ID resume) without double-delivery.
-	Index int `json:"index"`
+	Index int
 	// Entry is the timeline entry itself.
-	Entry TimelineEvent `json:"entry"`
+	Entry TimelineEvent
 	// State, Attempt and Error are the job's post-transition values.
-	State   State  `json:"state"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
+	State   State
+	Attempt int
+	Error   string
 	// HasResult reports whether the job now carries a result payload
 	// (payloads themselves travel via Lookup, not the watch stream).
-	HasResult bool `json:"has_result,omitempty"`
+	HasResult bool
 }
 
 // Terminal reports whether the update's post-transition state is terminal —

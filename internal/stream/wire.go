@@ -65,7 +65,6 @@ type PoolStats struct {
 	Submitted   int64 `json:"submitted"`
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`
-	Retries     int64 `json:"retries"`
 	Panics      int64 `json:"panics"`
 	Shed        int64 `json:"shed"`
 	WorkersLost int64 `json:"workers_lost"`
@@ -91,16 +90,11 @@ type CacheStats struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// Stats is the GET /v1/stats payload: a one-shot fleet summary for dedctop
+// Stats is the GET /v1/stats payload: a one-shot daemon summary for dedctop
 // and monitoring scrapes that want structure rather than the Prometheus text
 // on /metrics.
 type Stats struct {
-	TS time.Time `json:"ts"`
-	// Role and Owner describe the replica's fleet position when the daemon
-	// runs replicated: Role is "owner" or "follower", Owner the current
-	// owner's advertised address. Both are empty on an in-memory store.
-	Role     string               `json:"role,omitempty"`
-	Owner    string               `json:"owner,omitempty"`
+	TS       time.Time            `json:"ts"`
 	Jobs     map[string]int       `json:"jobs"` // per-state retained job counts
 	Pool     PoolStats            `json:"pool"`
 	Counters map[string]int64     `json:"counters,omitempty"` // daemon counters (submissions, sheds, requeues, ...)

@@ -16,16 +16,15 @@
 //     replaced with a fresh one — nothing initialized by the dead worker is
 //     trusted again. The job is not retried: an input that crashed the code
 //     once is presumed to crash it again (poison-pill semantics).
-//   - Bounded retries with exponential backoff and jitter. Plain errors are
-//     retried up to MaxRetries with doubling, jittered delays, so transient
-//     failures heal without synchronized thundering herds.
+//   - One attempt per submission. An errored job is reported failed and not
+//     re-run; retry policy belongs to the caller (dedcd's durable store
+//     requeues failed attempts with capped, jittered backoff).
 package supervise
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -41,7 +40,6 @@ var (
 	cShed        = telemetry.Default.Counter("pool.shed")
 	cCompleted   = telemetry.Default.Counter("pool.completed")
 	cFailed      = telemetry.Default.Counter("pool.failed")
-	cRetries     = telemetry.Default.Counter("pool.retries")
 	cPanics      = telemetry.Default.Counter("pool.panics")
 	cWorkersLost = telemetry.Default.Counter("pool.workers_lost")
 )
@@ -56,35 +54,22 @@ var (
 )
 
 // Job is one unit of supervised work. The context carries the per-job
-// deadline and the pool's lifetime; jobs are expected to poll it. A returned
-// error marks the attempt failed (and retriable); a panic marks the job's
-// input poisonous.
+// deadline; jobs are expected to poll it. A returned error marks the job
+// failed; a panic marks its input poisonous.
 type Job func(ctx context.Context) error
 
 // Options configures a Pool. The zero value is usable: 4 workers, a queue of
-// 16, no deadline, no retries.
+// 16, no deadline.
 type Options struct {
 	// Workers is the number of concurrent workers (default 4).
 	Workers int
 	// QueueDepth bounds the submission queue (default 16). Submissions
 	// beyond it are shed with ErrQueueFull.
 	QueueDepth int
-	// JobTimeout is the per-attempt deadline (0 = none).
+	// JobTimeout is the per-job deadline (0 = none).
 	JobTimeout time.Duration
-	// MaxRetries is how many times a failed (errored, not panicked) job is
-	// re-attempted (default 0: one attempt only).
-	MaxRetries int
-	// BackoffBase is the first retry delay (default 10ms); each subsequent
-	// retry doubles it, capped at BackoffMax (default 1s). A jitter of up to
-	// half the delay is added.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed seeds the jitter source, making retry timing reproducible in
-	// tests. 0 uses a fixed default seed; timing determinism is not a
-	// correctness property, just a debugging nicety.
-	Seed int64
-	// OnDone, when set, observes every job's final outcome (nil err on
-	// success; the last error after retries; a *PanicError after a panic).
+	// OnDone, when set, observes every job's outcome (nil err on success,
+	// the job's error on failure, a *PanicError after a panic).
 	OnDone func(id string, err error)
 }
 
@@ -105,8 +90,7 @@ type Stats struct {
 	Submitted   int64 // jobs accepted into the queue
 	Shed        int64 // jobs rejected with ErrQueueFull
 	Completed   int64 // jobs that finished successfully
-	Failed      int64 // jobs that exhausted their attempts with an error
-	Retries     int64 // re-attempts performed
+	Failed      int64 // jobs that returned an error
 	Panics      int64 // jobs quarantined after a panic
 	WorkersLost int64 // worker goroutines replaced after a panic
 }
@@ -121,7 +105,6 @@ type task struct {
 type Pool struct {
 	opt   Options
 	queue chan task
-	done  chan struct{} // closed by Drain: interrupts backoff sleeps
 
 	wg sync.WaitGroup
 
@@ -129,7 +112,6 @@ type Pool struct {
 	draining   bool
 	stats      Stats
 	quarantine []PanicError
-	rng        *rand.Rand
 }
 
 // New starts a pool with opt.Workers workers.
@@ -140,21 +122,9 @@ func New(opt Options) *Pool {
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = 16
 	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = 10 * time.Millisecond
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = time.Second
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	p := &Pool{
 		opt:   opt,
 		queue: make(chan task, opt.QueueDepth),
-		done:  make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
 	}
 	for i := 0; i < opt.Workers; i++ {
 		p.wg.Add(1)
@@ -212,7 +182,6 @@ func (p *Pool) Drain(ctx context.Context) error {
 	p.mu.Unlock()
 	if !already {
 		close(p.queue)
-		close(p.done)
 	}
 	finished := make(chan struct{})
 	go func() {
@@ -259,27 +228,10 @@ func (p *Pool) worker() {
 	}
 }
 
-// runSupervised executes one task through its full retry schedule, reporting
-// whether it ended in a panic (condemning the calling worker).
+// runSupervised executes one task and records its outcome, reporting whether
+// it ended in a panic (condemning the calling worker).
 func (p *Pool) runSupervised(t task) (panicked bool) {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err, panicked = p.attempt(t)
-		if panicked || err == nil || attempt >= p.opt.MaxRetries {
-			break
-		}
-		p.mu.Lock()
-		p.stats.Retries++
-		delay := p.backoff(attempt)
-		p.mu.Unlock()
-		cRetries.Inc()
-		select {
-		case <-time.After(delay):
-		case <-p.done:
-			// Draining: skip the remaining backoff and retry immediately so
-			// shutdown never waits on a healing schedule.
-		}
-	}
+	err, panicked := p.attempt(t)
 	p.mu.Lock()
 	switch {
 	case panicked:
@@ -325,14 +277,4 @@ func (p *Pool) attempt(t task) (err error, panicked bool) {
 		}
 	}()
 	return t.job(ctx), false
-}
-
-// backoff computes the attempt-th retry delay: BackoffBase·2^attempt capped
-// at BackoffMax, plus up to 50% jitter. Callers hold p.mu (for the rng).
-func (p *Pool) backoff(attempt int) time.Duration {
-	d := p.opt.BackoffBase << uint(attempt)
-	if d <= 0 || d > p.opt.BackoffMax {
-		d = p.opt.BackoffMax
-	}
-	return d + time.Duration(p.rng.Int63n(int64(d)/2+1))
 }

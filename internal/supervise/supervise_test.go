@@ -105,49 +105,6 @@ func TestPanicQuarantineAndWorkerReplacement(t *testing.T) {
 	}
 }
 
-func TestRetryWithBackoff(t *testing.T) {
-	p := New(Options{Workers: 1, MaxRetries: 5, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
-	var attempts atomic.Int64
-	if err := p.Submit("flaky", func(context.Context) error {
-		if attempts.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, p)
-	st := p.Stats()
-	if attempts.Load() != 3 || st.Retries != 2 || st.Completed != 1 || st.Failed != 0 {
-		t.Errorf("attempts=%d stats=%+v", attempts.Load(), st)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	var mu sync.Mutex
-	var lastErr error
-	p := New(Options{Workers: 1, MaxRetries: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		OnDone: func(id string, err error) {
-			mu.Lock()
-			lastErr = err
-			mu.Unlock()
-		}})
-	sentinel := errors.New("permanent")
-	if err := p.Submit("doomed", func(context.Context) error { return sentinel }); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, p)
-	st := p.Stats()
-	if st.Failed != 1 || st.Retries != 2 || st.Completed != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !errors.Is(lastErr, sentinel) {
-		t.Errorf("OnDone error = %v, want %v", lastErr, sentinel)
-	}
-}
-
 func TestJobDeadline(t *testing.T) {
 	p := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	var got error
@@ -211,28 +168,6 @@ func TestOnDoneReceivesPanicError(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(got, &pe) || pe.Value != 42 {
 		t.Errorf("OnDone error = %#v, want *PanicError{Value: 42}", got)
-	}
-}
-
-// TestDrainSkipsBackoff: a job deep in its backoff schedule must not hold up
-// shutdown for the full schedule.
-func TestDrainSkipsBackoff(t *testing.T) {
-	p := New(Options{Workers: 1, MaxRetries: 3, BackoffBase: 10 * time.Second, BackoffMax: 10 * time.Second})
-	if err := p.Submit("flaky", func(context.Context) error { return errors.New("x") }); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // let the first attempt fail into backoff
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("Drain took %v; backoff sleeps not interrupted", d)
-	}
-	if st := p.Stats(); st.Failed != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -129,7 +129,8 @@ func TestBusCloseDrains(t *testing.T) {
 // TestBusConcurrentPublishSubscribe hammers the bus from publishers,
 // subscribers and cancellers at once; run under -race this is the
 // thread-safety gate. Every subscriber's delivered sequence must be a
-// subsequence of the published order (monotone values).
+// subsequence of the published order (monotone values). Publishers take the
+// next value and publish it under one lock, so value order is publish order.
 func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	b := NewBus[int](NewRegistry().Counter("drops"))
 	var wg sync.WaitGroup
@@ -142,9 +143,8 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				seqMu.Lock()
 				seq++
-				v := seq
+				b.Publish(seq)
 				seqMu.Unlock()
-				b.Publish(v)
 			}
 		}()
 	}

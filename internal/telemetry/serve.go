@@ -82,9 +82,9 @@ func ServeMux(addr string, mux http.Handler) (*DebugServer, error) {
 }
 
 // ServeMuxListener is ServeMux over a listener the caller already bound —
-// for services that must know their address before the handler can exist
-// (a store replica advertises the address it will serve RPCs on before it
-// joins the election). The server owns ln from here on.
+// for services that bind before the handler can exist (dedcd binds before
+// recovering its job store, so a busy address fails fast). The server owns
+// ln from here on.
 func ServeMuxListener(ln net.Listener, mux http.Handler) *DebugServer {
 	s := &DebugServer{
 		ln:   ln,
