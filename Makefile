@@ -1,7 +1,8 @@
 # Build, test and robustness gates for the dedc library and tools.
 #
 #   make ci              — everything a pull request must pass
-#   make check           — ci plus the telemetry gates
+#   make check           — ci plus the journal, telemetry-overhead and
+#                          chaos gates
 #   make fuzz            — short fuzzing pass over the .bench parser,
 #                          PODEM's verdicts (checked by SAT and fault sim)
 #                          and the word-parallel path trace
@@ -15,36 +16,17 @@
 #                          converge on the exact persisted lifecycle
 #   make bench-telemetry — disabled-telemetry overhead gate (≤2%)
 #   make journal-check   — end-to-end run journal validation
-#   make bench           — record the quick perf suite to BENCH_core.json
-#   make bench-compare BASELINE=BENCH_core.json
-#                        — gate the quick suite (>10% + 250µs per phase fails)
-#   make bench-parallel  — engine-pool speedup gate (warn-only on the quick
-#                          suite; SUITE=full enforces ≥ MINSPEEDUP at 4 workers)
-#   make bench-atpg      — ATPG/SAT reuse gate: the vectors_cached and
-#                          satcheck_inc phases must beat their cold pairs by
-#                          MINATPGSPEEDUP combined (demoted to a warning on
-#                          single-CPU hosts, where the timings are too noisy)
-#   make bench-service   — service-tier SLO suite (cmd/dedcload drives real
-#                          dedcd processes); gates against BENCH_service.json
-#                          when recorded, records it otherwise
 #   make bench-e2e       — one untraced end-to-end run (perfbench/run.sh) of
 #                          every BENCHMARK.json workload; prints one JSON
-#                          result line per workload
+#                          result line per workload. perfbench is the only
+#                          performance harness; compare a change with its
+#                          parent by alternating run.sh in both trees
 
 GO ?= go
 FUZZTIME ?= 10s
-BASELINE ?= BENCH_core.json
-# The bench suite always measures the engine pool at a fixed worker count so
-# BENCH_core.json phase names (h1rank_w4, screen_w4) don't depend on the
-# recording machine's core count.
-BENCHWORKERS ?= 4
-MINSPEEDUP ?= 1.5
-MINATPGSPEEDUP ?= 5
-SUITE ?= quick
 
 .PHONY: all build vet test race fuzz chaos chaos-resume chaos-store \
-	stream-chaos ci check bench-telemetry journal-check bench \
-	bench-compare bench-check bench-parallel bench-atpg bench-service bench-e2e clean
+	stream-chaos ci check bench-telemetry journal-check bench-e2e clean
 
 all: build
 
@@ -52,16 +34,20 @@ build:
 	$(GO) build ./...
 
 # gofmt -l lists every file whose formatting differs; any output fails.
+# perfbench/ is its own module, so ./... at the root does not reach it; vet
+# and race run there too.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+	cd perfbench && $(GO) test -race ./...
 
 # Native fuzzing of the .bench parser, seeded from the checked-in corpus in
 # internal/bench/testdata/fuzz plus the f.Add seeds, and of PODEM's verdicts
@@ -130,65 +116,6 @@ journal-check:
 	$(GO) run ./cmd/journalcheck -resume-point .journal-check/run.jsonl
 	rm -rf .journal-check
 
-# Core-pipeline benchmark suite (internal/perf via cmd/dedcbench): phase-by-
-# phase ns/op, allocs/op and counter deltas over generated circuits.
-bench:
-	$(GO) run ./cmd/dedcbench -suite quick -workers $(BENCHWORKERS) -o BENCH_core.json
-
-# Regression gate against a recorded baseline: a phase more than 10% + 250µs
-# slower (after a confirming re-measure) fails with exit status 2.
-bench-compare:
-	$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) -baseline $(BASELINE)
-
-# The make-check flavor: gate against BENCH_core.json when one is recorded,
-# record it otherwise, so a fresh checkout bootstraps its own baseline.
-bench-check:
-	@if [ -f BENCH_core.json ]; then \
-		$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) -baseline BENCH_core.json; \
-	else \
-		$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) -o BENCH_core.json; \
-	fi
-
-# Service-tier SLO gate: build dedcd and dedcload fresh, drive one daemon per
-# scenario with open-loop Poisson load, and compare per-scenario latency,
-# queue-wait, throughput, shed rate and process ceilings against the recorded
-# baseline (confirm-by-re-measure; exit 2 on a surviving regression). Like
-# bench-check, a missing BENCH_service.json is recorded instead of gated so a
-# fresh checkout bootstraps itself.
-bench-service:
-	rm -rf .bench-service && mkdir .bench-service
-	$(GO) build -o .bench-service/dedcd ./cmd/dedcd
-	$(GO) build -o .bench-service/dedcload ./cmd/dedcload
-	@if [ -f BENCH_service.json ]; then \
-		./.bench-service/dedcload -dedcd ./.bench-service/dedcd -q -baseline BENCH_service.json; \
-	else \
-		./.bench-service/dedcload -dedcd ./.bench-service/dedcd -q -o BENCH_service.json; \
-	fi
-	rm -rf .bench-service
-
-# Engine-pool speedup gate: the h1rank/screen pool variants must beat the
-# pinned sequential phases by MINSPEEDUP (geomean across scenarios) at 4
-# workers. Enforced on the full suite (SUITE=full); warn-only on quick, whose
-# circuits are too small for the shards to amortize reliably. dedcbench also
-# demotes the gate to a warning on hosts with fewer CPUs than workers, where
-# no speedup is physically measurable.
-bench-parallel:
-	@if [ "$(SUITE)" = "full" ]; then \
-		$(GO) run ./cmd/dedcbench -suite full -q -workers $(BENCHWORKERS) -min-speedup $(MINSPEEDUP); \
-	else \
-		$(GO) run ./cmd/dedcbench -suite $(SUITE) -q -workers $(BENCHWORKERS) -min-speedup $(MINSPEEDUP) -speedup-warn; \
-	fi
-
-# ATPG/SAT reuse gate: a repeated-circuit workload must see the cache-hit
-# vectors phase and the incremental-SAT re-check beat their cold counterparts
-# by MINATPGSPEEDUP, combined geomean across scenarios. These wins come from
-# reuse, not parallelism, so the bar holds on any core count — but dedcbench
-# still demotes the gate to a warning on single-CPU hosts, where micro-runs
-# share the core with the OS and warm timings get too noisy to enforce.
-bench-atpg:
-	$(GO) run ./cmd/dedcbench -suite quick -q -workers $(BENCHWORKERS) \
-		-min-atpg-speedup $(MINATPGSPEEDUP)
-
 # End-to-end benchmark: perfbench/run.sh builds perfbench and dedcd under
 # .bench_build/ and runs each BENCHMARK.json workload once with -trace 0,
 # for the run_seconds BENCHMARK.json declares (its workloads array holds one
@@ -202,8 +129,8 @@ bench-e2e:
 		printf '%s\n' "$$out" | tail -n 1; \
 	done
 
-check: ci journal-check bench-telemetry bench-check bench-parallel bench-atpg bench-service chaos-resume chaos-store stream-chaos
+check: ci journal-check bench-telemetry chaos-resume chaos-store stream-chaos
 
 clean:
 	$(GO) clean ./...
-	rm -rf .journal-check .bench-service
+	rm -rf .journal-check

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"dedc/internal/diagnose"
@@ -283,6 +284,56 @@ func (s *server) attemptJournal(ctx context.Context, j store.Job, cancel context
 			s.log.Warn("closing attempt journal", "id", j.ID, "err", cerr)
 		}
 		f.Close()
+	}
+}
+
+// removeJournals deletes the attempt journals of a job the store evicted:
+// attempts are numbered 1..attempts, so no directory listing is needed.
+// Removal is best-effort; a failure is logged and the file stays until the
+// next startup sweep.
+func (s *server) removeJournals(id string, attempts int) {
+	if s.journalDir == "" {
+		return
+	}
+	for a := 1; a <= attempts; a++ {
+		path := filepath.Join(s.journalDir, fmt.Sprintf("%s.a%d.jsonl", id, a))
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			s.log.Warn("removing evicted job's journal", "id", id, "path", path, "err", err)
+		}
+	}
+}
+
+// sweepJournals removes, at startup, every attempt journal whose job the
+// store has evicted: evictions made while no daemon watched (or whose watch
+// update was dropped) leave their journals behind. Journals of jobs the store
+// still holds, and files that are not <id>.a<N>.jsonl, are left alone.
+func (s *server) sweepJournals() {
+	if s.journalDir == "" {
+		return
+	}
+	entries, err := os.ReadDir(s.journalDir)
+	if err != nil {
+		s.log.Warn("listing journal dir for the eviction sweep", "dir", s.journalDir, "err", err)
+		return
+	}
+	removed := 0
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ".jsonl")
+		i := strings.LastIndex(name, ".a")
+		if !ok || i < 0 {
+			continue
+		}
+		if _, p := s.st.Lookup(name[:i]); p != store.Evicted {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.journalDir, e.Name())); err != nil {
+			s.log.Warn("removing evicted job's journal", "path", e.Name(), "err", err)
+			continue
+		}
+		removed++
+	}
+	if removed > 0 {
+		s.log.Info("removed journals of evicted jobs", "dir", s.journalDir, "files", removed)
 	}
 }
 

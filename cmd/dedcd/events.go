@@ -56,14 +56,18 @@ const subBuf = 256
 
 // watchPump converts store watch updates into lifecycle frames on the events
 // bus. It is the only lifecycle publisher, so per-job frame order matches
-// timeline order. Runs until ctx ends or the store closes.
-func (s *server) watchPump(ctx context.Context) {
-	sub := s.st.WatchAll(1024)
+// timeline order. An eviction update publishes no frame; it removes the
+// job's attempt journals instead. Runs until ctx ends or the store closes.
+func (s *server) watchPump(ctx context.Context, sub *telemetry.Sub[store.Update]) {
 	defer sub.Cancel()
 	for {
 		u, ok := sub.Next(ctx)
 		if !ok {
 			return
+		}
+		if u.Evicted {
+			s.removeJournals(u.JobID, u.Attempt)
+			continue
 		}
 		if u.Terminal() {
 			s.progressMu.Lock()

@@ -229,9 +229,13 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 // cancellation). After start, /readyz reports ready.
 func (s *server) start(ctx context.Context) {
 	s.baseCtx = ctx
+	// Subscribe before the sweep, so a job evicted after it is seen by the
+	// pump.
+	watch := s.st.WatchAll(1024)
+	s.sweepJournals()
 	go s.dispatch(ctx)
 	go s.reap(ctx)
-	go s.watchPump(ctx)
+	go s.watchPump(ctx, watch)
 	s.ready.Store(true)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -309,7 +310,8 @@ func TestFailedAttemptIsRetried(t *testing.T) {
 }
 
 // TestEvictedJobReturns410: after compaction prunes a terminal job, its ID
-// answers 410 Gone — distinguishable from a never-submitted 404.
+// answers 410 Gone — distinguishable from a never-submitted 404 — and its
+// attempt journals are deleted, while the retained job keeps its journal.
 func TestEvictedJobReturns410(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	dir := t.TempDir()
@@ -318,6 +320,10 @@ func TestEvictedJobReturns410(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(log, st, supervise.Options{Workers: 1})
+	s.journalDir = filepath.Join(dir, "journals")
+	if err := os.Mkdir(s.journalDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		return &jobResult{Status: "Complete"}, nil
 	}
@@ -340,8 +346,30 @@ func TestEvictedJobReturns410(t *testing.T) {
 		ids = append(ids, id)
 		waitState(t, ts.URL, id, "done")
 	}
+	journal := func(id string) string { return filepath.Join(s.journalDir, id+".a1.jsonl") }
+	for _, id := range ids {
+		if _, err := os.Stat(journal(id)); err != nil {
+			t.Fatalf("attempt journal of %s missing before compaction: %v", id, err)
+		}
+	}
 	if err := st.CompactNow(); err != nil {
 		t.Fatal(err)
+	}
+	// Eviction reaches the journal cleanup through the watch pump, so poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range ids[:2] {
+		for {
+			if _, err := os.Stat(journal(id)); errors.Is(err, os.ErrNotExist) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("journal of evicted job %s still on disk", id)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if _, err := os.Stat(journal(ids[2])); err != nil {
+		t.Errorf("journal of retained job %s: %v", ids[2], err)
 	}
 	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[0]); code != http.StatusGone {
 		t.Errorf("evicted job status = %d, want 410", code)

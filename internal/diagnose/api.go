@@ -221,17 +221,16 @@ func repairResultFrom(impl *circuit.Circuit, res *Result) (*RepairResult, error)
 // §3.2 audits ("valid corrections rank in the top 5% of their node") and the
 // ablation benches.
 func AuditRoot(netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) []RankedCorrection {
-	cands, _ := ExpandRoot(context.Background(), netlist, specOut, pi, n, model, opt, p)
+	cands, _ := expandRoot(context.Background(), netlist, specOut, pi, n, model, opt, p)
 	return cands
 }
 
-// ExpandRoot is AuditRoot under a context, additionally returning the
+// expandRoot is AuditRoot under a context, additionally returning the
 // phase-split Stats of the expansion: DiagTime covers path trace plus the
 // heuristic-1 suspect ranking, CorrTime the correction enumeration,
-// screening and ranking. It is the measurement hook behind internal/perf's
-// h1rank and screen phases; a tracer carried by ctx wires the sim/pathtrace
+// screening and ranking. A tracer carried by ctx wires the sim/pathtrace
 // counters and span histograms exactly as a full RunContext would.
-func ExpandRoot(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) ([]RankedCorrection, Stats) {
+func expandRoot(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) ([]RankedCorrection, Stats) {
 	r := newExpandRun(ctx, netlist, specOut, pi, n, model, opt, p)
 	nd := r.expand(nil)
 	return nd.cands, r.res.Stats

@@ -9,8 +9,8 @@ import (
 	"dedc/internal/tpg"
 )
 
-// benchExpandFixture mirrors internal/perf's h1rank/screen scenario setup:
-// an injected multi-fault alu and the root-node expansion over it.
+// benchExpandFixture is an injected multi-fault alu and the root-node
+// expansion over it, at a chosen engine-pool worker count.
 func benchExpandFixture(b *testing.B) (args func(workers int) ([]RankedCorrection, Stats)) {
 	b.Helper()
 	c := gen.Alu(4)
@@ -22,7 +22,7 @@ func benchExpandFixture(b *testing.B) (args func(workers int) ([]RankedCorrectio
 	devOut := DeviceOutputs(device, vecs.PI, vecs.N)
 	params := DefaultSchedule()[2]
 	return func(workers int) ([]RankedCorrection, Stats) {
-		return ExpandRoot(context.Background(), c, devOut, vecs.PI, vecs.N,
+		return expandRoot(context.Background(), c, devOut, vecs.PI, vecs.N,
 			StuckAtModel{}, Options{MaxErrors: 2, Workers: workers}, params)
 	}
 }
@@ -66,7 +66,7 @@ func BenchmarkExpandRootErrorModel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpandRoot(context.Background(), bad, specOut, vecs.PI, vecs.N, model,
+		expandRoot(context.Background(), bad, specOut, vecs.PI, vecs.N, model,
 			Options{MaxErrors: 3, Workers: 1}, params)
 	}
 }

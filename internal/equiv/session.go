@@ -31,8 +31,7 @@ const sessionRebuildAfter = 32
 //   - Same candidate structure again (fingerprint match): the existing group
 //     is re-solved as-is. An Unsat verdict leaves the activation literal
 //     root-falsified by the learnt clauses, so the re-proof is pure unit
-//     propagation — this is the repeated-circuit fast path dedcbench's
-//     satcheck_inc phase measures.
+//     propagation — the repeated-circuit fast path.
 //   - New candidate against the same reference: the reference encoding and
 //     everything learnt about it carry over; only the candidate cone is
 //     encoded and searched fresh.

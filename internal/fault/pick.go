@@ -9,10 +9,10 @@ import (
 
 // PickObservable draws k distinct-site stuck-at faults whose joint injection
 // visibly changes the circuit's behaviour on a shared random vector probe —
-// the scenario builder behind cmd/inject and the internal/perf benchmark
-// suite. Selection is deterministic in seed. It returns nil when no
-// observable combination is found within a bounded number of attempts (k
-// larger than the observable site population, or pathological masking).
+// the scenario builder behind cmd/inject. Selection is deterministic in
+// seed. It returns nil when no observable combination is found within a
+// bounded number of attempts (k larger than the observable site population,
+// or pathological masking).
 func PickObservable(c *circuit.Circuit, k int, seed int64) []Fault {
 	rng := rand.New(rand.NewSource(seed))
 	sites := Sites(c)

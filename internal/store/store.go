@@ -940,11 +940,12 @@ func (s *Store) compactLocked() error {
 }
 
 // evictLocked removes a terminal job from the retained table (compaction's
-// retention bound). Callers hold s.mu.
+// retention bound) and tells watchers. Callers hold s.mu.
 func (s *Store) evictLocked(j *Job) {
 	delete(s.jobs, j.ID)
 	s.counts[j.State]--
 	cEvictions.Inc()
+	s.publishEvictionLocked(j)
 }
 
 func (s *Store) snapshotLocked() snapshot {

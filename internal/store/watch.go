@@ -23,6 +23,10 @@ type Update struct {
 	// HasResult reports whether the job now carries a result payload
 	// (payloads themselves travel via Lookup, not the watch stream).
 	HasResult bool
+	// Evicted marks the update compaction sends when it drops the terminal
+	// job from the table (the RetainTerminal bound). It carries only JobID,
+	// Index -1, and the job's final State and Attempt.
+	Evicted bool
 }
 
 // Terminal reports whether the update's post-transition state is terminal —
@@ -47,12 +51,13 @@ func TimelineState(t string) State {
 	return ""
 }
 
-// Watch subscribes to id's live timeline transitions with a ring buffer of
-// buf entries (0 = default). Only transitions folded by live operations are
-// delivered — boot replay and offline validation are silent — and a slow
-// subscriber loses oldest-first, counted on telemetry.stream_dropped, rather
-// than ever blocking a store mutation. Cancel the subscription when done;
-// closing the store ends it after the buffered entries drain.
+// Watch subscribes to id's live timeline transitions, and to its eviction,
+// with a ring buffer of buf entries (0 = default). Only transitions folded
+// and evictions made by live operations are delivered — boot replay and
+// offline validation are silent — and a slow subscriber loses oldest-first,
+// counted on telemetry.stream_dropped, rather than ever blocking a store
+// mutation. Cancel the subscription when done; closing the store ends it
+// after the buffered entries drain.
 func (s *Store) Watch(id string, buf int) *telemetry.Sub[Update] {
 	return s.watch.Subscribe(buf, func(u Update) bool { return u.JobID == id })
 }
@@ -81,4 +86,9 @@ func (s *Store) publishWatchLocked(ev Event, tlBefore int) {
 		Error:     j.Error,
 		HasResult: len(j.Result) > 0,
 	})
+}
+
+// publishEvictionLocked emits the Evicted update for j. Callers hold s.mu.
+func (s *Store) publishEvictionLocked(j *Job) {
+	s.watch.Publish(Update{JobID: j.ID, Index: -1, State: j.State, Attempt: j.Attempt, Evicted: true})
 }

@@ -182,6 +182,46 @@ func TestWatchSlowSubscriberDrops(t *testing.T) {
 	}
 }
 
+// TestWatchReportsEviction: compaction's retention bound sends one Evicted
+// update per dropped terminal job, carrying its final state and attempt
+// count and no timeline entry; the retained job gets none.
+func TestWatchReportsEviction(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{RetainTerminal: 1, CompactEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var ids []string
+	for i := 0; i < 3; i++ {
+		j, err := st.Submit(json.RawMessage(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Claim("w"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Complete(j.ID, "w", json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	sub := st.WatchAll(0)
+	defer sub.Cancel()
+	if err := st.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	ups := drainWatch(t, sub)
+	if len(ups) != 2 {
+		t.Fatalf("got %d updates %+v, want one per evicted job", len(ups), ups)
+	}
+	for i, u := range ups {
+		if !u.Evicted || u.JobID != ids[i] || u.Index != -1 || u.Entry.Type != "" ||
+			u.State != StateDone || u.Attempt != 1 {
+			t.Errorf("update %d = %+v, want the eviction of %s (done, attempt 1)", i, u, ids[i])
+		}
+	}
+}
+
 // TestWatchStoreCloseEnds: Close ends subscriptions after buffered updates
 // drain, and a subscription to a closed store ends immediately.
 func TestWatchStoreCloseEnds(t *testing.T) {

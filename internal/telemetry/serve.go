@@ -6,33 +6,8 @@ import (
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
-	"runtime"
-	"sync"
 	"time"
 )
-
-// runtimeOnce guards the process-wide "dedc.runtime" expvar (expvar.Publish
-// panics on duplicates).
-var runtimeOnce sync.Once
-
-// publishRuntime exposes point-in-time process ceilings under /debug/vars as
-// "dedc.runtime": goroutine count and heap bytes, sampled at read time. Load
-// harnesses poll this to record peak resource usage alongside latency.
-func publishRuntime() {
-	runtimeOnce.Do(func() {
-		expvar.Publish("dedc.runtime", expvar.Func(func() any {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return map[string]any{
-				"goroutines":  runtime.NumGoroutine(),
-				"heap_alloc":  ms.HeapAlloc,
-				"heap_sys":    ms.HeapSys,
-				"total_alloc": ms.TotalAlloc,
-				"num_gc":      ms.NumGC,
-			}
-		}))
-	})
-}
 
 // DebugServer is the live-ops HTTP endpoint of a run: /metrics (Prometheus
 // text exposition of a Registry), /debug/vars (expvar) and /debug/pprof/*
@@ -49,7 +24,6 @@ type DebugServer struct {
 // Services that add their own endpoints (cmd/dedcd) build on this mux and
 // serve it with ServeMux.
 func DebugMux(reg *Registry) *http.ServeMux {
-	publishRuntime()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
