@@ -4,8 +4,9 @@
 #   make check           — ci plus the journal, telemetry-overhead and
 #                          chaos gates
 #   make fuzz            — short fuzzing pass over the .bench parser,
-#                          PODEM's verdicts (checked by SAT and fault sim)
-#                          and the word-parallel path trace
+#                          PODEM's and the redundancy proof's verdicts
+#                          (checked by SAT and fault sim) and the
+#                          word-parallel path trace
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -50,8 +51,9 @@ race:
 	cd perfbench && $(GO) test -race ./...
 
 # Native fuzzing of the .bench parser, seeded from the checked-in corpus in
-# internal/bench/testdata/fuzz plus the f.Add seeds, and of PODEM's verdicts
-# on random circuits against SAT and fault-simulation oracles, and of the
+# internal/bench/testdata/fuzz plus the f.Add seeds, of PODEM's verdicts and
+# the redundancy proof's on random circuits against SAT and fault-simulation
+# oracles, and of the
 # word-parallel path trace against the per-vector reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench

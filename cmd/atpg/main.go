@@ -28,7 +28,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("atpg", flag.ContinueOnError)
 	in := fs.String("in", "", "input .bench netlist (required)")
 	random := fs.Int("random", 1024, "number of random patterns")
-	det := fs.Bool("det", false, "add PODEM deterministic tests with fault dropping")
+	det := fs.Bool("det", false, "add PODEM tests for the faults the random patterns miss, after a redundancy proof")
 	seed := fs.Int64("seed", 1, "random seed")
 	backtracks := fs.Int("backtracks", 2000, "PODEM backtrack limit per fault")
 	out := fs.String("o", "", "output vector file (default stdout)")
@@ -82,6 +82,7 @@ func run(args []string) int {
 		"coverage", res.Coverage,
 		"generated", res.Generated,
 		"untestable", res.Untestable,
+		"proven", res.Proven,
 		"aborted", res.Aborted,
 		"backtracks", res.Backtracks)
 

@@ -12,7 +12,6 @@ import (
 	"context"
 
 	"dedc/internal/circuit"
-	"dedc/internal/sat"
 )
 
 // Result is an equivalence verdict.
@@ -52,112 +51,4 @@ func Check(a, b *circuit.Circuit, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return ss.Check(b, opt)
-}
-
-// encode Tseitin-encodes the circuit into the solver, returning one literal
-// per line. piVars supplies shared input variables (positional). With
-// act >= 0 every emitted clause is gated on the activation literal — it only
-// constrains models where act holds, so the whole group can later be retired
-// by asserting act.Neg() (see Session). constTrue shares the one global
-// constant-true variable across encodes into the same solver; its defining
-// unit clause is never gated.
-func encode(s *sat.Solver, c *circuit.Circuit, piVars []int, act sat.Lit, constTrue *sat.Lit) []sat.Lit {
-	add := func(lits ...sat.Lit) {
-		if act >= 0 {
-			lits = append(lits, act.Neg())
-		}
-		s.AddClause(lits...)
-	}
-	lits := make([]sat.Lit, c.NumLines())
-	piIdx := map[circuit.Line]int{}
-	for i, pi := range c.PIs {
-		piIdx[pi] = i
-	}
-	getTrue := func() sat.Lit {
-		if *constTrue == -1 {
-			v := s.NewVar()
-			*constTrue = sat.MkLit(v, true)
-			s.AddClause(*constTrue)
-		}
-		return *constTrue
-	}
-	for _, l := range c.Topo() {
-		g := &c.Gates[l]
-		switch g.Type {
-		case circuit.Input:
-			lits[l] = sat.MkLit(piVars[piIdx[l]], true)
-			continue
-		case circuit.Const0:
-			lits[l] = getTrue().Neg()
-			continue
-		case circuit.Const1:
-			lits[l] = getTrue()
-			continue
-		case circuit.Buf, circuit.DFF:
-			lits[l] = lits[g.Fanin[0]]
-			continue
-		case circuit.Not:
-			lits[l] = lits[g.Fanin[0]].Neg()
-			continue
-		}
-		out := sat.MkLit(s.NewVar(), true)
-		ins := make([]sat.Lit, len(g.Fanin))
-		for i, f := range g.Fanin {
-			ins[i] = lits[f]
-		}
-		switch g.Type {
-		case circuit.And, circuit.Nand:
-			o := out
-			if g.Type == circuit.Nand {
-				o = out.Neg()
-			}
-			// o <-> AND(ins)
-			long := make([]sat.Lit, 0, len(ins)+1)
-			long = append(long, o)
-			for _, in := range ins {
-				add(o.Neg(), in) // o -> in
-				long = append(long, in.Neg())
-			}
-			add(long...) // all ins -> o
-		case circuit.Or, circuit.Nor:
-			o := out
-			if g.Type == circuit.Nor {
-				o = out.Neg()
-			}
-			long := make([]sat.Lit, 0, len(ins)+1)
-			long = append(long, o.Neg())
-			for _, in := range ins {
-				add(o, in.Neg()) // in -> o
-				long = append(long, in)
-			}
-			add(long...) // o -> some in
-		case circuit.Xor, circuit.Xnor:
-			// Chain binary XORs.
-			acc := ins[0]
-			for i := 1; i < len(ins); i++ {
-				var t sat.Lit
-				if i == len(ins)-1 {
-					t = out
-					if g.Type == circuit.Xnor {
-						t = out.Neg()
-					}
-				} else {
-					t = sat.MkLit(s.NewVar(), true)
-				}
-				b := ins[i]
-				// t <-> acc XOR b
-				add(t.Neg(), acc, b)
-				add(t.Neg(), acc.Neg(), b.Neg())
-				add(t, acc, b.Neg())
-				add(t, acc.Neg(), b)
-				acc = t
-			}
-			lits[l] = out
-			continue
-		default:
-			panic("equiv: cannot encode gate type " + g.Type.String())
-		}
-		lits[l] = out
-	}
-	return lits
 }

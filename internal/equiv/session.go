@@ -75,7 +75,7 @@ func (ss *Session) build() {
 		ss.piVars[i] = ss.s.NewVar()
 	}
 	ss.constTrue = -1
-	ss.specLits = encode(ss.s, ss.spec, ss.piVars, -1, &ss.constTrue)
+	ss.specLits = sat.EncodeCircuit(ss.s, ss.spec, ss.piVars, -1, &ss.constTrue)
 	ss.act = -1
 	ss.lastFP = ""
 	ss.encodes = 0
@@ -137,7 +137,7 @@ func (ss *Session) encodeCandidate(b *circuit.Circuit, fp string) {
 		ss.build()
 	}
 	act := sat.MkLit(ss.s.NewVar(), true)
-	bl := encode(ss.s, b, ss.piVars, act, &ss.constTrue)
+	bl := sat.EncodeCircuit(ss.s, b, ss.piVars, act, &ss.constTrue)
 
 	// Miter: under act, the OR over outputs of (spec_po XOR b_po) must hold.
 	diffs := make([]sat.Lit, 0, len(ss.spec.POs)+1)

@@ -150,7 +150,14 @@ func redirectReaders(c *circuit.Circuit, old, new circuit.Line) {
 // at least one of the n patterns. Event-driven trials keep the cost
 // proportional to each fault's sensitized cone.
 func Detected(c *circuit.Circuit, faults []Fault, pi [][]uint64, n int) []bool {
-	e := sim.NewEngine(c, pi, n)
+	return DetectedOn(sim.NewEngine(c, pi, n), faults)
+}
+
+// DetectedOn is Detected over an engine the caller already built, so the
+// caller can read the fault-free simulation (Engine.BaseVal) afterwards
+// without simulating the circuit again. Trials leave the base untouched.
+func DetectedOn(e *sim.Engine, faults []Fault) []bool {
+	c, n := e.C, e.N
 	isPO := poSet(c)
 	det := make([]bool, len(faults))
 	w := sim.Words(n)

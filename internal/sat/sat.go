@@ -1,10 +1,12 @@
 // Package sat implements a compact CDCL (conflict-driven clause learning)
 // SAT solver: two-watched-literal propagation, first-UIP clause learning,
-// VSIDS-style activity ordering, phase saving and Luby restarts. It backs
-// the formal equivalence checking in package equiv, which upgrades the
-// library's vector-based "repaired circuit matches the specification"
-// checks into proofs (and produces counterexample vectors when they fail —
-// the CEGAR loop of diagnose.RepairProven feeds those back into V).
+// VSIDS-style activity ordering, phase saving and Luby restarts, and
+// EncodeCircuit, the Tseitin encoding of a netlist. It backs the formal
+// equivalence checking in package equiv, which upgrades the library's
+// vector-based "repaired circuit matches the specification" checks into
+// proofs (and produces counterexample vectors when they fail — the CEGAR
+// loop of diagnose.RepairProven feeds those back into V), and the
+// redundancy proof package tpg runs before PODEM.
 package sat
 
 import (
@@ -103,6 +105,12 @@ type Solver struct {
 	seen    []bool
 	learnt  []Lit
 	toClear []Lit
+	addBuf  []Lit // AddClause scratch
+
+	// Slabs behind newClause and watch.
+	clauseSlab []clause
+	litSlab    []Lit
+	watchSlab  []*clause
 
 	// nLearnt counts the live (learnt, not deleted) clauses in clauses: the
 	// search adds one per learnt clause and reduceDB subtracts the ones it
@@ -216,10 +224,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() > 0 {
 		s.cancelUntil(0)
 	}
-	// Deduplicate and detect tautologies.
-	sorted := append([]Lit(nil), lits...)
-	out := sorted[:0]
-	for _, l := range sorted {
+	// Deduplicate and detect tautologies, in a scratch copy: only a clause
+	// that survives is allocated.
+	s.addBuf = append(s.addBuf[:0], lits...)
+	out := s.addBuf[:0]
+	for _, l := range s.addBuf {
 		if int(l.Var()) >= s.NumVars() {
 			s.grow(l.Var() + 1)
 		}
@@ -262,15 +271,50 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), kept...)}
+	c := s.newClause(kept)
 	s.attach(c)
 	s.clauses = append(s.clauses, c)
 	return true
 }
 
+// Problem clauses, and the first few entries of each watch list, are carved
+// from chunks of slabChunk elements instead of allocated one by one. A chunk
+// is never reallocated, so the pointers into it stay valid; a carved slice is
+// capped, so appending to it moves it out of the chunk.
+const slabChunk = 256
+
+// newClause copies lits into a problem clause carved from the slabs.
+func (s *Solver) newClause(lits []Lit) *clause {
+	if len(s.clauseSlab) == cap(s.clauseSlab) {
+		s.clauseSlab = make([]clause, 0, slabChunk)
+	}
+	if cap(s.litSlab)-len(s.litSlab) < len(lits) {
+		s.litSlab = make([]Lit, 0, max(4*slabChunk, len(lits)))
+	}
+	n := len(s.litSlab)
+	s.litSlab = append(s.litSlab, lits...)
+	s.clauseSlab = append(s.clauseSlab, clause{lits: s.litSlab[n:len(s.litSlab):len(s.litSlab)]})
+	return &s.clauseSlab[len(s.clauseSlab)-1]
+}
+
 func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], c)
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+	s.watch(c.lits[0].Neg(), c)
+	s.watch(c.lits[1].Neg(), c)
+}
+
+// watch appends c to l's watch list, carving a list's first watchCap
+// entries from the slab.
+func (s *Solver) watch(l Lit, c *clause) {
+	const watchCap = 4
+	if cap(s.watches[l]) == 0 {
+		if cap(s.watchSlab)-len(s.watchSlab) < watchCap {
+			s.watchSlab = make([]*clause, 0, watchCap*slabChunk)
+		}
+		n := len(s.watchSlab)
+		s.watchSlab = s.watchSlab[:n+watchCap]
+		s.watches[l] = s.watchSlab[n : n : n+watchCap]
+	}
+	s.watches[l] = append(s.watches[l], c)
 }
 
 func (s *Solver) value(l Lit) lbool {
@@ -505,7 +549,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.CLearntKept.Add(s.LearntKept - k0)
 	}()
 	s.conflBase = s.Conflicts
-	s.order = newVarHeap(s)
+	s.order = newVarHeap(s, s.order)
 	restart := int64(0)
 	learntCap := len(s.clauses)/3 + 100
 
@@ -753,10 +797,17 @@ type varHeap struct {
 	pos  []int32 // position in heap, -1 if absent
 }
 
-func newVarHeap(s *Solver) *varHeap {
-	h := &varHeap{s: s, pos: make([]int32, s.NumVars())}
-	for i := range h.pos {
-		h.pos[i] = -1
+// newVarHeap fills a heap with every variable. It refills old in place when
+// given one, so repeated Solve calls on one solver reuse its storage.
+func newVarHeap(s *Solver, old *varHeap) *varHeap {
+	h := old
+	if h == nil {
+		h = &varHeap{s: s}
+	}
+	h.heap = h.heap[:0]
+	h.pos = h.pos[:0]
+	for range s.NumVars() {
+		h.pos = append(h.pos, -1)
 	}
 	for v := 0; v < s.NumVars(); v++ {
 		h.push(v)

@@ -20,23 +20,25 @@ func repairShape() []*circuit.Circuit {
 
 var benchResult *Result
 
-// BenchmarkBuildVectorsDeterministic times BuildVectors with the PODEM pass
-// on the repair shape with 1024 random patterns; one op builds the vector
-// sets of all four netlists.
+// BenchmarkBuildVectorsDeterministic times BuildVectors with the redundancy
+// proof and the PODEM pass on the repair shape with 1024 random patterns; one
+// op builds the vector sets of all four netlists.
 func BenchmarkBuildVectorsDeterministic(b *testing.B) {
 	cs := repairShape()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var backtracks, evals int64
+	var backtracks, evals, proven int64
 	for i := 0; i < b.N; i++ {
 		for _, c := range cs {
 			benchResult = BuildVectors(c, Options{Random: 1024, Seed: 1, Deterministic: true})
 			backtracks += benchResult.Backtracks
 			evals += benchResult.Evals
+			proven += int64(benchResult.Proven)
 		}
 	}
 	b.ReportMetric(float64(backtracks)/float64(b.N), "backtracks/op")
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(proven)/float64(b.N), "proven/op")
 }
 
 // TestGenerateAllocFree: once a generator has warmed its scratch, Generate

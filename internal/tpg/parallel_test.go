@@ -33,10 +33,11 @@ func TestWorkerCountParity(t *testing.T) {
 }
 
 // TestWorkerPoolTelemetry: the parallel driver counts dispatched per-fault
-// generations on tpg.pool.trials and folds per-worker backtracks into the
-// shared tpg.backtracks counter and per-worker gate evaluations into
-// tpg.evals, matching the result's own totals, which the atpg span's end
-// reports too.
+// generations on tpg.pool.trials — every decided fault except those the
+// redundancy proof settled, counted on tpg.proven — and folds per-worker
+// backtracks into the shared tpg.backtracks counter and per-worker gate
+// evaluations into tpg.evals, matching the result's own totals, which the
+// atpg span's end reports too.
 func TestWorkerPoolTelemetry(t *testing.T) {
 	c := gen.Random(gen.RandomOptions{PIs: 10, Gates: 120, Seed: 2})
 	reg := telemetry.NewRegistry()
@@ -44,12 +45,15 @@ func TestWorkerPoolTelemetry(t *testing.T) {
 	j := telemetry.NewJournal(&buf)
 	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{Registry: reg, Journal: j}))
 	res := BuildVectorsContext(ctx, c, Options{Random: 32, Seed: 2, Deterministic: true, Workers: 4})
-	dispatched := res.Generated + res.Untestable + res.Aborted
+	dispatched := res.Generated + res.Untestable + res.Aborted - res.Proven
 	if dispatched == 0 {
-		t.Skip("random pass already covered every fault")
+		t.Skip("random pass and redundancy proof left PODEM no fault")
 	}
 	if got := reg.Counter("tpg.pool.trials").Value(); got != int64(dispatched) {
 		t.Errorf("tpg.pool.trials = %d, want %d", got, dispatched)
+	}
+	if got := reg.Counter("tpg.proven").Value(); got != int64(res.Proven) {
+		t.Errorf("tpg.proven = %d, result says %d", got, res.Proven)
 	}
 	if got := reg.Counter("tpg.backtracks").Value(); got != res.Backtracks {
 		t.Errorf("tpg.backtracks = %d, result says %d", got, res.Backtracks)
@@ -70,9 +74,10 @@ func TestWorkerPoolTelemetry(t *testing.T) {
 			continue
 		}
 		ended = true
-		if ev.Attrs["evals"] != float64(res.Evals) || ev.Attrs["backtracks"] != float64(res.Backtracks) {
-			t.Errorf("atpg span end evals=%v backtracks=%v, result says %d and %d",
-				ev.Attrs["evals"], ev.Attrs["backtracks"], res.Evals, res.Backtracks)
+		if ev.Attrs["evals"] != float64(res.Evals) || ev.Attrs["backtracks"] != float64(res.Backtracks) ||
+			ev.Attrs["proven"] != float64(res.Proven) {
+			t.Errorf("atpg span end evals=%v backtracks=%v proven=%v, result says %d, %d and %d",
+				ev.Attrs["evals"], ev.Attrs["backtracks"], ev.Attrs["proven"], res.Evals, res.Backtracks, res.Proven)
 		}
 	}
 	if !ended {

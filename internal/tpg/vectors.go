@@ -35,9 +35,12 @@ type Result struct {
 	Coverage   float64 // stuck-at coverage of collapsed faults
 	Generated  int     // deterministic tests produced
 	Untestable int     // faults proven redundant
-	Aborted    int     // faults abandoned at the backtrack limit
-	Backtracks int64   // total PODEM backtracks across the deterministic pass
-	Evals      int64   // gate evaluations made by PODEM implication
+	// Proven counts the faults, part of Untestable, that the redundancy
+	// proof settled before PODEM (constant lines and blocked paths).
+	Proven     int
+	Aborted    int   // faults abandoned at the backtrack limit
+	Backtracks int64 // total PODEM backtracks across the deterministic pass
+	Evals      int64 // gate evaluations made by PODEM implication
 	// Cancelled is set when the deterministic pass stopped early on context
 	// cancellation; the vector set holds everything produced up to that
 	// point and Coverage reflects the partial set.
@@ -46,17 +49,21 @@ type Result struct {
 
 // BuildVectors produces the vector set V used by the diagnosis experiments:
 // Random patterns first, then (optionally) one deterministic PODEM test for
-// every collapsed stuck-at fault the random set missed. Faults are not
-// dropped as tests are added: every missed fault gets its own PODEM run,
-// and the whole set is fault-simulated once, after the PODEM pass, for
-// Coverage. Don't-care PI positions are filled randomly.
+// every collapsed stuck-at fault the random set missed. Before PODEM, a
+// redundancy proof (SAT-proven constant lines and blocked paths) settles
+// part of the missed faults as Untestable without search; on a
+// combinational circuit every other missed fault gets its own PODEM run.
+// Faults are not dropped as tests are added. Once tests were added, the
+// missed faults are fault-simulated again for Coverage. Don't-care PI
+// positions are filled randomly.
 func BuildVectors(c *circuit.Circuit, opt Options) *Result {
 	return BuildVectorsContext(context.Background(), c, opt)
 }
 
-// BuildVectorsContext is BuildVectors under a context: the deterministic
-// PODEM pass polls for cancellation between faults (and, via Podem.Ctx,
-// inside each per-fault search), returning the partial vector set with
+// BuildVectorsContext is BuildVectors under a context: the redundancy proof
+// polls for cancellation inside its SAT queries and keeps what it proved,
+// and the PODEM pass polls between faults (and, via Podem.Ctx, inside each
+// per-fault search), returning the partial vector set with
 // Result.Cancelled set instead of discarding work already done.
 func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *Result {
 	if opt.Random <= 0 {
@@ -74,21 +81,41 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 			telemetry.Float("coverage", res.Coverage),
 			telemetry.Int("generated", res.Generated),
 			telemetry.Int("untestable", res.Untestable),
+			telemetry.Int("proven", res.Proven),
 			telemetry.Int("aborted", res.Aborted),
 			telemetry.Int64("backtracks", res.Backtracks),
 			telemetry.Int64("evals", res.Evals),
 			telemetry.Bool("cancelled", res.Cancelled))
 	}()
 	reps, _ := fault.Collapse(c)
-	det := fault.Detected(c, reps, res.PI, res.N)
+	e := sim.NewEngine(c, res.PI, res.N)
+	det := fault.DetectedOn(e, reps)
 
 	if opt.Deterministic {
-		var remaining []fault.Fault
-		for i, f := range reps {
+		var missed []int // indices into reps
+		for i := range reps {
 			if !det[i] {
-				remaining = append(remaining, f)
+				missed = append(missed, i)
 			}
 		}
+		// The redundancy proof settles part of the missed faults as
+		// Untestable; the rest go to PODEM in their original order. A proven
+		// fault would have added no pattern under PODEM either, so the
+		// vector set is the same as when every missed fault is searched.
+		var prove *prover
+		if len(missed) > 0 && !c.IsSequential() {
+			prove = newProver(ctx, e)
+		}
+		var remaining []fault.Fault
+		for _, i := range missed {
+			if prove != nil && prove.untestable(reps[i]) {
+				res.Proven++
+				continue
+			}
+			remaining = append(remaining, reps[i])
+		}
+		res.Untestable = res.Proven
+		tr.Registry().Counter("tpg.proven", "Missed faults proven untestable before PODEM.").Add(int64(res.Proven))
 		// generateAll runs the per-fault PODEM searches — sequentially or
 		// over opt.Workers goroutines — and hands back outcomes in fault
 		// order, so everything below (pattern append order, the don't-care
@@ -110,11 +137,20 @@ func BuildVectorsContext(ctx context.Context, c *circuit.Circuit, opt Options) *
 				extra = append(extra, outs[i].assign)
 			}
 		}
+		res.Backtracks, res.Evals = backtracks, evals
 		if len(extra) > 0 {
 			appendPatterns(res, extra, rng)
+			// Detection is monotone in the pattern set and appendPatterns
+			// keeps the first N patterns, so only the missed faults can
+			// change verdict.
+			faults := make([]fault.Fault, len(missed))
+			for k, i := range missed {
+				faults[k] = reps[i]
+			}
+			for k, d := range fault.Detected(c, faults, res.PI, res.N) {
+				det[missed[k]] = d
+			}
 		}
-		res.Backtracks, res.Evals = backtracks, evals
-		det = fault.Detected(c, reps, res.PI, res.N)
 	}
 
 	res.Coverage = fault.Coverage(det)
