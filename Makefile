@@ -11,8 +11,7 @@
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
 #                          lose nothing and finish every job after restart,
-#                          and each restart must be listening within 2× the
-#                          lease TTL
+#                          and each restart must be listening within 4 s
 #   make stream-chaos    — SIGKILL dedcd mid-SSE-stream; resuming clients must
 #                          converge on the exact persisted lifecycle
 #   make bench-telemetry — disabled-telemetry overhead gate (≤2%)
@@ -76,7 +75,7 @@ chaos-resume:
 # Durable-store gate: SIGKILL dedcd (race build) at random points mid-workload,
 # restart over the same store directory, and require every accepted job to
 # reach a terminal state with solutions identical to an uninterrupted run, and
-# every restart to be listening within 2× the -lease-ttl it runs with.
+# every restart to be listening within 4 s.
 # Also scales up the store-corruption trials (damaged log/snapshot must recover
 # cleanly or fail typed — never panic or fabricate state).
 chaos-store:

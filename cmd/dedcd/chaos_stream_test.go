@@ -201,7 +201,7 @@ func startStreamDaemon(t *testing.T, bin, storeDir, addr string) *storeDaemon {
 		cmd := exec.Command(bin,
 			"-addr", addr, "-workers", "2",
 			"-store-dir", storeDir,
-			"-lease-ttl", "2s", "-max-attempts", "10", "-retry-backoff", "25ms",
+			"-max-attempts", "10", "-retry-backoff", "25ms",
 			"-drain-timeout", "15s", "-drain-grace", "0s")
 		stderr := &syncBuffer{}
 		cmd.Stderr = stderr

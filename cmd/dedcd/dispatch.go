@@ -16,28 +16,12 @@ import (
 )
 
 // This file is the dispatcher: the bridge between the durable job store and
-// the supervised execution pool. It claims queued jobs under TTL leases,
-// renews them while attempts run (heartbeat + checkpoint boundaries), reaps
-// expired leases, and writes every attempt outcome back to the store. The
-// store is the only source of truth — the dispatcher keeps no job state
-// beyond the cancel functions of attempts currently executing here.
-
-// cFenced counts the fence in action: attempts cancelled mid-run because a
-// renew or checkpoint write proved their lease dead — a stale token (the
-// lease expired and was reassigned, or a restart's boot replay requeued the
-// job). Fencing frees the worker slot immediately instead of letting a
-// doomed attempt run to completion; its late outcome write would be
-// rejected anyway, so no duplicate settlement is possible either way.
-var cFenced = telemetry.Default.Counter("dedcd.fenced_attempts",
-	"Running attempts cancelled because their lease was lost (stale token, requeue, or cancel).")
-
-// leaseLost reports errors that prove this attempt's lease is no longer
-// live: the store rejected the token, or the job left the running state.
-func leaseLost(err error) bool {
-	return errors.Is(err, store.ErrLeaseExpired) || errors.Is(err, store.ErrWrongWorker) ||
-		errors.Is(err, store.ErrNotRunning) || errors.Is(err, store.ErrTerminal) ||
-		errors.Is(err, store.ErrUnknownJob)
-}
+// the supervised execution pool. It claims queued jobs, records each
+// attempt's checkpoint refs, and writes every attempt outcome back to the
+// store. A claim lasts until that outcome write, a cancel, or the death of
+// the process (boot replay requeues it then). The store is the only source of
+// truth — the dispatcher keeps no job state beyond the cancel functions of
+// attempts currently executing here.
 
 // dispatch claims jobs whenever the pool has room, waking on submits and on
 // a coarse ticker (which also picks up jobs whose retry backoff has elapsed).
@@ -56,7 +40,7 @@ func (s *server) dispatch(ctx context.Context) {
 }
 
 // fill claims exactly as many ready jobs as the pool can hold right now.
-// Each claim runs under its own lease token (claimToken); the claimed job
+// Each claim runs under its own token (claimToken); the claimed job
 // carries it as j.Worker, and every outcome write for the attempt uses it.
 func (s *server) fill(ctx context.Context) {
 	for ctx.Err() == nil && s.pool.QueueFree() > 0 {
@@ -90,8 +74,8 @@ func (s *server) startJob(j store.Job) {
 			cancel()
 		}()
 		// A panicking attempt never returns through runAttempt, so its
-		// terminal state is recorded here — under this attempt's own lease
-		// token — before the pool quarantines the panic and replaces the
+		// terminal state is recorded here — under this attempt's own claim
+		// token — before the pool reports the panic and replaces the
 		// worker. Panic means poison pill: the input is presumed to crash
 		// the engine again, so the failure skips the remaining attempts.
 		defer func() {
@@ -126,17 +110,22 @@ func (s *server) dropAttempt(id string, att *attempt) {
 	s.mu.Unlock()
 }
 
-// runAttempt executes one claimed attempt end to end: lease heartbeat,
-// per-attempt journal with checkpoint-boundary lease renewal, resume from the
+// runAttempt executes one claimed attempt end to end: per-attempt journal
+// with the checkpoint ref recorded at every checkpoint, resume from the
 // previous attempt's checkpoint when one is recorded, and the terminal write
 // back to the store.
 func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFunc, j store.Job, req jobRequest) error {
 	// The pool context carries the per-attempt deadline; the job context
-	// carries explicit cancellation and process shutdown. Chain them so
-	// either ends the run. cancel is this attempt's own cancel func — never
-	// resolved through s.running, which may already hold a successor attempt
-	// for the same job.
-	stop := context.AfterFunc(pctx, cancel)
+	// carries explicit cancellation and process shutdown. At the deadline the
+	// attempt is cancelled and its failure settled at once, so a runner that
+	// ignores its context does not hold the claim past -job-timeout; its late
+	// outcome write is then rejected by the store's claim check. cancel is
+	// this attempt's own cancel func — never resolved through s.running,
+	// which may already hold a successor attempt for the same job.
+	stop := context.AfterFunc(pctx, func() {
+		cancel()
+		s.settleFailure(j.ID, j.Worker, fmt.Sprintf("attempt %d exceeded the job deadline", j.Attempt))
+	})
 	defer stop()
 
 	// A cancel can land between claim and execution; don't run a dead job.
@@ -144,20 +133,12 @@ func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFun
 		return nil
 	}
 
-	// Heartbeat at TTL/3: keeps the lease alive through checkpoint-free
-	// stretches (vector building, verification). A failed renewal means the
-	// lease is lost — the reaper promised the job elsewhere — so the attempt
-	// is abandoned rather than finished twice.
-	hbCtx, hbStop := context.WithCancel(jctx)
-	defer hbStop()
-	go s.heartbeat(hbCtx, j.ID, j.Worker, cancel)
-
 	env := runEnv{}
 	runCtx, closeJournal := s.attemptJournal(jctx, j, cancel, &env)
 	defer closeJournal()
 	// Live progress rides every attempt, journaled or not: the hook wraps
-	// whatever checkpoint callback the journal installed (lease renewal)
-	// with publication to the events bus.
+	// whatever checkpoint callback the journal installed (the checkpoint
+	// ref) with publication to the events bus.
 	env.OnCheckpoint = s.progressHook(j, env.OnCheckpoint)
 	if j.Ref != "" {
 		if f, err := os.Open(j.Ref); err == nil {
@@ -178,11 +159,9 @@ func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFun
 		if rerr := s.st.Release(j.ID, j.Worker); rerr != nil && !errors.Is(rerr, store.ErrClosed) {
 			s.log.Warn("releasing attempt at shutdown", "id", j.ID, "err", rerr)
 		}
-	case pctx.Err() != nil:
-		s.settleFailure(j.ID, j.Worker, fmt.Sprintf("attempt %d exceeded the job deadline", j.Attempt))
 	case jctx.Err() != nil:
-		// Cancelled via the store (already terminal) or the lease was lost
-		// (another worker owns the job now): nothing to write either way.
+		// Cancelled via the store (already terminal) or settled at the
+		// deadline: nothing to write either way.
 	case err == nil:
 		raw, merr := json.Marshal(res)
 		if merr != nil {
@@ -198,9 +177,9 @@ func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFun
 	return err
 }
 
-// settleFailure records a failed attempt under the attempt's lease token;
+// settleFailure records a failed attempt under the attempt's claim token;
 // the store decides between a backoff-requeue and a terminal failure. Races
-// with cancel (terminal) and lease reassignment are benign.
+// with a cancel (terminal) or an earlier settlement are benign.
 func (s *server) settleFailure(id, worker, msg string) {
 	if err := s.st.Fail(id, worker, msg); err != nil && !ignorableOutcomeErr(err) {
 		s.log.Warn("recording failure", "id", id, "err", err)
@@ -209,45 +188,16 @@ func (s *server) settleFailure(id, worker, msg string) {
 }
 
 // ignorableOutcomeErr reports outcome-write errors that just mean another
-// actor settled the job first: a cancel made it terminal, the reaper
-// reassigned the lease, or shutdown closed the store.
+// actor settled the job first: a cancel made it terminal, the deadline
+// settled the attempt, or shutdown closed the store.
 func ignorableOutcomeErr(err error) bool {
 	return errors.Is(err, store.ErrTerminal) || errors.Is(err, store.ErrWrongWorker) ||
 		errors.Is(err, store.ErrNotRunning) || errors.Is(err, store.ErrClosed)
 }
 
-// heartbeat renews the lease (under the attempt's token) at TTL/3 until the
-// attempt ends. On any renewal failure the attempt is cancelled: an expired
-// or reassigned lease must not keep computing.
-func (s *server) heartbeat(ctx context.Context, id, worker string, cancel func()) {
-	interval := s.leaseTTL / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := s.st.Renew(id, worker); err != nil {
-				if leaseLost(err) {
-					cFenced.Inc()
-					s.log.Info("lease lost; fencing attempt", "id", id, "worker", worker, "err", err)
-				} else if !ignorableOutcomeErr(err) {
-					s.log.Warn("lease renewal failed; abandoning attempt", "id", id, "err", err)
-				}
-				cancel()
-				return
-			}
-		}
-	}
-}
-
 // attemptJournal attaches a per-attempt run journal (<dir>/<id>.a<N>.jsonl)
 // to ctx and wires the checkpoint hook: every checkpoint records the journal
-// path as the job's resume ref and renews the lease in the same store event.
+// path as the job's resume ref.
 // Journal trouble never fails the job — the run proceeds unjournaled — and
 // the returned cleanup is safe to call unconditionally.
 func (s *server) attemptJournal(ctx context.Context, j store.Job, cancel context.CancelFunc, env *runEnv) (context.Context, func()) {
@@ -270,10 +220,9 @@ func (s *server) attemptJournal(ctx context.Context, j store.Job, cancel context
 	// the store the state it points at is already on disk.
 	env.OnCheckpoint = func(*diagnose.Checkpoint) {
 		if err := s.st.SetCheckpoint(j.ID, j.Worker, path); err != nil {
-			if leaseLost(err) {
-				cFenced.Inc()
-				s.log.Info("lease lost at checkpoint; fencing attempt", "id", j.ID, "worker", j.Worker, "err", err)
-			} else if !ignorableOutcomeErr(err) {
+			// The claim is gone (cancelled, or settled at the deadline) or
+			// the store refused the write: the attempt stops either way.
+			if !ignorableOutcomeErr(err) {
 				s.log.Warn("recording checkpoint ref", "id", j.ID, "err", err)
 			}
 			cancel()
@@ -334,43 +283,5 @@ func (s *server) sweepJournals() {
 	}
 	if removed > 0 {
 		s.log.Info("removed journals of evicted jobs", "dir", s.journalDir, "files", removed)
-	}
-}
-
-// reap expires blown leases at TTL/4 — the crashed-worker path. Requeued
-// jobs re-enter the claimable set (after their backoff); jobs out of
-// attempts become terminal failures.
-func (s *server) reap(ctx context.Context) {
-	interval := s.leaseTTL / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			requeued, failed, err := s.st.ExpireLeases()
-			if err != nil {
-				if errors.Is(err, store.ErrClosed) {
-					return
-				}
-				// An append failure (disk full, I/O error) may clear; the
-				// reaper must outlive it and retry on the next tick.
-				s.log.Warn("lease reaper", "err", err)
-				continue
-			}
-			for _, j := range requeued {
-				s.log.Info("lease expired; job requeued", "id", j.ID, "attempt", j.Attempt)
-			}
-			for _, j := range failed {
-				s.log.Warn("lease expired; attempts exhausted", "id", j.ID, "attempt", j.Attempt)
-			}
-			if len(requeued) > 0 {
-				s.kick()
-			}
-		}
 	}
 }

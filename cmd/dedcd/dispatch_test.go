@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func TestStartupSweepRemovesEvictedJournals(t *testing.T) {
 
 // TestDispatchNoGoroutineLeak: a burst of real diagnosis submissions, some
 // shed by the admission cap and the rest run to terminal through the
-// dispatcher with journals, heartbeats and progress hooks, leaves the
+// dispatcher with journals and progress hooks, leaves the
 // goroutine count where it was before the burst.
 func TestDispatchNoGoroutineLeak(t *testing.T) {
 	c := gen.Alu(2)
@@ -119,11 +120,8 @@ func TestDispatchNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A lease far longer than the test: a heartbeat that outlives its
-	// attempt would only stop at its first failed renewal, TTL/3 later.
-	st := store.NewMemory(store.Options{LeaseTTL: time.Minute, MaxAttempts: 1})
+	st := store.NewMemory(store.Options{MaxAttempts: 1})
 	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, supervise.Options{Workers: 2, QueueDepth: 2})
-	s.leaseTTL = time.Minute
 	s.maxQueued = 2
 	s.journalDir = t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -201,5 +199,91 @@ func TestDispatchNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), len(accepted), shed, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestStuckAttemptSettledAtDeadline: a runner that ignores its context past
+// JobTimeout does not hold its claim. At the deadline the attempt fails with
+// no further wait — requeued with backoff while attempts remain, failed
+// terminally at MaxAttempts — and the stuck attempts' late outcomes are
+// rejected by the store's claim check.
+func TestStuckAttemptSettledAtDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	st := store.NewMemory(store.Options{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st,
+		supervise.Options{Workers: 2, JobTimeout: timeout})
+	release := make(chan struct{})
+	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+		<-release // deaf to its context
+		return &jobResult{Status: "Complete", Solved: true}, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.start(ctx)
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(release)
+		}
+		cancel()
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		s.pool.Drain(dctx)
+		st.Close()
+	})
+	j, err := st.Submit(json.RawMessage(`{"impl":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kick()
+
+	var got store.Job
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got, _ = st.Lookup(j.ID)
+		if got.State.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s at attempt %d, 10s after submission", got.State, got.Attempt)
+		}
+	}
+	if got.State != store.StateFailed || !strings.Contains(got.Error, "exceeded the job deadline; 2/2 attempts exhausted") {
+		t.Fatalf("job = %s (%q), want failed on the deadline after 2 attempts", got.State, got.Error)
+	}
+	var kinds []string
+	var tokens []string
+	var claimed time.Time
+	for _, e := range got.Timeline {
+		kinds = append(kinds, e.Type)
+		switch e.Type {
+		case store.TLClaimed:
+			claimed = e.TS
+			tokens = append(tokens, e.Worker)
+		case store.TLRequeued, store.TLFailed:
+			// Settled at the deadline, not after a lease-style wait.
+			if d := e.TS.Sub(claimed); d < timeout || d > timeout+2*time.Second {
+				t.Errorf("attempt settled %v after its claim, want just past the %v deadline", d, timeout)
+			}
+		}
+	}
+	if want := "submitted claimed requeued claimed failed"; strings.Join(kinds, " ") != want {
+		t.Errorf("timeline = %v, want %s", kinds, want)
+	}
+	for _, tok := range tokens {
+		if err := st.Complete(j.ID, tok, json.RawMessage(`{}`)); !errors.Is(err, store.ErrTerminal) {
+			t.Errorf("late Complete under %s = %v, want ErrTerminal", tok, err)
+		}
+	}
+
+	// Unblock both stuck runners: their successful returns must not turn the
+	// failed job into a completed one.
+	close(release)
+	released = true
+	for deadline := time.Now().Add(10 * time.Second); s.pool.Stats().Completed < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stuck runners never returned: %+v", s.pool.Stats())
+		}
+	}
+	if after, _ := st.Lookup(j.ID); after.State != store.StateFailed || len(after.Result) != 0 {
+		t.Errorf("job after the late returns = %s (result %q), want failed with no result", after.State, after.Result)
 	}
 }

@@ -309,16 +309,14 @@ func quantilesOf(h *telemetry.Histogram) stream.Quantiles {
 
 // statsCounters is the counter set exposed on /v1/stats, keyed by wire name.
 var statsCounters = map[string]string{
-	"submissions":       "dedcd.submissions",
-	"sheds":             "dedcd.sheds",
-	"store_events":      "store.events",
-	"requeues":          "store.requeues",
-	"retries":           "store.retries",
-	"lease_expirations": "store.lease_expirations",
-	"orphans_requeued":  "store.orphans_requeued",
-	"compactions":       "store.compactions",
-	"evictions":         "store.evictions",
-	"fenced_attempts":   "dedcd.fenced_attempts",
+	"submissions":      "dedcd.submissions",
+	"sheds":            "dedcd.sheds",
+	"store_events":     "store.events",
+	"requeues":         "store.requeues",
+	"retries":          "store.retries",
+	"orphans_requeued": "store.orphans_requeued",
+	"compactions":      "store.compactions",
+	"evictions":        "store.evictions",
 }
 
 // handleStats serves GET /v1/stats: per-state job counts, pool occupancy,

@@ -26,9 +26,6 @@ import (
 // MaxAttempts > 1) and a fast stream heartbeat.
 func streamServer(t *testing.T, sopt store.Options, popt supervise.Options, run runner) (*server, *httptest.Server) {
 	t.Helper()
-	if sopt.LeaseTTL == 0 {
-		sopt.LeaseTTL = 5 * time.Second
-	}
 	if sopt.BackoffBase == 0 {
 		sopt.BackoffBase = 5 * time.Millisecond
 		sopt.BackoffMax = 20 * time.Millisecond
@@ -36,7 +33,6 @@ func streamServer(t *testing.T, sopt store.Options, popt supervise.Options, run 
 	st := store.NewMemory(sopt)
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := newServer(log, st, popt)
-	s.leaseTTL = sopt.LeaseTTL
 	s.streamHeartbeat = 50 * time.Millisecond
 	if run != nil {
 		s.run = run
@@ -261,7 +257,7 @@ func TestEventsRequeueBeforeNewAttempt(t *testing.T) {
 // not stream state.
 func TestEventsResumeFromLastEventID(t *testing.T) {
 	dir := t.TempDir()
-	sopt := store.Options{LeaseTTL: 5 * time.Second, MaxAttempts: 3,
+	sopt := store.Options{MaxAttempts: 3,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
 	st, err := store.Open(dir, sopt)
 	if err != nil {

@@ -1,15 +1,18 @@
 // Command dedcd runs the diagnosis engine as a crash-only HTTP service over
 // a durable, event-sourced job store (internal/store). The daemon itself is
-// stateless: every job fact — submission, lease, checkpoint ref, outcome —
+// stateless: every job fact — submission, claim, checkpoint ref, outcome —
 // is an fsync'd event in the store, so a SIGKILL at any instant loses no
-// accepted work. On boot the log is replayed, orphaned leases are requeued,
-// and interrupted jobs resume from their last journaled checkpoint.
+// accepted work. On boot the log is replayed, jobs the dead process held
+// are requeued as orphans, and interrupted jobs resume from their last
+// journaled checkpoint.
 //
-// Jobs execute on a supervised, bounded worker pool (internal/supervise)
-// under TTL leases: a worker renews its lease at checkpoint boundaries (and
-// on a heartbeat), a reaper requeues expired leases with capped retries and
-// jittered exponential backoff, and a panicking job is quarantined and
-// terminally failed (poison-pill semantics) while its worker is replaced.
+// Jobs execute on a supervised, bounded worker pool (internal/supervise).
+// One daemon owns a store directory (an exclusive flock), so a claim needs
+// no lease TTL: it lasts until the attempt's outcome write, a cancel, or the
+// death of the process. A failed attempt, or one that outlives -job-timeout,
+// is requeued with capped retries and jittered exponential backoff; a
+// panicking job is terminally failed (poison-pill semantics), its stack
+// logged, and its worker replaced.
 //
 // Endpoints (all JSON):
 //
@@ -68,7 +71,6 @@ func run(args []string) int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs")
 	drainGrace := fs.Duration("drain-grace", 250*time.Millisecond, "delay between flipping /readyz to 503 and closing the listener, so balancers stop routing first")
 	storeDir := fs.String("store-dir", "", "durable job store directory (empty = in-memory store; jobs do not survive restarts)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "job lease TTL; a worker silent this long forfeits its claim")
 	maxAttempts := fs.Int("max-attempts", 3, "claims per job before it fails terminally")
 	backoff := fs.Duration("retry-backoff", 250*time.Millisecond, "base requeue backoff after a failed attempt (doubles per attempt, jittered)")
 	journalDir := fs.String("journal-dir", "", "per-attempt run journals (<dir>/<id>.a<N>.jsonl); default <store-dir>/journals when -store-dir is set. Requeued jobs resume from these.")
@@ -87,7 +89,6 @@ func run(args []string) int {
 	telemetry.Default.Publish("dedc.metrics")
 
 	sopt := store.Options{
-		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *maxAttempts,
 		BackoffBase: *backoff,
 	}
@@ -144,7 +145,6 @@ func run(args []string) int {
 	srv.cache.Instrument(telemetry.Default)
 	srv.maxQueued = *maxQueued
 	srv.retryBackoff = *backoff
-	srv.leaseTTL = *leaseTTL
 	if *journalDir != "" {
 		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
 			log.Error("creating -journal-dir", "err", err)
@@ -155,7 +155,7 @@ func run(args []string) int {
 	srv.start(jobsCtx)
 	web := telemetry.ServeMuxListener(ln, srv.handler(telemetry.Default))
 	log.Info("dedcd listening", "addr", web.Addr(), "workers", *workers,
-		"queue", *queue, "store", *storeDir, "lease_ttl", *leaseTTL)
+		"queue", *queue, "store", *storeDir)
 	if *addrFile != "" {
 		// Written after the listener is live, so a reader that sees the file
 		// can connect immediately.

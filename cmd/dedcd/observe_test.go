@@ -49,7 +49,7 @@ func TestRetryAfterComputation(t *testing.T) {
 // queued/running split is exact rather than a race with claiming.
 func TestListFiltersAndLimit(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	st := store.NewMemory(store.Options{LeaseTTL: time.Minute})
+	st := store.NewMemory(store.Options{})
 	defer st.Close()
 	s := newServer(log, st, supervise.Options{Workers: 1})
 	ts := httptest.NewServer(s.handler(telemetry.NewRegistry()))

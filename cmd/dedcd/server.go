@@ -72,7 +72,7 @@ type jobResult struct {
 
 // runEnv carries the per-attempt execution context the dispatcher provides:
 // a prior attempt's journal to resume from, and the checkpoint hook that
-// renews the store lease at every checkpoint boundary.
+// records the store's checkpoint ref at every checkpoint boundary.
 type runEnv struct {
 	Resume       io.Reader // prior attempt's journal (nil = fresh run)
 	OnCheckpoint func(*diagnose.Checkpoint)
@@ -121,9 +121,9 @@ type server struct {
 
 	baseCtx context.Context // process job lifetime: shutdown cancels attempts
 
-	// worker is the base lease identity of this process; every claim extends
+	// worker is the base claim identity of this process; every claim extends
 	// it with a per-claim nonce (claimToken), so a stale attempt whose job
-	// this same process re-claimed can never pass the store's lease check
+	// this same process re-claimed can never pass the store's claim check
 	// and settle its successor's claim.
 	worker string
 	claims atomic.Uint64
@@ -151,8 +151,6 @@ type server struct {
 	// long one queue "generation" takes to drain ahead of a shed submission.
 	retryBackoff time.Duration
 	poolWorkers  int
-
-	leaseTTL time.Duration
 
 	wake chan struct{} // nudges the dispatcher after a submit/requeue
 
@@ -198,7 +196,6 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 		maxQueued:    1024,
 		retryBackoff: 250 * time.Millisecond,
 		poolWorkers:  workers,
-		leaseTTL:     30 * time.Second,
 		wake:         make(chan struct{}, 1),
 		events:       telemetry.NewBus[streamItem](nil),
 		progress:     map[string]stream.Progress{},
@@ -212,21 +209,21 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 		return runDiagnosis(ctx, req, env)
 	}
 	// The panicking attempt records its own terminal failure (under its own
-	// lease token) on the way out of the pool closure — see startJob; this
-	// hook only reports the quarantine.
+	// claim token) on the way out of the pool closure — see startJob; this
+	// hook only logs the post-mortem, stack included.
 	popt.OnDone = func(id string, err error) {
 		var pe *supervise.PanicError
 		if errors.As(err, &pe) {
-			log.Error("job panicked; input quarantined, worker replaced", "id", id, "err", err)
+			log.Error("job panicked; failed terminally, worker replaced", "id", id, "err", err, "stack", string(pe.Stack))
 		}
 	}
 	s.pool = supervise.New(popt)
 	return s
 }
 
-// start launches the dispatcher, the lease reaper and the watch pump. ctx
-// bounds all three loops and every attempt's lifetime (shutdown
-// cancellation). After start, /readyz reports ready.
+// start launches the dispatcher and the watch pump. ctx bounds both loops
+// and every attempt's lifetime (shutdown cancellation). After start, /readyz
+// reports ready.
 func (s *server) start(ctx context.Context) {
 	s.baseCtx = ctx
 	// Subscribe before the sweep, so a job evicted after it is seen by the
@@ -234,7 +231,6 @@ func (s *server) start(ctx context.Context) {
 	watch := s.st.WatchAll(1024)
 	s.sweepJournals()
 	go s.dispatch(ctx)
-	go s.reap(ctx)
 	go s.watchPump(ctx, watch)
 	s.ready.Store(true)
 }
@@ -426,10 +422,10 @@ func (s *server) cancelRunning(id string) {
 	}
 }
 
-// claimToken mints the lease identity for one claim: the process identity
-// plus a per-claim nonce. Lease identities must be unique per attempt, not
-// per process — the store's lease check compares worker strings, and a
-// process can legally re-claim a job whose earlier attempt it still hosts.
+// claimToken mints the identity of one claim: the process identity plus a
+// per-claim nonce. Claim identities must be unique per attempt, not per
+// process — the store's claim check compares worker strings, and a process
+// can legally re-claim a job whose earlier attempt it still hosts.
 func (s *server) claimToken() string {
 	return fmt.Sprintf("%s.c%d", s.worker, s.claims.Add(1))
 }

@@ -28,19 +28,22 @@ import (
 	"dedc/internal/tpg"
 )
 
-// testServer builds a server over an in-memory store with fast lease/retry
-// tunings and starts its dispatcher/reaper loops.
+// testServer builds a server over an in-memory store with fast retry
+// tunings and starts its dispatcher.
 func testServer(t *testing.T, popt supervise.Options, run runner) (*server, *httptest.Server) {
 	t.Helper()
-	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	return loggedTestServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), popt, run)
+}
+
+// loggedTestServer is testServer with the daemon's log written to log.
+func loggedTestServer(t *testing.T, log *slog.Logger, popt supervise.Options, run runner) (*server, *httptest.Server) {
+	t.Helper()
 	st := store.NewMemory(store.Options{
-		LeaseTTL:    5 * time.Second,
 		MaxAttempts: 1,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 	})
 	s := newServer(log, st, popt)
-	s.leaseTTL = 5 * time.Second
 	if popt.QueueDepth > 0 {
 		s.maxQueued = popt.QueueDepth
 	}
@@ -153,11 +156,12 @@ func TestResultConflictWhileRunning(t *testing.T) {
 	}
 }
 
-// TestPanickingJobIsSurvived: a job that panics is quarantined, terminally
-// failed (poison-pill: retries would panic again), the worker replaced, and
-// the service keeps serving.
+// TestPanickingJobIsSurvived: a job that panics is terminally failed
+// (poison-pill: retries would panic again), its stack logged, the worker
+// replaced, and the service keeps serving.
 func TestPanickingJobIsSurvived(t *testing.T) {
-	s, ts := testServer(t, supervise.Options{Workers: 1}, func(_ context.Context, req jobRequest, _ runEnv) (*jobResult, error) {
+	logs := &syncBuffer{}
+	_, ts := loggedTestServer(t, slog.New(slog.NewTextHandler(logs, nil)), supervise.Options{Workers: 1}, func(_ context.Context, req jobRequest, _ runEnv) (*jobResult, error) {
 		if req.Impl == "poison" {
 			panic("engine exploded")
 		}
@@ -175,8 +179,20 @@ func TestPanickingJobIsSurvived(t *testing.T) {
 	if code != http.StatusOK || health["ok"] != true {
 		t.Errorf("healthz after panic = %d %v", code, health)
 	}
-	if q := s.pool.Quarantine(); len(q) != 1 || q[0].ID != poisonID {
-		t.Errorf("quarantine = %+v", q)
+	// The pool's OnDone hook logs the *PanicError: the job's ID and the
+	// stack of the panicking runner.
+	var record string
+	for deadline := time.Now().Add(5 * time.Second); record == "" && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		for _, line := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(line, "job panicked") {
+				record = line
+			}
+		}
+	}
+	for _, want := range []string{"id=" + poisonID, "engine exploded", "stack=", "runtime/debug.Stack", "TestPanickingJobIsSurvived"} {
+		if !strings.Contains(record, want) {
+			t.Errorf("panic log record lacks %q: %q", want, record)
+		}
 	}
 	// The panicked job's result endpoint reports the terminal failure.
 	code, res := getJSON(t, ts.URL+"/v1/jobs/"+poisonID+"/result")
@@ -188,9 +204,9 @@ func TestPanickingJobIsSurvived(t *testing.T) {
 	}
 }
 
-// TestClaimTokensAreUniquePerAttempt: lease identity must distinguish two
+// TestClaimTokensAreUniquePerAttempt: claim identity must distinguish two
 // attempts hosted by the same process — with a plain per-process token, a
-// stale attempt of a re-claimed job would pass the store's lease check and
+// stale attempt of a re-claimed job would pass the store's claim check and
 // settle its successor's claim.
 func TestClaimTokensAreUniquePerAttempt(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -271,7 +287,6 @@ func TestFailedJobReportsError(t *testing.T) {
 func TestFailedAttemptIsRetried(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	st := store.NewMemory(store.Options{
-		LeaseTTL:    5 * time.Second,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,

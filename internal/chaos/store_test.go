@@ -138,7 +138,6 @@ func buildPristineStore(t *testing.T, dir string) {
 	t.Helper()
 	opt := store.Options{
 		NoSync:      true,
-		LeaseTTL:    time.Minute,
 		MaxAttempts: 5,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,

@@ -85,8 +85,8 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 			telemetry.Attr{Key: "state", Value: cp})
 	}
 	// Notify after the journal write: the flush-on-checkpoint policy means
-	// the state is durable by the time the host acts on it (e.g. renews a
-	// lease pointing at this journal).
+	// the state is durable by the time the host acts on it (e.g. records
+	// this journal as the job's resume point).
 	if r.opt.OnCheckpoint != nil {
 		r.opt.OnCheckpoint(&cp)
 	}

@@ -33,7 +33,7 @@ func TestOnCheckpointFiresWithoutTracer(t *testing.T) {
 // TestOnCheckpointMatchesJournal: with both a tracer and the callback, the
 // callback sees exactly the states that were journaled, in order, and is
 // invoked after the journal write (the flush-on-checkpoint durability
-// ordering a lease-renewing host depends on).
+// ordering a host recording resume points depends on).
 func TestOnCheckpointMatchesJournal(t *testing.T) {
 	c, devOut, pi, n := resumeFixture(t)
 	var buf bytes.Buffer

@@ -146,9 +146,9 @@ type Options struct {
 	Seed int64
 	// OnCheckpoint, when set, is called synchronously with each checkpoint as
 	// it is journaled (after the journal flush, so the state it describes is
-	// already durable). A job host uses it to renew its store lease and record
-	// the resume point at every checkpoint boundary. The callback must not
-	// retain cp past the call.
+	// already durable). A job host uses it to record the resume point at
+	// every checkpoint boundary. The callback must not retain cp past the
+	// call.
 	OnCheckpoint func(cp *Checkpoint)
 }
 

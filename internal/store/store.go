@@ -3,28 +3,31 @@
 // snapshots, replayed on boot so the daemon itself holds no job state a
 // restart can lose.
 //
-// Every state change is one appended event (submit, claim, renew,
-// checkpoint_ref, requeue, complete, fail, cancel); the in-memory job table
-// is purely derived. Jobs move through a lease state machine:
+// Every state change is one appended event (submit, claim, checkpoint_ref,
+// requeue, complete, fail, cancel); the in-memory job table is purely
+// derived. Jobs move through a claim state machine:
 //
-//	          submit                 claim(worker, TTL)
+//	          submit                 claim(worker, attempt)
 //	───────────────────▶ queued ───────────────────────▶ running
 //	                       ▲                               │ │ │
-//	 requeue (retry,       │     fail (attempts left),     │ │ │
-//	 lease_expired,        └───── lease expiry, release ◀──┘ │ │
-//	 orphaned, released)                                     │ │
+//	 requeue (retry,       │   fail (attempts left), boot  │ │ │
+//	 orphaned, released)   └──── orphan, release ◀─────────┘ │ │
+//	                                                         │ │
 //	                       complete ◀────────────────────────┘ │
 //	                       fail/cancel (terminal) ◀────────────┘
 //
-// A worker claims a job under a TTL lease and renews it at checkpoint
-// boundaries (a checkpoint_ref event both records the attempt's journal and
-// renews the lease). A reaper requeues jobs whose lease expires — the
-// crashed-worker case — with capped retries and jittered exponential
-// backoff; after MaxAttempts the job fails terminally. On Open the log is
-// replayed (tolerating a crash-truncated tail, rejecting interior corruption
-// with ErrCorrupt) and jobs that were running when the process died are
-// requeued immediately as orphans, so a killed daemon resumes its whole
-// workload from the last recorded state.
+// A claim holds the job until the attempt's outcome write, a cancel, or the
+// death of the process; there is no lease TTL. One process owns a store
+// directory (an exclusive flock), so no other holder could take a silent
+// claim over. Each claim carries a caller-chosen worker token, and only the
+// holder's token may settle the attempt: a stale attempt's late write is
+// rejected with ErrWrongWorker, ErrNotRunning or ErrTerminal. A failed
+// attempt is requeued with capped retries and jittered exponential backoff;
+// after MaxAttempts the job fails terminally. On Open the log is replayed
+// (tolerating a crash-truncated tail, rejecting interior corruption with
+// ErrCorrupt) and jobs that were running when the process died are requeued
+// immediately as orphans, so a killed daemon resumes its whole workload from
+// the last recorded state.
 package store
 
 import (
@@ -59,16 +62,12 @@ var (
 	ErrUnknownJob = errors.New("store: unknown job")
 	// ErrTerminal reports a mutation of a job already in a terminal state.
 	ErrTerminal = errors.New("store: job is in a terminal state")
-	// ErrNotRunning reports a lease operation on a job with no active claim
+	// ErrNotRunning reports a claim operation on a job with no active claim
 	// (it was requeued, or never claimed).
 	ErrNotRunning = errors.New("store: job is not running")
-	// ErrWrongWorker reports a lease operation by a worker that does not
-	// hold the job's lease (it expired and another worker claimed it).
-	ErrWrongWorker = errors.New("store: lease held by another worker")
-	// ErrLeaseExpired rejects a renewal after the lease TTL has passed: an
-	// expired lease may already have been handed to another worker, so the
-	// late worker must abandon the attempt instead of extending it.
-	ErrLeaseExpired = errors.New("store: lease expired")
+	// ErrWrongWorker reports a claim operation by a worker that does not
+	// hold the job's claim (the job was requeued and claimed again).
+	ErrWrongWorker = errors.New("store: claim held by another worker")
 	// ErrNotOwner reports an Open of a directory whose single-writer flock
 	// is held by another process (or another open file description in this
 	// one).
@@ -80,11 +79,10 @@ var (
 	cReplays     = telemetry.Default.Counter("store.replays", "Boot replays of the event log.")
 	cReplayedEvs = telemetry.Default.Counter("store.replayed_events", "Events folded during boot replays.")
 	cEvents      = telemetry.Default.Counter("store.events", "Events appended to the log by live operations.")
-	cLeaseExp    = telemetry.Default.Counter("store.lease_expirations", "Running jobs whose lease the reaper found expired.")
 	cRetries     = telemetry.Default.Counter("store.retries", "Failed attempts requeued with retries remaining.")
 	cCompactions = telemetry.Default.Counter("store.compactions", "Snapshot-and-truncate compactions of the log.")
 	cOrphans     = telemetry.Default.Counter("store.orphans_requeued", "Jobs found running at boot and requeued as orphans.")
-	cRequeues    = telemetry.Default.Counter("store.requeues", "Requeue events for any reason (retry, lease expiry, orphan, release).")
+	cRequeues    = telemetry.Default.Counter("store.requeues", "Requeue events for any reason (retry, orphan, release).")
 	cEvictions   = telemetry.Default.Counter("store.evictions", "Terminal jobs pruned by the compaction retention bound.")
 )
 
@@ -99,14 +97,13 @@ var (
 	hAttempt   = telemetry.Default.Histogram("store.attempt_ns", "Nanoseconds per attempt, claim to its outcome.")
 	hE2E       = telemetry.Default.Histogram("store.e2e_ns", "Nanoseconds from submission to a terminal state.")
 	gQueued    = telemetry.Default.Gauge("store.jobs_queued", "Retained jobs currently queued.")
-	gRunning   = telemetry.Default.Gauge("store.jobs_running", "Retained jobs currently running under a lease.")
+	gRunning   = telemetry.Default.Gauge("store.jobs_running", "Retained jobs currently running under a claim.")
 	gTerminal  = telemetry.Default.Gauge("store.jobs_terminal", "Retained jobs in a terminal state (done, failed, cancelled).")
-	gLeases    = telemetry.Default.Gauge("store.leases_live", "Live leases held by workers.")
 	gLogBytes  = telemetry.Default.Gauge("store.log_bytes", "Bytes in the append-only event log.")
 	gSnapBytes = telemetry.Default.Gauge("store.snapshot_bytes", "Bytes in the latest snapshot file.")
 )
 
-// State is a job's position in the lease state machine.
+// State is a job's position in the claim state machine.
 type State string
 
 // Job states. Done, Failed and Cancelled are terminal and sticky.
@@ -127,9 +124,8 @@ func (s State) Terminal() bool {
 // every field a transition needs is carried on the event so replay is pure.
 const (
 	EvSubmit        = "submit"         // spec
-	EvClaim         = "claim"          // worker, expiry, attempt
-	EvRenew         = "renew"          // worker, expiry
-	EvCheckpointRef = "checkpoint_ref" // worker, ref, expiry (renews the lease)
+	EvClaim         = "claim"          // worker, attempt
+	EvCheckpointRef = "checkpoint_ref" // worker, ref
 	EvRequeue       = "requeue"        // reason, error, not_before
 	EvComplete      = "complete"       // worker, result
 	EvFail          = "fail"           // worker, error (terminal)
@@ -138,10 +134,9 @@ const (
 
 // Requeue reasons recorded on EvRequeue events.
 const (
-	ReasonRetry        = "retry"         // attempt returned an error, retries left
-	ReasonLeaseExpired = "lease_expired" // reaper found the lease blown
-	ReasonOrphaned     = "orphaned"      // boot replay found a lease from a dead process
-	ReasonReleased     = "released"      // claim returned unexecuted (pool shed it)
+	ReasonRetry    = "retry"    // attempt returned an error, retries left
+	ReasonOrphaned = "orphaned" // boot replay found a claim from a dead process
+	ReasonReleased = "released" // claim returned unexecuted (pool shed it)
 )
 
 // Event is one record of the append-only log.
@@ -152,8 +147,7 @@ type Event struct {
 	Job  string `json:"job"`
 
 	Spec      json.RawMessage `json:"spec,omitempty"`       // submit
-	Worker    string          `json:"worker,omitempty"`     // claim/renew/checkpoint_ref/complete/fail
-	Expiry    int64           `json:"expiry,omitempty"`     // lease expiry, unix nanoseconds
+	Worker    string          `json:"worker,omitempty"`     // claim/checkpoint_ref/complete/fail
 	Attempt   int             `json:"attempt,omitempty"`    // claim
 	Ref       string          `json:"ref,omitempty"`        // checkpoint_ref
 	Reason    string          `json:"reason,omitempty"`     // requeue
@@ -166,27 +160,26 @@ type Event struct {
 // submits and requeues go to the back of the ready queue, so retries cannot
 // starve fresh work.
 type Job struct {
-	ID          string          `json:"id"`
-	Spec        json.RawMessage `json:"spec,omitempty"`
-	State       State           `json:"state"`
-	Attempt     int             `json:"attempt"` // claims so far; monotone across restarts
-	Worker      string          `json:"worker,omitempty"`
-	LeaseExpiry time.Time       `json:"lease_expiry"`
-	NotBefore   time.Time       `json:"not_before"`    // earliest next claim (retry backoff)
-	Ref         string          `json:"ref,omitempty"` // latest checkpoint ref (attempt journal path)
-	Result      json.RawMessage `json:"result,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	Created     time.Time       `json:"created"`
-	Finished    time.Time       `json:"finished"`
-	QueueSeq    uint64          `json:"queue_seq"`
-	Timeline    []TimelineEvent `json:"timeline,omitempty"`
+	ID        string          `json:"id"`
+	Spec      json.RawMessage `json:"spec,omitempty"`
+	State     State           `json:"state"`
+	Attempt   int             `json:"attempt"` // claims so far; monotone across restarts
+	Worker    string          `json:"worker,omitempty"`
+	NotBefore time.Time       `json:"not_before"`    // earliest next claim (retry backoff)
+	Ref       string          `json:"ref,omitempty"` // latest checkpoint ref (attempt journal path)
+	Result    json.RawMessage `json:"result,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Created   time.Time       `json:"created"`
+	Finished  time.Time       `json:"finished"`
+	QueueSeq  uint64          `json:"queue_seq"`
+	Timeline  []TimelineEvent `json:"timeline,omitempty"`
 }
 
 // TimelineEvent is one entry of a job's machine-readable lifecycle timeline,
 // folded from the event log in apply: replay rebuilds it exactly, and
-// snapshots carry it across restarts. Renewals are excluded (heartbeat noise,
-// not lifecycle), and checkpoint entries stop accumulating past maxTimeline —
-// state transitions are bounded by MaxAttempts and always recorded.
+// snapshots carry it across restarts. Checkpoint entries stop accumulating
+// past maxTimeline — state transitions are bounded by MaxAttempts and always
+// recorded.
 type TimelineEvent struct {
 	Type    string    `json:"type"`
 	TS      time.Time `json:"ts"`
@@ -261,10 +254,8 @@ const (
 
 // Options tunes a Store. The zero value is usable.
 type Options struct {
-	// LeaseTTL is how long a claim lasts without renewal (default 30s).
-	LeaseTTL time.Duration
-	// MaxAttempts caps claims per job; the MaxAttempts-th failed or expired
-	// attempt is terminal (default 3).
+	// MaxAttempts caps claims per job; the MaxAttempts-th failed or
+	// orphaned attempt is terminal (default 3).
 	MaxAttempts int
 	// BackoffBase is the requeue delay after the first failed attempt
 	// (default 250ms), doubling per attempt up to BackoffMax (default 30s),
@@ -287,9 +278,6 @@ type Options struct {
 }
 
 func (o Options) defaults() Options {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
@@ -488,16 +476,17 @@ func (s *Store) apply(ev Event) error {
 		j.State = StateRunning
 		j.Worker = ev.Worker
 		j.Attempt = ev.Attempt
-		j.LeaseExpiry = time.Unix(0, ev.Expiry)
-	case EvRenew, EvCheckpointRef:
+	case EvCheckpointRef, "renew":
+		// "renew" is a lease renewal written by builds that had lease TTLs;
+		// replay accepts it, under the same checks, as a no-op so their
+		// store directories still open.
 		if j.State != StateRunning {
 			return fmt.Errorf("%w: %s (seq %d) of %s job %s", ErrCorrupt, ev.Type, ev.Seq, j.State, ev.Job)
 		}
 		if ev.Worker != j.Worker {
-			return fmt.Errorf("%w: %s (seq %d) of job %s by %q, lease held by %q",
+			return fmt.Errorf("%w: %s (seq %d) of job %s by %q, claim held by %q",
 				ErrCorrupt, ev.Type, ev.Seq, ev.Job, ev.Worker, j.Worker)
 		}
-		j.LeaseExpiry = time.Unix(0, ev.Expiry)
 		if ev.Type == EvCheckpointRef {
 			j.Ref = ev.Ref
 		}
@@ -507,13 +496,12 @@ func (s *Store) apply(ev Event) error {
 		}
 		j.State = StateQueued
 		j.Worker = ""
-		j.LeaseExpiry = time.Time{}
 		j.NotBefore = time.Unix(0, ev.NotBefore)
 		j.QueueSeq = ev.Seq
 		j.Error = ev.Error
 	case EvComplete:
 		if j.State != StateRunning || ev.Worker != j.Worker {
-			return fmt.Errorf("%w: complete (seq %d) of job %s (state %s, lease %q, event worker %q)",
+			return fmt.Errorf("%w: complete (seq %d) of job %s (state %s, claim %q, event worker %q)",
 				ErrCorrupt, ev.Seq, ev.Job, j.State, j.Worker, ev.Worker)
 		}
 		j.State = StateDone
@@ -523,7 +511,7 @@ func (s *Store) apply(ev Event) error {
 		j.Finished = time.Unix(0, ev.TS)
 	case EvFail:
 		if j.State != StateRunning || ev.Worker != j.Worker {
-			return fmt.Errorf("%w: fail (seq %d) of job %s (state %s, lease %q, event worker %q)",
+			return fmt.Errorf("%w: fail (seq %d) of job %s (state %s, claim %q, event worker %q)",
 				ErrCorrupt, ev.Seq, ev.Job, j.State, j.Worker, ev.Worker)
 		}
 		j.State = StateFailed
@@ -534,7 +522,6 @@ func (s *Store) apply(ev Event) error {
 		j.State = StateCancelled
 		j.Error = ev.Error
 		j.Worker = ""
-		j.LeaseExpiry = time.Time{}
 		j.Finished = time.Unix(0, ev.TS)
 	default:
 		return fmt.Errorf("%w: unknown event type %q (seq %d)", ErrCorrupt, ev.Type, ev.Seq)
@@ -627,8 +614,8 @@ func (s *Store) Counts() map[State]int {
 	return m
 }
 
-// Claim leases the ready queued job with the smallest QueueSeq — FIFO over
-// submits and requeues, so a retried job rejoins behind work that was
+// Claim hands worker the ready queued job with the smallest QueueSeq — FIFO
+// over submits and requeues, so a retried job rejoins behind work that was
 // already waiting.
 func (s *Store) Claim(worker string) (Job, bool, error) {
 	s.mu.Lock()
@@ -653,7 +640,6 @@ func (s *Store) Claim(worker string) (Job, bool, error) {
 		Type:    EvClaim,
 		Job:     best.ID,
 		Worker:  worker,
-		Expiry:  now.Add(s.opt.LeaseTTL).UnixNano(),
 		Attempt: best.Attempt + 1,
 	}
 	if err := s.append(ev); err != nil {
@@ -662,8 +648,9 @@ func (s *Store) Claim(worker string) (Job, bool, error) {
 	return *best, true, nil
 }
 
-// leaseCheck validates a lease operation without mutating. Callers hold s.mu.
-func (s *Store) leaseCheck(id, worker string, checkExpiry bool) (*Job, error) {
+// claimCheck validates an operation by worker on id's claim without
+// mutating. Callers hold s.mu.
+func (s *Store) claimCheck(id, worker string) (*Job, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -680,46 +667,25 @@ func (s *Store) leaseCheck(id, worker string, checkExpiry bool) (*Job, error) {
 	if j.Worker != worker {
 		return nil, fmt.Errorf("job %s held by %q, not %q: %w", id, j.Worker, worker, ErrWrongWorker)
 	}
-	if checkExpiry && s.now().After(j.LeaseExpiry) {
-		return nil, fmt.Errorf("job %s lease expired %v ago: %w", id, s.now().Sub(j.LeaseExpiry), ErrLeaseExpired)
-	}
 	return j, nil
 }
 
-// Renew extends the lease by LeaseTTL from now. A renewal after expiry is
-// rejected: the reaper may already have requeued the job for another worker,
-// so the late holder must stand down.
-func (s *Store) Renew(id, worker string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, true)
-	if err != nil {
-		return err
-	}
-	return s.append(Event{Type: EvRenew, Job: j.ID, Worker: worker, Expiry: s.now().Add(s.opt.LeaseTTL).UnixNano()})
-}
-
-// SetCheckpoint records ref as the job's resume point and renews the lease:
-// one event per checkpoint boundary carries both facts.
+// SetCheckpoint records ref as the job's resume point.
 func (s *Store) SetCheckpoint(id, worker, ref string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, true)
+	j, err := s.claimCheck(id, worker)
 	if err != nil {
 		return err
 	}
-	return s.append(Event{Type: EvCheckpointRef, Job: j.ID, Worker: worker, Ref: ref, Expiry: s.now().Add(s.opt.LeaseTTL).UnixNano()})
+	return s.append(Event{Type: EvCheckpointRef, Job: j.ID, Worker: worker, Ref: ref})
 }
 
-// Complete records the attempt's terminal result. Expiry is deliberately not
-// checked: results are deterministic and independently re-proven by the
-// verify gate, so a completion that slides in just past its lease — but
-// before the reaper hands the job elsewhere — is identical to what the retry
-// would have produced, and keeping it saves the re-run.
+// Complete records the attempt's terminal result.
 func (s *Store) Complete(id, worker string, result json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, false)
+	j, err := s.claimCheck(id, worker)
 	if err != nil {
 		return err
 	}
@@ -731,18 +697,24 @@ func (s *Store) Complete(id, worker string, result json.RawMessage) error {
 func (s *Store) Fail(id, worker, msg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, false)
+	j, err := s.claimCheck(id, worker)
 	if err != nil {
 		return err
 	}
-	return s.failAttemptLocked(j, ReasonRetry, msg)
+	if j.Attempt >= s.opt.MaxAttempts {
+		return s.append(Event{Type: EvFail, Job: j.ID, Worker: worker,
+			Error: fmt.Sprintf("%s; %d/%d attempts exhausted", msg, j.Attempt, s.opt.MaxAttempts)})
+	}
+	cRetries.Inc()
+	return s.append(Event{Type: EvRequeue, Job: j.ID, Reason: ReasonRetry, Error: msg,
+		NotBefore: s.now().Add(s.backoff(j.Attempt)).UnixNano()})
 }
 
 // FailTerminal fails the job immediately, retries notwithstanding.
 func (s *Store) FailTerminal(id, worker, msg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, false)
+	j, err := s.claimCheck(id, worker)
 	if err != nil {
 		return err
 	}
@@ -754,7 +726,7 @@ func (s *Store) FailTerminal(id, worker, msg string) error {
 func (s *Store) Release(id, worker string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.leaseCheck(id, worker, false)
+	j, err := s.claimCheck(id, worker)
 	if err != nil {
 		return err
 	}
@@ -778,60 +750,6 @@ func (s *Store) Cancel(id string) error {
 		return fmt.Errorf("job %s is %s: %w", id, j.State, ErrTerminal)
 	}
 	return s.append(Event{Type: EvCancel, Job: j.ID, Error: "cancelled by request"})
-}
-
-// ExpireLeases requeues every running job whose lease has expired — the
-// crashed- or wedged-worker path — applying the same capped-retry policy as
-// Fail. Call it periodically (the reaper).
-func (s *Store) ExpireLeases() (requeued, failed []Job, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, ErrClosed
-	}
-	now := s.now()
-	var expired []*Job
-	live := 0
-	for _, j := range s.jobs {
-		if j.State != StateRunning {
-			continue
-		}
-		if now.After(j.LeaseExpiry) {
-			expired = append(expired, j)
-		} else {
-			live++
-		}
-	}
-	// The live-lease gauge refreshes at reaper cadence (TTL/4), the only
-	// place expiry is actually evaluated.
-	gLeases.Set(int64(live))
-	// Deterministic processing order (map iteration is not).
-	sort.Slice(expired, func(i, k int) bool { return expired[i].QueueSeq < expired[k].QueueSeq })
-	for _, j := range expired {
-		cLeaseExp.Inc()
-		msg := fmt.Sprintf("lease expired after attempt %d", j.Attempt)
-		if aerr := s.failAttemptLocked(j, ReasonLeaseExpired, msg); aerr != nil {
-			return requeued, failed, aerr
-		}
-		if j.State == StateQueued {
-			requeued = append(requeued, *j)
-		} else {
-			failed = append(failed, *j)
-		}
-	}
-	return requeued, failed, nil
-}
-
-// failAttemptLocked is the shared retry decision: requeue with backoff while
-// attempts remain, terminal EvFail at the cap. Callers hold s.mu.
-func (s *Store) failAttemptLocked(j *Job, reason, msg string) error {
-	if j.Attempt >= s.opt.MaxAttempts {
-		return s.append(Event{Type: EvFail, Job: j.ID, Worker: j.Worker,
-			Error: fmt.Sprintf("%s; %d/%d attempts exhausted", msg, j.Attempt, s.opt.MaxAttempts)})
-	}
-	cRetries.Inc()
-	return s.append(Event{Type: EvRequeue, Job: j.ID, Reason: reason, Error: msg,
-		NotBefore: s.now().Add(s.backoff(j.Attempt)).UnixNano()})
 }
 
 // backoff computes the delay after the attempt-th failure: base·2^(attempt-1)

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// fakeClock is a mutex-guarded manual clock for lease-timing tests.
+// fakeClock is a mutex-guarded manual clock for backoff-timing tests.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -85,8 +85,8 @@ func TestSubmitClaimCompleteLifecycle(t *testing.T) {
 	}
 }
 
-// TestDoubleClaimRejected: a job leased to one worker is not handed to a
-// second claimer, and lease operations from the non-holder are rejected.
+// TestDoubleClaimRejected: a job claimed by one worker is not handed to a
+// second claimer, and claim operations from the non-holder are rejected.
 func TestDoubleClaimRejected(t *testing.T) {
 	s := memStore(t, nil, Options{})
 	j := submit(t, s, `{}`)
@@ -94,8 +94,8 @@ func TestDoubleClaimRejected(t *testing.T) {
 	if _, ok, err := s.Claim("w2"); ok || err != nil {
 		t.Fatalf("second Claim = ok=%v err=%v, want no job", ok, err)
 	}
-	if err := s.Renew(j.ID, "w2"); !errors.Is(err, ErrWrongWorker) {
-		t.Errorf("Renew by non-holder = %v, want ErrWrongWorker", err)
+	if err := s.SetCheckpoint(j.ID, "w2", "ref"); !errors.Is(err, ErrWrongWorker) {
+		t.Errorf("SetCheckpoint by non-holder = %v, want ErrWrongWorker", err)
 	}
 	if err := s.Complete(j.ID, "w2", nil); !errors.Is(err, ErrWrongWorker) {
 		t.Errorf("Complete by non-holder = %v, want ErrWrongWorker", err)
@@ -103,21 +103,20 @@ func TestDoubleClaimRejected(t *testing.T) {
 }
 
 // TestStaleAttemptCannotSettleSuccessor reproduces the same-process re-claim
-// hazard: a job whose lease expired is re-claimed — possibly by the same
-// process under a fresh per-attempt token — and the stale attempt's late
-// outcome writes must bounce off the lease check instead of burning the
+// hazard: a failed attempt's job is requeued and re-claimed by the same
+// process under a fresh per-attempt token, and the stale attempt's late
+// outcome writes must bounce off the claim check instead of burning the
 // successor's claim.
 func TestStaleAttemptCannotSettleSuccessor(t *testing.T) {
 	clk := newFakeClock()
 	s := memStore(t, clk, Options{
-		LeaseTTL: time.Second, MaxAttempts: 3,
+		MaxAttempts: 3,
 		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
 	})
 	j := submit(t, s, `{}`)
 	stale := mustClaim(t, s, "dedcd-1.c1")
-	clk.Advance(2 * time.Second) // blow the lease
-	if requeued, _, err := s.ExpireLeases(); err != nil || len(requeued) != 1 {
-		t.Fatalf("ExpireLeases = %v requeued, err %v", requeued, err)
+	if err := s.Fail(j.ID, stale.Worker, "transient"); err != nil {
+		t.Fatal(err)
 	}
 	clk.Advance(time.Second) // past the retry backoff
 	fresh := mustClaim(t, s, "dedcd-1.c2")
@@ -135,8 +134,8 @@ func TestStaleAttemptCannotSettleSuccessor(t *testing.T) {
 	if err := s.Complete(j.ID, stale.Worker, nil); !errors.Is(err, ErrWrongWorker) {
 		t.Errorf("stale Complete = %v, want ErrWrongWorker", err)
 	}
-	if err := s.Renew(j.ID, stale.Worker); !errors.Is(err, ErrWrongWorker) {
-		t.Errorf("stale Renew = %v, want ErrWrongWorker", err)
+	if err := s.SetCheckpoint(j.ID, stale.Worker, "ref"); !errors.Is(err, ErrWrongWorker) {
+		t.Errorf("stale SetCheckpoint = %v, want ErrWrongWorker", err)
 	}
 	// The successor's claim is intact and settles normally.
 	got, _ := s.Lookup(j.ID)
@@ -148,70 +147,11 @@ func TestStaleAttemptCannotSettleSuccessor(t *testing.T) {
 	}
 }
 
-// TestRenewAfterExpiryRejected: the TTL is a hard boundary for renewal — a
-// worker that went quiet past it must stand down, because the reaper may
-// already have promised the job elsewhere.
-func TestRenewAfterExpiryRejected(t *testing.T) {
-	clk := newFakeClock()
-	s := memStore(t, clk, Options{LeaseTTL: time.Second, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond})
-	j := submit(t, s, `{}`)
-	mustClaim(t, s, "w1")
-	clk.Advance(900 * time.Millisecond)
-	if err := s.Renew(j.ID, "w1"); err != nil {
-		t.Fatalf("Renew inside TTL: %v", err)
-	}
-	clk.Advance(time.Second + time.Millisecond)
-	if err := s.Renew(j.ID, "w1"); !errors.Is(err, ErrLeaseExpired) {
-		t.Errorf("Renew after expiry = %v, want ErrLeaseExpired", err)
-	}
-	if err := s.SetCheckpoint(j.ID, "w1", "ref"); !errors.Is(err, ErrLeaseExpired) {
-		t.Errorf("SetCheckpoint after expiry = %v, want ErrLeaseExpired", err)
-	}
-	// After the reaper requeues and another worker claims, the original
-	// holder's terminal writes are rejected too.
-	if req, _, err := s.ExpireLeases(); err != nil || len(req) != 1 {
-		t.Fatalf("ExpireLeases = %v, %v", req, err)
-	}
-	clk.Advance(10 * time.Millisecond) // clear the retry backoff
-	mustClaim(t, s, "w2")
-	if err := s.Complete(j.ID, "w1", nil); !errors.Is(err, ErrWrongWorker) {
-		t.Errorf("Complete by deposed holder = %v, want ErrWrongWorker", err)
-	}
-}
-
-// TestLeaseExpiryRequeuesWithinTwoTTLs is the acceptance bound: a killed
-// worker's job is back in the queue within 2× the lease TTL.
-func TestLeaseExpiryRequeuesWithinTwoTTLs(t *testing.T) {
-	clk := newFakeClock()
-	ttl := 5 * time.Second
-	s := memStore(t, clk, Options{LeaseTTL: ttl, MaxAttempts: 5, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond})
-	j := submit(t, s, `{}`)
-	claimed := mustClaim(t, s, "w1")
-	if want := clk.Now().Add(ttl); !claimed.LeaseExpiry.Equal(want) {
-		t.Fatalf("lease expiry = %v, want %v", claimed.LeaseExpiry, want)
-	}
-	// Reaper cadence of TTL/4: by 2×TTL the expiry has been seen.
-	for i := 0; i < 8; i++ {
-		clk.Advance(ttl / 4)
-		if _, _, err := s.ExpireLeases(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, _ := s.Lookup(j.ID)
-	if got.State != StateQueued {
-		t.Fatalf("job after 2×TTL = %s, want queued", got.State)
-	}
-	if got.Error == "" {
-		t.Error("requeued job carries no expiry explanation")
-	}
-}
-
 // TestRequeueOrderingFairness: a retried job rejoins the queue behind work
 // that was already waiting — requeues cannot starve fresh submissions.
 func TestRequeueOrderingFairness(t *testing.T) {
 	clk := newFakeClock()
 	s := memStore(t, clk, Options{
-		LeaseTTL:    time.Second,
 		MaxAttempts: 5,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
@@ -299,7 +239,7 @@ func TestRetriesExhaustToTerminalFailed(t *testing.T) {
 func TestRetryCountMonotoneAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
-	opt := Options{LeaseTTL: time.Second, MaxAttempts: 10, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond, Now: clk.Now}
+	opt := Options{MaxAttempts: 10, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond, Now: clk.Now}
 	s, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +258,7 @@ func TestRetryCountMonotoneAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart while attempt 2 held the lease: the orphaned claim is requeued
+	// Restart while attempt 2 held the claim: the orphaned claim is requeued
 	// and the count keeps climbing from where it was.
 	s2, err := Open(dir, opt)
 	if err != nil {

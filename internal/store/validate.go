@@ -20,7 +20,7 @@ type Report struct {
 	// TornTail reports a crash-truncated final record — expected after a
 	// SIGKILL, and recovered from by replaying the clean prefix.
 	TornTail bool
-	// Jobs counts retained jobs per state. Running jobs are leases a dead
+	// Jobs counts retained jobs per state. Running jobs are claims a dead
 	// process held; Open would requeue them as orphans.
 	Jobs map[State]int
 }

@@ -368,8 +368,8 @@ func (s *Store) loadSnapshot(payload []byte) error {
 
 // Open recovers (or initializes) a file-backed store in dir: load the
 // snapshot, replay the event log — tolerating a crash-truncated tail,
-// rejecting interior corruption with ErrCorrupt — and requeue jobs orphaned
-// mid-lease by the previous process.
+// rejecting interior corruption with ErrCorrupt — and requeue jobs the
+// previous process left running.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.defaults()
 	// Take the single-writer flock before reading any state: opening a

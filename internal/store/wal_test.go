@@ -100,7 +100,7 @@ func TestReadFramesInteriorCorruption(t *testing.T) {
 func TestOpenRecoversFullState(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
-	opt := Options{LeaseTTL: time.Minute, MaxAttempts: 3, Now: clk.Now}
+	opt := Options{MaxAttempts: 3, Now: clk.Now}
 	s, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestOpenRecoversFullState(t *testing.T) {
 	if got, p := s2.Lookup(done.ID); p != Found || got.State != StateDone || string(got.Result) != `{"ok":true}` {
 		t.Errorf("done job after restart: %+v (presence %d)", got, p)
 	}
-	// Both non-terminal jobs come back queued: the one that held a lease is
+	// Both non-terminal jobs come back queued: the one that held a claim is
 	// orphan-requeued with its checkpoint ref intact for resume.
 	if got, p := s2.Lookup(queued.ID); p != Found || got.State != StateQueued || got.Ref != "journals/job-2.a1.jsonl" || got.Attempt != 1 {
 		t.Errorf("orphaned job after restart: %+v (presence %d)", got, p)
@@ -207,6 +207,87 @@ func TestOpenIgnoresLegacyOwnerRecord(t *testing.T) {
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := Validate(dir); err != nil {
+		t.Fatalf("validate after reopen: %v", err)
+	}
+}
+
+// TestOpenLegacyLeaseStore: a store directory written by a build with lease
+// TTLs — a snapshot whose jobs carry lease_expiry, claim events with expiry,
+// renew and checkpoint_ref events, a lease_expired requeue — validates and
+// opens, its running job is requeued as an orphan, and the snapshot the
+// reopen writes no longer carries lease fields. The records are verbatim
+// output of that build.
+func TestOpenLegacyLeaseStore(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"v":1,"last_seq":4,"next_id":2,"jobs":[` +
+		`{"id":"job-1","spec":{"n":1},"state":"running","attempt":1,"worker":"dedcd-7.c1","lease_expiry":"2023-11-14T22:13:21.002Z","not_before":"0001-01-01T00:00:00Z","created":"2023-11-14T22:13:20.001Z","finished":"0001-01-01T00:00:00Z","queue_seq":1,"timeline":[{"type":"submitted","ts":"2023-11-14T22:13:20.001Z"},{"type":"claimed","ts":"2023-11-14T22:13:20.003Z","attempt":1,"worker":"dedcd-7.c1"}]},` +
+		`{"id":"job-2","spec":{"n":2},"state":"running","attempt":1,"worker":"dedcd-7.c2","lease_expiry":"2023-11-14T22:13:21.005Z","not_before":"0001-01-01T00:00:00Z","created":"2023-11-14T22:13:20.004Z","finished":"0001-01-01T00:00:00Z","queue_seq":3,"timeline":[{"type":"submitted","ts":"2023-11-14T22:13:20.004Z"},{"type":"claimed","ts":"2023-11-14T22:13:20.006Z","attempt":1,"worker":"dedcd-7.c2"}]}]}`
+	events := []string{
+		`{"seq":5,"ts":1700000000009000000,"type":"renew","job":"job-2","worker":"dedcd-7.c2","expiry":1700000001008000000}`,
+		`{"seq":6,"ts":1700000000012000000,"type":"checkpoint_ref","job":"job-2","worker":"dedcd-7.c2","expiry":1700000001011000000,"ref":"journals/job-2.a1.jsonl"}`,
+		`{"seq":7,"ts":1700000000013000000,"type":"complete","job":"job-1","worker":"dedcd-7.c1","result":{"ok":true}}`,
+		`{"seq":8,"ts":1700000002016000000,"type":"requeue","job":"job-2","reason":"lease_expired","not_before":1700000002016003497,"error":"lease expired after attempt 1"}`,
+		`{"seq":9,"ts":1700000003018000000,"type":"claim","job":"job-2","worker":"dedcd-7.c3","expiry":1700000004017000000,"attempt":2}`,
+		`{"seq":10,"ts":1700000003021000000,"type":"renew","job":"job-2","worker":"dedcd-7.c3","expiry":1700000004020000000}`,
+		`{"seq":11,"ts":1700000003022000000,"type":"submit","job":"job-3","spec":{"n":3}}`,
+	}
+	var log bytes.Buffer
+	for _, ev := range events {
+		log.Write(frame([]byte(ev)))
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName), frame([]byte(snap)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Validate(dir)
+	if err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	if rep.Jobs[StateDone] != 1 || rep.Jobs[StateRunning] != 1 || rep.Jobs[StateQueued] != 1 ||
+		rep.LogEvents != len(events) || rep.LastSeq != 11 || rep.TornTail {
+		t.Fatalf("report = %s", rep)
+	}
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if got, p := s.Lookup("job-1"); p != Found || got.State != StateDone || string(got.Result) != `{"ok":true}` {
+		t.Errorf("job-1 = %+v (presence %d), want done with its result", got, p)
+	}
+	got, p := s.Lookup("job-2")
+	if p != Found || got.State != StateQueued || got.Attempt != 2 || got.Ref != "journals/job-2.a1.jsonl" {
+		t.Fatalf("job-2 = %+v (presence %d), want queued at attempt 2 with its checkpoint ref", got, p)
+	}
+	var reasons []string
+	for _, e := range got.Timeline {
+		if e.Type == TLRequeued {
+			reasons = append(reasons, e.Reason)
+		}
+	}
+	if strings.Join(reasons, ",") != "lease_expired,"+ReasonOrphaned {
+		t.Errorf("job-2 requeue reasons = %v, want [lease_expired %s]", reasons, ReasonOrphaned)
+	}
+	if err := s.Complete("job-2", "dedcd-7.c3", nil); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("dead process's late Complete = %v, want ErrNotRunning", err)
+	}
+	if got, _ := s.Lookup("job-3"); got.State != StateQueued {
+		t.Errorf("job-3 = %s, want queued", got.State)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("lease_expiry")) {
+		t.Error("snapshot rewritten at open still carries lease_expiry")
 	}
 	if _, err := Validate(dir); err != nil {
 		t.Fatalf("validate after reopen: %v", err)

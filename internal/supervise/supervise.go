@@ -11,10 +11,10 @@
 //     memory-exhausting failure later.
 //   - Per-job deadlines. Every job context carries the pool's JobTimeout, so
 //     a wedged job becomes an error, not a stuck worker.
-//   - Panic isolation. A panicking job is recovered, its input quarantined
-//     for post-mortem (ID, panic value, stack), and the worker goroutine is
-//     replaced with a fresh one — nothing initialized by the dead worker is
-//     trusted again. The job is not retried: an input that crashed the code
+//   - Panic isolation. A panicking job is recovered, its post-mortem (ID,
+//     panic value, stack) handed to OnDone as a *PanicError, and the worker
+//     goroutine is replaced with a fresh one — nothing initialized by the
+//     dead worker is trusted again. The job is not retried: an input that crashed the code
 //     once is presumed to crash it again (poison-pill semantics).
 //   - One attempt per submission. An errored job is reported failed and not
 //     re-run; retry policy belongs to the caller (dedcd's durable store
@@ -73,8 +73,9 @@ type Options struct {
 	OnDone func(id string, err error)
 }
 
-// PanicError is the terminal outcome of a job whose execution panicked. It
-// is passed to OnDone and recorded in the quarantine.
+// PanicError is the terminal outcome of a job whose execution panicked,
+// passed to OnDone. Stack is the panicking goroutine's stack at recovery;
+// Error omits it, so a caller that logs the post-mortem logs Stack itself.
 type PanicError struct {
 	ID    string
 	Value any
@@ -91,7 +92,7 @@ type Stats struct {
 	Shed        int64 // jobs rejected with ErrQueueFull
 	Completed   int64 // jobs that finished successfully
 	Failed      int64 // jobs that returned an error
-	Panics      int64 // jobs quarantined after a panic
+	Panics      int64 // jobs that panicked
 	WorkersLost int64 // worker goroutines replaced after a panic
 }
 
@@ -108,10 +109,9 @@ type Pool struct {
 
 	wg sync.WaitGroup
 
-	mu         sync.Mutex
-	draining   bool
-	stats      Stats
-	quarantine []PanicError
+	mu       sync.Mutex
+	draining bool
+	stats    Stats
 }
 
 // New starts a pool with opt.Workers workers.
@@ -161,7 +161,7 @@ func (p *Pool) Submit(id string, job Job) error {
 // QueueFree returns the submission capacity currently unused: the number of
 // Submit calls that would be accepted right now (0 while draining). A
 // dispatcher that claims durable jobs uses it to pull exactly as much work as
-// the pool can hold instead of claiming leases it would immediately shed.
+// the pool can hold instead of claiming jobs it would immediately shed.
 func (p *Pool) QueueFree() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -201,14 +201,6 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// Quarantine returns the recorded panic post-mortems: one entry per job that
-// crashed a worker, with the panic value and stack at the point of recovery.
-func (p *Pool) Quarantine() []PanicError {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]PanicError(nil), p.quarantine...)
 }
 
 // worker consumes the queue until it closes. It inherits its predecessor's
@@ -259,7 +251,7 @@ func (p *Pool) runSupervised(t task) (panicked bool) {
 }
 
 // attempt runs the job once under the per-job deadline, converting a panic
-// into a quarantine record plus a *PanicError.
+// into a *PanicError.
 func (p *Pool) attempt(t task) (err error, panicked bool) {
 	ctx := context.Background()
 	if p.opt.JobTimeout > 0 {
@@ -269,11 +261,7 @@ func (p *Pool) attempt(t task) (err error, panicked bool) {
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			pe := PanicError{ID: t.id, Value: v, Stack: debug.Stack()}
-			p.mu.Lock()
-			p.quarantine = append(p.quarantine, pe)
-			p.mu.Unlock()
-			err, panicked = &pe, true
+			err, panicked = &PanicError{ID: t.id, Value: v, Stack: debug.Stack()}, true
 		}
 	}()
 	return t.job(ctx), false

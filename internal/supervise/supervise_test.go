@@ -66,7 +66,16 @@ func TestLoadShedding(t *testing.T) {
 }
 
 func TestPanicQuarantineAndWorkerReplacement(t *testing.T) {
-	p := New(Options{Workers: 2, QueueDepth: 64})
+	var mu sync.Mutex
+	var panics []*PanicError
+	p := New(Options{Workers: 2, QueueDepth: 64, OnDone: func(_ string, err error) {
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			mu.Lock()
+			panics = append(panics, pe)
+			mu.Unlock()
+		}
+	}})
 	var done atomic.Int64
 	if err := p.Submit("poison", func(context.Context) error {
 		panic("boom")
@@ -90,18 +99,20 @@ func TestPanicQuarantineAndWorkerReplacement(t *testing.T) {
 	if st.Panics != 1 || st.WorkersLost != 1 || st.Completed != 20 {
 		t.Errorf("stats = %+v", st)
 	}
-	q := p.Quarantine()
-	if len(q) != 1 {
-		t.Fatalf("quarantine holds %d entries, want 1", len(q))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(panics) != 1 {
+		t.Fatalf("OnDone saw %d panics, want 1", len(panics))
 	}
-	if q[0].ID != "poison" || q[0].Value != "boom" {
-		t.Errorf("quarantined = %q / %v", q[0].ID, q[0].Value)
+	pe := panics[0]
+	if pe.ID != "poison" || pe.Value != "boom" {
+		t.Errorf("PanicError = %q / %v", pe.ID, pe.Value)
 	}
-	if !strings.Contains(string(q[0].Stack), "supervise") {
-		t.Error("quarantine entry carries no stack")
+	if !strings.Contains(string(pe.Stack), "supervise") {
+		t.Error("PanicError carries no stack")
 	}
-	if !strings.Contains(q[0].Error(), "poison") {
-		t.Errorf("PanicError.Error() = %q", q[0].Error())
+	if !strings.Contains(pe.Error(), "poison") {
+		t.Errorf("PanicError.Error() = %q", pe.Error())
 	}
 }
 
