@@ -23,8 +23,9 @@ import (
 // truth — the dispatcher keeps no job state beyond the cancel functions of
 // attempts currently executing here.
 
-// dispatch claims jobs whenever the pool has room, waking on submits and on
-// a coarse ticker (which also picks up jobs whose retry backoff has elapsed).
+// dispatch claims jobs whenever a pool worker is idle, waking on submits, on
+// every attempt's end and on a coarse ticker (which also picks up jobs whose
+// retry backoff has elapsed).
 func (s *server) dispatch(ctx context.Context) {
 	t := time.NewTicker(25 * time.Millisecond)
 	defer t.Stop()
@@ -39,11 +40,14 @@ func (s *server) dispatch(ctx context.Context) {
 	}
 }
 
-// fill claims exactly as many ready jobs as the pool can hold right now.
-// Each claim runs under its own token (claimToken); the claimed job
-// carries it as j.Worker, and every outcome write for the attempt uses it.
+// fill claims one ready job per idle pool worker, so every claimed job
+// starts at once and with it its -job-timeout deadline; a job never sits
+// claimed behind a busy worker (one held, say, by a runner that ignores its
+// context). Each claim runs under its own token (claimToken); the claimed
+// job carries it as j.Worker, and every outcome write for the attempt uses
+// it.
 func (s *server) fill(ctx context.Context) {
-	for ctx.Err() == nil && s.pool.QueueFree() > 0 {
+	for ctx.Err() == nil && s.pool.Idle() > 0 {
 		j, ok, err := s.st.Claim(s.claimToken())
 		if err != nil || !ok {
 			return

@@ -287,3 +287,72 @@ func TestStuckAttemptSettledAtDeadline(t *testing.T) {
 		t.Errorf("job after the late returns = %s (result %q), want failed with no result", after.State, after.Result)
 	}
 }
+
+// TestClaimWaitsForIdleWorker: with the only worker held by a runner that
+// ignores its context, a job requeued at the deadline stays queued in the
+// store rather than claimed behind the busy worker, so no attempt sits
+// running past its deadline; each later attempt is claimed when the worker
+// frees and settled at its own deadline.
+func TestClaimWaitsForIdleWorker(t *testing.T) {
+	const (
+		timeout = 100 * time.Millisecond
+		deaf    = 800 * time.Millisecond // each runner ignores its context this long
+		slack   = 400 * time.Millisecond
+	)
+	st := store.NewMemory(store.Options{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st,
+		supervise.Options{Workers: 1, JobTimeout: timeout})
+	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+		time.Sleep(deaf)
+		return &jobResult{Status: "Complete", Solved: true}, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.start(ctx)
+	t.Cleanup(func() {
+		cancel()
+		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		s.pool.Drain(dctx)
+		st.Close()
+	})
+	j, err := st.Submit(json.RawMessage(`{"impl":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kick()
+
+	var got store.Job
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got, _ = st.Lookup(j.ID)
+		if got.State.Terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s at attempt %d, 10s after submission", got.State, got.Attempt)
+		}
+	}
+	if got.State != store.StateFailed || !strings.Contains(got.Error, "exceeded the job deadline; 3/3 attempts exhausted") {
+		t.Fatalf("job = %s (%q), want failed on the deadline after 3 attempts", got.State, got.Error)
+	}
+	var kinds []string
+	var claimed, settled time.Time
+	for _, e := range got.Timeline {
+		kinds = append(kinds, e.Type)
+		switch e.Type {
+		case store.TLClaimed:
+			// The worker was busy until the previous runner returned.
+			if !settled.IsZero() && e.TS.Sub(settled) < deaf-timeout-slack {
+				t.Errorf("attempt claimed %v after the previous one settled, while its runner still held the only worker", e.TS.Sub(settled))
+			}
+			claimed = e.TS
+		case store.TLRequeued, store.TLFailed:
+			if d := e.TS.Sub(claimed); d > timeout+slack {
+				t.Errorf("attempt ran %v from claim to settlement, want at most the %v deadline plus %v", d, timeout, slack)
+			}
+			settled = e.TS
+		}
+	}
+	if want := "submitted claimed requeued claimed requeued claimed failed"; strings.Join(kinds, " ") != want {
+		t.Errorf("timeline = %v, want %s", kinds, want)
+	}
+}

@@ -346,7 +346,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Jobs: jobs,
 		Pool: stream.PoolStats{
 			Workers:     s.poolWorkers,
-			QueueFree:   s.pool.QueueFree(),
+			Idle:        s.pool.Idle(),
 			Submitted:   ps.Submitted,
 			Completed:   ps.Completed,
 			Failed:      ps.Failed,

@@ -65,7 +65,7 @@ func run(args []string) int {
 		"default evaluation workers per job's engine fan-outs (1 = sequential; results are identical for any value; requests may override per job)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20,
 		"byte budget for the content-addressed parse/ATPG cache shared by all workers (0 disables; results are identical either way)")
-	queue := fs.Int("queue", 8, "bounded execution-pool queue depth (claims beyond it wait in the store)")
+	queue := fs.Int("queue", 8, "execution-pool queue depth; the dispatcher claims a job only for an idle worker, so waiting jobs stay queued in the store")
 	maxQueued := fs.Int("max-queued", 1024, "admission cap on queued jobs; submissions beyond it are shed with 503 (0 = unlimited)")
 	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "per-attempt deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs")

@@ -152,7 +152,7 @@ type server struct {
 	retryBackoff time.Duration
 	poolWorkers  int
 
-	wake chan struct{} // nudges the dispatcher after a submit/requeue
+	wake chan struct{} // nudges the dispatcher after a submit, a requeue or an attempt's end
 
 	// events fans lifecycle, progress and solution frames out to SSE
 	// streams (see events.go); streamHeartbeat is the idle-stream comment
@@ -210,12 +210,14 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 	}
 	// The panicking attempt records its own terminal failure (under its own
 	// claim token) on the way out of the pool closure — see startJob; this
-	// hook only logs the post-mortem, stack included.
+	// hook logs the post-mortem, stack included, and wakes the dispatcher:
+	// the attempt's worker is idle now.
 	popt.OnDone = func(id string, err error) {
 		var pe *supervise.PanicError
 		if errors.As(err, &pe) {
 			log.Error("job panicked; failed terminally, worker replaced", "id", id, "err", err, "stack", string(pe.Stack))
 		}
+		s.kick()
 	}
 	s.pool = supervise.New(popt)
 	return s

@@ -23,8 +23,8 @@ func render(prev, cur *stream.Stats, elapsed time.Duration, plain bool) string {
 
 	// Jobs by state, stable order, zero states omitted by the daemon.
 	fmt.Fprintf(&b, "jobs      %s\n", formatJobs(cur.Jobs))
-	fmt.Fprintf(&b, "pool      %d workers · queue free %d · completed %d · failed %d · panics %d · shed %d\n",
-		cur.Pool.Workers, cur.Pool.QueueFree, cur.Pool.Completed, cur.Pool.Failed,
+	fmt.Fprintf(&b, "pool      %d workers · %d idle · completed %d · failed %d · panics %d · shed %d\n",
+		cur.Pool.Workers, cur.Pool.Idle, cur.Pool.Completed, cur.Pool.Failed,
 		cur.Pool.Panics, cur.Pool.Shed)
 	if prev != nil && elapsed > 0 {
 		done := cur.Pool.Completed - prev.Pool.Completed

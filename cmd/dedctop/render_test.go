@@ -12,7 +12,7 @@ func sampleStats() *stream.Stats {
 	return &stream.Stats{
 		TS:   time.Date(2026, 8, 8, 12, 30, 45, 0, time.UTC),
 		Jobs: map[string]int{"queued": 2, "running": 1, "done": 7},
-		Pool: stream.PoolStats{Workers: 4, QueueFree: 3, Completed: 7, Failed: 1},
+		Pool: stream.PoolStats{Workers: 4, Idle: 3, Completed: 7, Failed: 1},
 		Counters: map[string]int64{
 			"submissions": 10,
 			"requeues":    2,
@@ -35,7 +35,7 @@ func TestRenderFrame(t *testing.T) {
 	for _, want := range []string{
 		"dedctop — 12:30:45",
 		"2 queued · 1 running · 7 done",
-		"4 workers · queue free 3 · completed 7 · failed 1 · panics 0",
+		"4 workers · 3 idle · completed 7 · failed 1 · panics 0",
 		"3 subscribers · 12 frames dropped",
 		"requeues 2 · submissions 10",
 		"queue_wait",

@@ -8,7 +8,6 @@ import (
 	"dedc/internal/circuit"
 	"dedc/internal/fault"
 	"dedc/internal/sim"
-	"dedc/internal/telemetry"
 )
 
 // ErrInvalidVectors reports a vector set or response matrix whose shape
@@ -233,28 +232,16 @@ func AuditRoot(netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n in
 func expandRoot(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) ([]RankedCorrection, Stats) {
 	r := newExpandRun(ctx, netlist, specOut, pi, n, model, opt, p)
 	nd := r.expand(nil)
+	for i := 0; r.ensure(nd, i); i++ {
+	}
 	return nd.cands, r.res.Stats
 }
 
 // newExpandRun prepares the run state for standalone node expansions under
 // the fixed thresholds p: no schedule, no search, no checkpointing.
 func newExpandRun(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, p Params) *runState {
-	opt = opt.defaults()
-	r := &runState{
-		ctx:     ctx,
-		base:    netlist,
-		specOut: specOut,
-		pi:      pi,
-		n:       n,
-		w:       sim.Words(n),
-		model:   model,
-		opt:     opt,
-		params:  p,
-		res:     &Result{},
-		tr:      telemetry.FromContext(ctx),
-	}
-	r.instrument()
-	r.initWorkers()
+	r := newRunState(ctx, netlist, specOut, pi, n, model, opt)
+	r.params = p
 	return r
 }
 

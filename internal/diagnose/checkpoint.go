@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -107,12 +108,23 @@ func DecodeCheckpoint(pe telemetry.ParsedEvent) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diagnose: checkpoint state: %w", err)
 	}
+	// Strict decoding: a field name mangled on disk would otherwise decode
+	// as an absent field — an empty frontier or no solutions — and resume
+	// to a wrong answer instead of falling back to an earlier checkpoint.
+	// No build has removed a checkpoint field, so checkpoints written by
+	// earlier builds still decode.
 	cp := &Checkpoint{}
-	if err := json.Unmarshal(raw, cp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cp); err != nil {
 		return nil, fmt.Errorf("diagnose: checkpoint state: %w", err)
 	}
 	if cp.Step < 0 || cp.Round < 1 {
 		return nil, fmt.Errorf("diagnose: checkpoint has invalid step %d / round %d", cp.Step, cp.Round)
+	}
+	if len(cp.Frontier) == 0 {
+		// Checkpoints are written only at rounds with open nodes.
+		return nil, fmt.Errorf("diagnose: checkpoint (seq %d) has an empty frontier", pe.Seq)
 	}
 	return cp, nil
 }
@@ -145,11 +157,14 @@ func (r *runState) restore(cp *Checkpoint) error {
 		if next < 0 {
 			next = 0
 		}
-		if next > len(nd.cands) {
+		if next > 0 && !r.ensure(nd, next-1) {
 			next = len(nd.cands)
 		}
 		nd.next = next
 		frontier = append(frontier, nd)
+	}
+	for _, nd := range memo {
+		nd.release()
 	}
 	r.seen = make(map[string]bool, len(cp.Seen))
 	for _, k := range cp.Seen {
@@ -191,9 +206,9 @@ func (r *runState) replayPath(path []string, memo map[string]*node) (*node, []Co
 			return nil, nil, fmt.Errorf("replay interrupted: %s", r.haltStatus)
 		}
 		var found Correction
-		for _, rc := range nd.cands {
-			if rc.C.String() == name {
-				found = rc.C
+		for i := 0; r.ensure(nd, i); i++ {
+			if c := nd.cands[i].C; c.String() == name {
+				found = c
 				break
 			}
 		}

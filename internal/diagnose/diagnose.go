@@ -198,7 +198,7 @@ type Solution struct {
 type Stats struct {
 	Nodes    int           // decision-tree nodes expanded ("nodes" column)
 	Rounds   int           // rounds used in the final schedule step
-	Trials   int           // corrections fully trial-propagated
+	Trials   int           // full-width trials run that changed the circuit's values
 	Screened int           // corrections rejected by the Theorem-1 screen alone
 	DiagTime time.Duration // path trace + heuristic-1 ranking
 	CorrTime time.Duration // enumeration + screening + ranking
@@ -209,6 +209,9 @@ type Stats struct {
 	// Candidates counts corrections examined (enumerated and at least
 	// Theorem-1 screened) — the unit Budget.MaxCandidates caps.
 	Candidates int64
+	// H3Rejected counts the full-width trials the Vcorr/h3 screen rejected
+	// (too many newly failing vectors).
+	H3Rejected int
 	// Verified counts solutions that passed the verified-results gate (an
 	// independent re-simulation in a different vector order). With the gate
 	// disabled (Options.NoVerify) it stays zero.

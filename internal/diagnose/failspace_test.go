@@ -28,36 +28,46 @@ type failSpaceCase struct {
 // bridging models over pattern counts that are not multiples of 64 (and one
 // single-word count), so the node fail counts land both below and above
 // the last word boundary of V.
-func failSpaceCases(t *testing.T) []failSpaceCase {
+func failSpaceCases(t testing.TB) []failSpaceCase {
 	t.Helper()
 	var cases []failSpaceCase
 	for seed := int64(1); seed <= 4; seed++ {
-		c := gen.Random(gen.RandomOptions{PIs: 12, Gates: 60, Seed: seed})
 		for _, n := range []int{40, 100, 200} {
-			pi := sim.RandomPatterns(len(c.PIs), n, seed*31+int64(n))
-			add := func(kind string, dev *circuit.Circuit, m Model) {
-				cases = append(cases, failSpaceCase{
-					kind: kind, name: fmt.Sprintf("%s/seed%d/n%d", kind, seed, n),
-					netlist: c, specOut: DeviceOutputs(dev, pi, n), pi: pi, n: n, model: m,
-				})
+			cases = append(cases, modelCases(t, seed, seed, n)...)
+		}
+	}
+	return cases
+}
+
+// modelCases builds one random circuit (seeded by cseed) with n random
+// patterns and, from eseed, up to one case per correction model: a device
+// with injected design errors, stuck-at faults, or a bridging fault.
+func modelCases(t testing.TB, cseed, eseed int64, n int) []failSpaceCase {
+	t.Helper()
+	var cases []failSpaceCase
+	c := gen.Random(gen.RandomOptions{PIs: 12, Gates: 60, Seed: cseed})
+	pi := sim.RandomPatterns(len(c.PIs), n, eseed*31+int64(n))
+	add := func(kind string, dev *circuit.Circuit, m Model) {
+		cases = append(cases, failSpaceCase{
+			kind: kind, name: fmt.Sprintf("%s/seed%d.%d/n%d", kind, cseed, eseed, n),
+			netlist: c, specOut: DeviceOutputs(dev, pi, n), pi: pi, n: n, model: m,
+		})
+	}
+	if dev, _, err := injectK(c, 1+int(eseed&1), eseed); err == nil {
+		add("design", dev, NewErrorModel(c, 0, eseed))
+	}
+	if fs := fault.PickObservable(c, 2, eseed); fs != nil {
+		add("stuckat", fault.Inject(c, fs...), StuckAtModel{})
+	}
+	bm := NewBridgeModel(c, 12, eseed)
+	for l := circuit.Line(c.NumLines() - 1); l >= 0; l-- {
+		if cs := bm.Enumerate(c, l); len(cs) > 0 {
+			dev, err := fault.InjectBridge(c, cs[0].(BridgeCorrection).Br)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if dev, _, err := injectK(c, 1+int(seed%2), seed); err == nil {
-				add("design", dev, NewErrorModel(c, 0, seed))
-			}
-			if fs := fault.PickObservable(c, 2, seed); fs != nil {
-				add("stuckat", fault.Inject(c, fs...), StuckAtModel{})
-			}
-			bm := NewBridgeModel(c, 12, seed)
-			for l := circuit.Line(c.NumLines() - 1); l >= 0; l-- {
-				if cs := bm.Enumerate(c, l); len(cs) > 0 {
-					dev, err := fault.InjectBridge(c, cs[0].(BridgeCorrection).Br)
-					if err != nil {
-						t.Fatal(err)
-					}
-					add("bridge", dev, ModelSet{StuckAtModel{}, bm})
-					break
-				}
-			}
+			add("bridge", dev, ModelSet{StuckAtModel{}, bm})
+			break
 		}
 	}
 	return cases
@@ -115,11 +125,20 @@ func nodeCtx(r *runState, fc failSpaceCase, compact bool) *expandCtx {
 	return ec
 }
 
-// TestFailSpaceParity: for every enumerated candidate the Theorem-1 verdict
-// and every line's heuristic-1 rectified count on the Verr engine equal a
-// full-width computation over failMask, and a whole expansion ranks the same
-// candidates with the same Stats as one run at full width, sequentially and
-// on the engine pool.
+// rankAll runs a node's diagnosis and correction steps on ec and drains
+// its ranking, as AuditRoot does.
+func rankAll(r *runState, ec *expandCtx) []RankedCorrection {
+	nd := &node{rank: r.candidates(ec)}
+	for i := 0; r.ensure(nd, i); i++ {
+	}
+	return nd.cands
+}
+
+// TestFailSpaceParity: for every enumerated candidate the Theorem-1 verdict,
+// every line's heuristic-1 rectified count and the counts a Verr trial
+// bounds the rank with equal a full-width computation over failMask, and a
+// whole expansion ranks the same candidates with the same Stats as one run
+// at full width: eagerly (sequentially and on the engine pool) and lazily.
 func TestFailSpaceParity(t *testing.T) {
 	p := DefaultSchedule()[2]
 	compacted, inPlace := map[string]int{}, map[string]int{}
@@ -138,33 +157,56 @@ func TestFailSpaceParity(t *testing.T) {
 				t.Fatalf("%s: Verr engine is %d words for %d fails of %d", fc.name, ec.verr.e.W, ec.fails, fc.n)
 			}
 		}
+		ws := &r.ws[0]
 		for l := circuit.Line(0); int(l) < fc.netlist.NumLines(); l++ {
-			if got, want := r.h1Trial(ec.verr.e, &r.ws[0], ec, l), fullWidthH1(ec, l); got != want {
+			if got, want := r.h1Trial(ec.verr.e, ws, ec, l), fullWidthH1(ec, l); got != want {
 				t.Fatalf("%s: H1 at L%d: Verr engine %d, full width %d", fc.name, l, got, want)
 			}
 			for _, corr := range fc.model.Enumerate(fc.netlist, l) {
 				for _, h2 := range []float64{0.3, 0.7, 1} {
 					r.params.H2 = h2
-					if got, want := r.theorem1(ec.verr.e, &r.ws[0], ec, corr), fullWidthTheorem1(ec, h2, corr); got != want {
+					if got, want := r.theorem1(ec.verr.e, ws, ec, corr), fullWidthTheorem1(ec, h2, corr); got != want {
 						t.Fatalf("%s: Theorem 1 (h2=%v) for %v: Verr engine %v, full width %v", fc.name, h2, corr, got, want)
+					}
+				}
+				corr.NewValues(ec.verr.e, ws.cand[:ec.verr.e.W])
+				bound := r.verrTrial(ws, ec, corr)
+				full := r.screenTrial(ec.full.e, ws, ec, corr)
+				if full.outcome == screenKept {
+					if bound.rect != full.rect || bound.fixes != full.fixes {
+						t.Fatalf("%s: %v: Verr trial rect/fixes %d/%d, full width %d/%d", fc.name, corr,
+							bound.rect, bound.fixes, full.rect, full.fixes)
+					}
+					if b, rank := r.rankCorrection(ec, corr, bound).Rank, r.rankCorrection(ec, corr, full).Rank; b < rank {
+						t.Fatalf("%s: %v: bound %v below rank %v", fc.name, corr, b, rank)
 					}
 				}
 			}
 		}
 
 		ref := newExpandRun(context.Background(), fc.netlist, fc.specOut, fc.pi, fc.n, fc.model,
-			Options{MaxErrors: 2, Workers: 1}, p)
-		want := ref.candidates(nodeCtx(ref, fc, false))
-		for _, workers := range []int{1, 3} {
+			Options{MaxErrors: 2, Workers: 1, Exact: true}, p)
+		want := rankAll(ref, nodeCtx(ref, fc, false))
+		for i := 1; i < len(want); i++ {
+			if a, b := want[i-1], want[i]; a.Rank < b.Rank || a.Rank == b.Rank && a.C.String() > b.C.String() {
+				t.Fatalf("%s: %v (rank %v) ranked before %v (rank %v)", fc.name, a.C, a.Rank, b.C, b.Rank)
+			}
+		}
+		for _, mode := range []struct {
+			exact   bool
+			workers int
+		}{{true, 1}, {true, 3}, {false, 1}} {
 			run := newExpandRun(context.Background(), fc.netlist, fc.specOut, fc.pi, fc.n, fc.model,
-				Options{MaxErrors: 2, Workers: workers}, p)
-			got := run.candidates(nodeCtx(run, fc, true))
-			label := fmt.Sprintf("%s/workers%d", fc.name, workers)
+				Options{MaxErrors: 2, Workers: mode.workers, Exact: mode.exact}, p)
+			got := rankAll(run, nodeCtx(run, fc, true))
+			label := fmt.Sprintf("%s/exact=%v/workers%d", fc.name, mode.exact, mode.workers)
 			sameRanking(t, label, got, want)
 			g, w := run.res.Stats, ref.res.Stats
-			if g.Candidates != w.Candidates || g.Screened != w.Screened || g.Trials != w.Trials || g.Simulations != w.Simulations {
-				t.Fatalf("%s: stats cand/screened/trials/sims %d/%d/%d/%d, full width %d/%d/%d/%d", label,
-					g.Candidates, g.Screened, g.Trials, g.Simulations, w.Candidates, w.Screened, w.Trials, w.Simulations)
+			if g.Candidates != w.Candidates || g.Screened != w.Screened || g.Trials != w.Trials ||
+				g.H3Rejected != w.H3Rejected || g.Simulations != w.Simulations {
+				t.Fatalf("%s: stats cand/screened/trials/h3/sims %d/%d/%d/%d/%d, full width %d/%d/%d/%d/%d", label,
+					g.Candidates, g.Screened, g.Trials, g.H3Rejected, g.Simulations,
+					w.Candidates, w.Screened, w.Trials, w.H3Rejected, w.Simulations)
 			}
 		}
 	}

@@ -97,7 +97,7 @@ func (r *runState) rankSuspectsParallel(ec *expandCtx, suspects []circuit.Line) 
 // trials fan out across the pool. Outcomes land in a slot per candidate
 // index, and the fold walks the slots in enumeration order applying the
 // same stats/ranking rule as the sequential loop.
-func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) []RankedCorrection {
+func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) []rankEntry {
 	outs := make([]screenResult, len(work))
 	stop := r.poolStop()
 	var survivors []int
@@ -117,7 +117,7 @@ func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) [
 		outs[i] = r.screenTrial(e, &r.ws[w], ec, work[i])
 	})
 	r.stopNow() // fold a mid-fan-out cancellation/deadline into halt status
-	var cands []RankedCorrection
+	var cands []rankEntry
 	for i, corr := range work {
 		sr := outs[i]
 		if sr.outcome == screenNotRun {
@@ -125,7 +125,7 @@ func (r *runState) screenCorrectionsParallel(ec *expandCtx, work []Correction) [
 		}
 		r.res.Stats.Candidates++
 		if done, rc := r.foldScreen(ec, corr, sr); done {
-			cands = append(cands, rc)
+			cands = append(cands, rankEntry{rc: rc, idx: len(cands)})
 		}
 	}
 	return cands

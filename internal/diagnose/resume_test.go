@@ -3,6 +3,7 @@ package diagnose
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -87,6 +88,45 @@ func TestResumeFromJournalConverges(t *testing.T) {
 	}
 	if res.Stats.Verified < len(res.Solutions) {
 		t.Errorf("Verified = %d < %d solutions; resumed solutions were not re-proven", res.Stats.Verified, len(res.Solutions))
+	}
+}
+
+// TestLatestCheckpointSkipsMangledFieldNames: a checkpoint whose field name
+// was corrupted on disk is rejected, not decoded with that field absent (an
+// empty frontier would end the resumed search at once), and the resume
+// point falls back to the checkpoint before it.
+func TestLatestCheckpointSkipsMangledFieldNames(t *testing.T) {
+	c, devOut, pi, n := resumeFixture(t)
+	_, journal := journaledRun(t, c, devOut, pi, n, Options{MaxErrors: 2, Exact: true, Seed: 7, Budget: Budget{MaxNodes: 6}})
+	want, err := LatestCheckpoint(bytes.NewReader(journal))
+	if err != nil || want == nil {
+		t.Fatalf("intact journal: checkpoint %v, err %v", want, err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(journal, []byte("\n")), []byte("\n"))
+	var cps []int
+	for i, l := range lines {
+		if bytes.Contains(l, []byte(`"event":"checkpoint"`)) {
+			cps = append(cps, i)
+		}
+	}
+	if len(cps) < 2 {
+		t.Fatalf("journal holds %d checkpoints, want at least 2", len(cps))
+	}
+	for _, field := range []string{`"frontier"`, `"solutions"`, `"Nodes"`} {
+		mangled := make([][]byte, len(lines))
+		copy(mangled, lines)
+		last := cps[len(cps)-1]
+		mangled[last] = bytes.Replace(lines[last], []byte(field), []byte(strings.Replace(field, `"`, `"x`, 1)), 1)
+		if bytes.Equal(mangled[last], lines[last]) {
+			t.Fatalf("last checkpoint has no %s field", field)
+		}
+		got, err := LatestCheckpoint(bytes.NewReader(bytes.Join(mangled, []byte("\n"))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.Round >= want.Round && got.Step == want.Step {
+			t.Errorf("%s mangled: resume point %+v, want the checkpoint before round %d", field, got, want.Round)
+		}
 	}
 }
 
@@ -205,6 +245,125 @@ func TestVerifySolutionRejectsUnproven(t *testing.T) {
 	if r.verifySolution(nil) {
 		t.Error("gate passed a circuit that does not match its reference")
 	}
+}
+
+// TestResumeLazyFrontierPastResolvedPrefix resumes a first-solution repair
+// from a checkpoint in which a frontier node's Next lies past the ranked
+// prefix its replay resolves: the resumed run must rank that node further
+// on demand, expand the same corrections after the checkpoint as the
+// uninterrupted run and reach its solution.
+func TestResumeLazyFrontierPastResolvedPrefix(t *testing.T) {
+	spec := gen.Alu(4)
+	vecs := tpg.BuildVectors(spec, tpg.Options{Random: 512, Seed: 14})
+	specOut := DeviceOutputs(spec, vecs.PI, vecs.N)
+	bad, _, err := injectK(spec, 3, 409)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MaxErrors: 3, Seed: 7, Workers: 1}
+	repair := func(opt Options, resume []byte) (*RepairResult, []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		j := telemetry.NewJournal(&buf)
+		ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{Journal: j}))
+		var rep *RepairResult
+		var err error
+		if resume == nil {
+			rep, err = RepairContext(ctx, bad, specOut, vecs.PI, vecs.N, opt)
+		} else {
+			rep, err = ResumeRepairFromJournal(ctx, bytes.NewReader(resume), bad, specOut, vecs.PI, vecs.N, opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.Bytes()
+	}
+	full, fullJournal := repair(opt, nil)
+	if !full.Solved() {
+		t.Fatalf("reference repair: status %v", full.Status)
+	}
+
+	for nodes := int64(2); nodes <= 60; nodes++ {
+		truncOpt := opt
+		truncOpt.Budget = Budget{MaxNodes: nodes}
+		trunc, journal := repair(truncOpt, nil)
+		if trunc.Solved() {
+			break
+		}
+		cp, err := LatestCheckpoint(bytes.NewReader(journal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp == nil || !pastResolvedPrefix(bad, specOut, vecs.PI, vecs.N, opt, cp) {
+			continue
+		}
+		res, resJournal := repair(opt, journal)
+		if !res.Solved() || setKey(res.Corrections) != setKey(full.Corrections) {
+			t.Fatalf("resumed from step %d round %d (budget %d nodes): %v (status %v), uninterrupted run %v",
+				cp.Step, cp.Round, nodes, res.Corrections, res.Status, full.Corrections)
+		}
+		got, want := expansionsAfter(t, resJournal, cp), expansionsAfter(t, fullJournal, cp)
+		if len(want) == 0 || !equalStrings(got, want) {
+			t.Fatalf("resumed from step %d round %d: expansions after the checkpoint %v, uninterrupted run %v",
+				cp.Step, cp.Round, got, want)
+		}
+		return
+	}
+	t.Fatal("no truncated run left a checkpoint with a frontier Next past its node's resolved prefix")
+}
+
+// expansionsAfter lists the correction each node expansion applied, in
+// order, from the journal's first checkpoint at cp's step and round on.
+func expansionsAfter(t *testing.T, journal []byte, cp *Checkpoint) []string {
+	t.Helper()
+	var vias []string
+	at := false
+	for _, line := range bytes.Split(journal, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		ev, err := telemetry.ParseEvent(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Event == telemetry.EventCheckpoint && !at {
+			c, err := DecodeCheckpoint(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = c.Step == cp.Step && c.Round == cp.Round
+		}
+		if via, ok := ev.Attrs["via"]; ok && at && ev.Event == "span_end" {
+			vias = append(vias, fmt.Sprint(via))
+		}
+	}
+	return vias
+}
+
+// pastResolvedPrefix replays cp's frontier paths as a resume does and
+// reports whether some frontier node's Next lies past the ranked prefix
+// the replay resolved.
+func pastResolvedPrefix(c *circuit.Circuit, specOut, pi [][]uint64, n int, opt Options, cp *Checkpoint) bool {
+	r := newRunState(context.Background(), c, specOut, pi, n, NewErrorModel(c, 0, 1), opt)
+	r.params = r.opt.Schedule[cp.Step]
+	memo := map[string]*node{}
+	var nodes []*node
+	for _, fe := range cp.Frontier {
+		nd, _, err := r.replayPath(fe.Path, memo)
+		if err != nil {
+			return false
+		}
+		nodes = append(nodes, nd)
+	}
+	for i, nd := range nodes {
+		if nd.rank != nil && cp.Frontier[i].Next > len(nd.cands) {
+			return true
+		}
+	}
+	return false
 }
 
 func equalStrings(a, b []string) bool {

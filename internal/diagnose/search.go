@@ -35,15 +35,13 @@ func RunContext(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint6
 // step; the only error source is a checkpoint that does not replay against
 // these inputs.
 func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options, cp *Checkpoint) (*Result, error) {
+	return newRunState(ctx, netlist, specOut, pi, n, model, opt).run(cp)
+}
+
+// newRunState prepares a run: options completed, metric handles resolved,
+// evaluation workers set up.
+func newRunState(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options) *runState {
 	opt = opt.defaults()
-	tr := telemetry.FromContext(ctx)
-	ctx, runSpan := tr.StartSpan(ctx, "run",
-		telemetry.Int("lines", netlist.NumLines()),
-		telemetry.Int("n", n),
-		telemetry.Int("max_errors", opt.MaxErrors),
-		telemetry.Int("policy", int(opt.Policy)),
-		telemetry.Bool("exact", opt.Exact),
-		telemetry.Bool("resumed", cp != nil))
 	r := &runState{
 		ctx:     ctx,
 		base:    netlist,
@@ -54,10 +52,25 @@ func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64
 		model:   model,
 		opt:     opt,
 		res:     &Result{},
-		tr:      tr,
+		tr:      telemetry.FromContext(ctx),
+		lazy:    !opt.Exact,
 	}
 	r.instrument()
 	r.initWorkers()
+	return r
+}
+
+// run traverses the schedule, from the checkpoint when cp is non-nil.
+func (r *runState) run(cp *Checkpoint) (*Result, error) {
+	opt, tr := r.opt, r.tr
+	ctx, runSpan := tr.StartSpan(r.ctx, "run",
+		telemetry.Int("lines", r.base.NumLines()),
+		telemetry.Int("n", r.n),
+		telemetry.Int("max_errors", opt.MaxErrors),
+		telemetry.Int("policy", int(opt.Policy)),
+		telemetry.Bool("exact", opt.Exact),
+		telemetry.Bool("resumed", cp != nil))
+	r.ctx = ctx
 	if opt.Budget.Time > 0 {
 		r.deadline = time.Now().Add(opt.Budget.Time)
 	}
@@ -138,6 +151,10 @@ type runState struct {
 	halted     bool   // a stop condition fired; unwind
 	haltStatus Status // why (sticky: first reason wins)
 	checkTick  int    // fine-grained poll dampener (see stop)
+
+	// lazy ranks corrections on demand (first-solution runs); exact runs
+	// rank every survivor at expansion. See rank.go.
+	lazy bool
 
 	// Telemetry. tr is nil for untraced runs; the cached metric handles are
 	// then nil too and no-op, so expand pays only dead branches.
@@ -222,9 +239,10 @@ func (r *runState) instrument() {
 
 type node struct {
 	corrs []Correction
-	cands []RankedCorrection
+	cands []RankedCorrection // corrections handed out so far, best first (see ensure)
 	next  int
 	fails int
+	rank  *ranking // corrections not yet handed out; nil once drained or capped
 }
 
 // search runs one schedule step's traversal under the configured policy.
@@ -278,7 +296,7 @@ func (r *runState) search() {
 			if r.minDepth > 0 && len(nd.corrs)+1 > r.minDepth {
 				continue // cannot yield a minimal-size solution anymore
 			}
-			for nd.next < len(nd.cands) {
+			for r.ensure(nd, nd.next) {
 				rc := nd.cands[nd.next]
 				nd.next++
 				corrs := append(append([]Correction(nil), nd.corrs...), rc.C)
@@ -295,13 +313,15 @@ func (r *runState) search() {
 						return
 					}
 				} else if len(child.corrs) < r.maxDepth() {
+					child.release()
 					frontier = append(frontier, child)
 				}
 				break
 			}
-			if nd.next < len(nd.cands) {
+			if r.ensure(nd, nd.next) {
 				frontier = append(frontier, nd)
 			}
+			nd.release()
 			if nodesThisStep >= r.opt.MaxNodes {
 				return
 			}
@@ -327,7 +347,7 @@ func (r *runState) searchDFS(root *node) {
 			continue
 		}
 		child := (*node)(nil)
-		for nd.next < len(nd.cands) {
+		for r.ensure(nd, nd.next) {
 			rc := nd.cands[nd.next]
 			nd.next++
 			corrs := append(append([]Correction(nil), nd.corrs...), rc.C)
@@ -352,6 +372,7 @@ func (r *runState) searchDFS(root *node) {
 			continue
 		}
 		if len(child.corrs) < r.maxDepth() {
+			nd.release() // only the top of the stack keeps its engine
 			stack = append(stack, child)
 		}
 	}
@@ -374,7 +395,7 @@ func (r *runState) searchBFS(root *node) {
 		if r.minDepth > 0 && len(nd.corrs)+1 > r.minDepth {
 			continue
 		}
-		for nd.next < len(nd.cands) && nodesThisStep < r.opt.MaxNodes {
+		for nodesThisStep < r.opt.MaxNodes && r.ensure(nd, nd.next) {
 			rc := nd.cands[nd.next]
 			nd.next++
 			corrs := append(append([]Correction(nil), nd.corrs...), rc.C)
@@ -393,9 +414,11 @@ func (r *runState) searchBFS(root *node) {
 				continue
 			}
 			if len(child.corrs) < r.maxDepth() {
+				child.release()
 				queue = append(queue, child)
 			}
 		}
+		nd.release()
 	}
 }
 
@@ -509,29 +532,15 @@ func (r *runState) expandTraced(corrs []Correction) *node {
 	if len(corrs) > 0 {
 		via = corrs[len(corrs)-1].String()
 	}
-	top := nd.cands
-	if len(top) > 8 {
-		top = top[:8]
-	}
-	names := make([]string, len(top))
-	ranks := make([]telemetry.Attr, 0, 1)
-	for i, rc := range top {
-		names[i] = rc.C.String()
-	}
-	if len(names) > 0 {
-		ranks = append(ranks, telemetry.Attr{Key: "top", Value: names})
-	}
-	span.Event("candidates", append([]telemetry.Attr{
-		telemetry.Int("total", len(nd.cands)),
-	}, ranks...)...)
+	span.Event("candidates", telemetry.Int("total", nd.awaiting()))
 	after := r.res.Stats
 	span.End(
 		telemetry.String("via", via),
 		telemetry.Int("fails", nd.fails),
-		telemetry.Int("cands", len(nd.cands)),
 		telemetry.Int64("sims", after.Simulations-before.Simulations),
 		telemetry.Int64("cand_seen", after.Candidates-before.Candidates),
 		telemetry.Int("screened", after.Screened-before.Screened),
+		telemetry.Int("h3_rejected", after.H3Rejected-before.H3Rejected),
 		telemetry.Int64("diag_ns", (after.DiagTime-before.DiagTime).Nanoseconds()),
 		telemetry.Int64("corr_ns", (after.CorrTime-before.CorrTime).Nanoseconds()))
 	return nd
@@ -542,16 +551,12 @@ func (r *runState) expandTraced(corrs []Correction) *node {
 // paper's two-step diagnosis and screened correction procedure.
 func (r *runState) expand(corrs []Correction) *node {
 	nd := &node{corrs: corrs}
-	ckt := r.base.Clone()
-	for _, c := range corrs {
-		if err := c.Apply(ckt); err != nil {
-			// A correction that replays illegally yields a dead node.
-			nd.fails = r.n + 1
-			return nd
-		}
+	e, err := r.simulate(corrs)
+	if err != nil {
+		// A correction that replays illegally yields a dead node.
+		nd.fails = r.n + 1
+		return nd
 	}
-	e := sim.NewEngine(ckt, r.pi, r.n)
-	e.CTrials, e.CEvents = r.cTrials, r.cEvents
 	r.res.Stats.Simulations++
 	ec := r.newExpandCtx(e)
 	nd.fails = ec.fails
@@ -562,14 +567,28 @@ func (r *runState) expand(corrs []Correction) *node {
 		return nd // depth limit: no candidates needed
 	}
 	ec.verr = r.failSpace(ec.full, ec.fails)
-	nd.cands = r.candidates(ec)
+	nd.rank = r.candidates(ec)
 	return nd
+}
+
+// simulate builds the netlist with corrs applied and simulates it over V.
+func (r *runState) simulate(corrs []Correction) (*sim.Engine, error) {
+	ckt := r.base.Clone()
+	for _, c := range corrs {
+		if err := c.Apply(ckt); err != nil {
+			return nil, err
+		}
+	}
+	e := sim.NewEngine(ckt, r.pi, r.n)
+	e.CTrials, e.CEvents = r.cTrials, r.cEvents
+	return e, nil
 }
 
 // candidates runs a node's diagnosis (path trace, then heuristic 1) and
 // correction (enumerate, screen with h2 then h3, rank) steps and returns the
-// ranked, capped candidate list.
-func (r *runState) candidates(ec *expandCtx) []RankedCorrection {
+// node's ranking: fully ranked in exact runs, ranked on demand in
+// first-solution runs (see rank.go).
+func (r *runState) candidates(ec *expandCtx) *ranking {
 	// --- Diagnosis: path trace, then heuristic 1. ---
 	t0 := time.Now()
 	restorePhase := r.tr.Phase(r.ctx, "diagnosis")
@@ -621,19 +640,15 @@ func (r *runState) candidates(ec *expandCtx) []RankedCorrection {
 	// --- Correction: enumerate, screen (h2 then h3), rank. ---
 	t1 := time.Now()
 	restorePhase = r.tr.Phase(r.ctx, "correction")
-	cands := r.screenCorrections(ec, lines)
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Rank != cands[j].Rank {
-			return cands[i].Rank > cands[j].Rank
-		}
-		return cands[i].C.String() < cands[j].C.String()
-	})
-	if len(cands) > r.opt.MaxCorrectionsPerNode {
-		cands = cands[:r.opt.MaxCorrectionsPerNode]
+	var rk *ranking
+	if !r.lazy {
+		rk = r.newRanking(ec, r.screenCorrections(ec, lines), nil)
+	} else {
+		rk = r.screenLazy(ec, lines)
 	}
 	r.res.Stats.CorrTime += time.Since(t1)
 	restorePhase()
-	return cands
+	return rk
 }
 
 // vecView is one vector space a node's trials run in: an engine simulated
@@ -813,7 +828,7 @@ type screenResult struct {
 // tests on the calling goroutine and fans the survivors' trials out across
 // the engine pool; enumeration, stats accounting and ranking stay on the
 // calling goroutine, folding results in enumeration order.
-func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []RankedCorrection {
+func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []rankEntry {
 	if r.pool != nil {
 		// Enumerate every suspect up front into one flat work list — the
 		// enumeration order is exactly the sequential loop's processing
@@ -829,7 +844,7 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 		return r.screenCorrectionsFlat(ec, work)
 	}
 	ws := &r.ws[0]
-	var cands []RankedCorrection
+	var cands []rankEntry
 	for _, sl := range lines {
 		if r.halted {
 			break
@@ -841,7 +856,7 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 			r.res.Stats.Candidates++
 			sr := r.screenOne(ws, ec, corr)
 			if done, rc := r.foldScreen(ec, corr, sr); done {
-				cands = append(cands, rc)
+				cands = append(cands, rankEntry{rc: rc, idx: len(cands)})
 			}
 		}
 	}
@@ -851,9 +866,9 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []Ranked
 // screenCorrectionsFlat is the sequential screen over a pre-enumerated work
 // list — the small-batch fallback of pooled runs. It matches the nested
 // sequential loop exactly: same item order, same stop points, same stats.
-func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []RankedCorrection {
+func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []rankEntry {
 	ws := &r.ws[0]
-	var cands []RankedCorrection
+	var cands []rankEntry
 	for _, corr := range work {
 		if r.stop() {
 			break
@@ -861,7 +876,7 @@ func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []Ran
 		r.res.Stats.Candidates++
 		sr := r.screenOne(ws, ec, corr)
 		if done, rc := r.foldScreen(ec, corr, sr); done {
-			cands = append(cands, rc)
+			cands = append(cands, rankEntry{rc: rc, idx: len(cands)})
 		}
 	}
 	return cands
@@ -876,17 +891,26 @@ func (r *runState) foldScreen(ec *expandCtx, corr Correction, sr screenResult) (
 	case screenRejected:
 		r.res.Stats.Screened++
 		return false, RankedCorrection{}
-	case screenNoChange:
-		r.res.Stats.Simulations++
-		return false, RankedCorrection{}
-	case screenNewFails:
-		r.res.Stats.Simulations++
-		r.res.Stats.Trials++
-		return false, RankedCorrection{}
 	}
 	r.res.Stats.Simulations++
-	r.res.Stats.Trials++
+	r.countTrial(sr)
+	if sr.outcome != screenKept {
+		return false, RankedCorrection{}
+	}
 	return true, r.rankCorrection(ec, corr, sr)
+}
+
+// countTrial accounts one full-width trial: Trials counts the trials that
+// changed the circuit's values, H3Rejected those the Vcorr/h3 screen
+// rejected.
+func (r *runState) countTrial(sr screenResult) {
+	switch sr.outcome {
+	case screenNewFails:
+		r.res.Stats.H3Rejected++
+		r.res.Stats.Trials++
+	case screenKept:
+		r.res.Stats.Trials++
+	}
 }
 
 // screenOne runs both screens on a single candidate correction in the
@@ -920,22 +944,29 @@ func (r *runState) theorem1(e *sim.Engine, ws *workerRows, ec *expandCtx, corr C
 // fork of it. It mutates only the engine's trial state and ws, so distinct
 // workers can screen distinct candidates concurrently.
 func (r *runState) screenTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
-	v := &ec.full
-	cand := ws.cand[:e.W]
-	corr.NewValues(e, cand)
-	// Multi-target corrections (bridging faults) force the same candidate
-	// row onto every affected net at once.
-	var changed []circuit.Line
+	corr.NewValues(e, ws.cand[:e.W])
+	return r.fullTrial(e, ws, ec, corr)
+}
+
+// trialRow trial-propagates a correction's candidate row on e. Multi-target
+// corrections (bridging faults) force the same row onto every affected net
+// at once.
+func trialRow(e *sim.Engine, corr Correction, cand []uint64) []circuit.Line {
 	if mt, ok := corr.(interface{ Targets() []circuit.Line }); ok {
 		targets := mt.Targets()
 		rows := make([][]uint64, len(targets))
 		for i := range rows {
 			rows[i] = cand
 		}
-		changed = e.TrialMulti(targets, rows)
-	} else {
-		changed = e.Trial(corr.Target(), cand)
+		return e.TrialMulti(targets, rows)
 	}
+	return e.Trial(corr.Target(), cand)
+}
+
+// fullTrial is screenTrial for a candidate row already in ws.cand.
+func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+	v := &ec.full
+	changed := trialRow(e, corr, ws.cand[:e.W])
 	if len(changed) == 0 {
 		return screenResult{outcome: screenNoChange}
 	}

@@ -9,8 +9,8 @@ import (
 // logs share, in the units of the paper's tables.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"%d nodes, %d rounds, %d trials (%d screened by Theorem 1), %d simulations, %d candidates, thresholds %v, diagnosis %v, correction %v",
-		s.Nodes, s.Rounds, s.Trials, s.Screened, s.Simulations, s.Candidates, s.Schedule,
+		"%d nodes, %d rounds, %d trials (%d screened by Theorem 1, %d rejected by Vcorr), %d simulations, %d candidates, thresholds %v, diagnosis %v, correction %v",
+		s.Nodes, s.Rounds, s.Trials, s.Screened, s.H3Rejected, s.Simulations, s.Candidates, s.Schedule,
 		s.DiagTime.Round(time.Microsecond), s.CorrTime.Round(time.Microsecond))
 }
 
@@ -23,6 +23,7 @@ func (s Stats) Merge(o Stats) Stats {
 	s.Nodes += o.Nodes
 	s.Trials += o.Trials
 	s.Screened += o.Screened
+	s.H3Rejected += o.H3Rejected
 	s.Simulations += o.Simulations
 	s.Candidates += o.Candidates
 	s.Verified += o.Verified
@@ -52,6 +53,7 @@ func (s Stats) MonotoneSince(prev Stats) error {
 		{"Nodes", int64(s.Nodes), int64(prev.Nodes)},
 		{"Trials", int64(s.Trials), int64(prev.Trials)},
 		{"Screened", int64(s.Screened), int64(prev.Screened)},
+		{"H3Rejected", int64(s.H3Rejected), int64(prev.H3Rejected)},
 		{"Simulations", s.Simulations, prev.Simulations},
 		{"Candidates", s.Candidates, prev.Candidates},
 		{"Verified", int64(s.Verified), int64(prev.Verified)},

@@ -11,14 +11,14 @@ import (
 
 func TestStatsString(t *testing.T) {
 	s := Stats{
-		Nodes: 7, Rounds: 3, Trials: 41, Screened: 12,
+		Nodes: 7, Rounds: 3, Trials: 41, Screened: 12, H3Rejected: 5,
 		Simulations: 900, Candidates: 120,
 		Schedule: Params{0.5, 0.9, 0.97},
 		DiagTime: 1500 * time.Microsecond, CorrTime: 2500 * time.Microsecond,
 	}
 	got := s.String()
 	for _, want := range []string{
-		"7 nodes", "3 rounds", "41 trials", "12 screened",
+		"7 nodes", "3 rounds", "41 trials", "12 screened", "5 rejected by Vcorr",
 		"900 simulations", "120 candidates", "{0.5 0.9 0.97}",
 		"1.5ms", "2.5ms",
 	} {
@@ -29,12 +29,12 @@ func TestStatsString(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a := Stats{Nodes: 3, Rounds: 5, Trials: 10, Screened: 2, Simulations: 100,
+	a := Stats{Nodes: 3, Rounds: 5, Trials: 10, Screened: 2, H3Rejected: 4, Simulations: 100,
 		Candidates: 20, DiagTime: time.Millisecond, Schedule: Params{1, 1, 1}}
-	b := Stats{Nodes: 4, Rounds: 2, Trials: 1, Screened: 3, Simulations: 50,
+	b := Stats{Nodes: 4, Rounds: 2, Trials: 1, Screened: 3, H3Rejected: 1, Simulations: 50,
 		Candidates: 5, CorrTime: time.Second, Schedule: Params{0.3, 0.7, 0.95}}
 	m := a.Merge(b)
-	want := Stats{Nodes: 7, Rounds: 5, Trials: 11, Screened: 5, Simulations: 150,
+	want := Stats{Nodes: 7, Rounds: 5, Trials: 11, Screened: 5, H3Rejected: 5, Simulations: 150,
 		Candidates: 25, DiagTime: time.Millisecond, CorrTime: time.Second,
 		Schedule: Params{0.3, 0.7, 0.95}}
 	if m != want {
@@ -68,6 +68,11 @@ func TestStatsMonotoneSince(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Candidates") {
 		t.Errorf("error does not name the field: %v", err)
+	}
+	shrunk = base
+	shrunk.H3Rejected--
+	if err := shrunk.MonotoneSince(base); err == nil || !strings.Contains(err.Error(), "H3Rejected") {
+		t.Errorf("MonotoneSince on shrinking H3Rejected = %v, want an error naming it", err)
 	}
 }
 

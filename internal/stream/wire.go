@@ -61,7 +61,7 @@ type Quantiles struct {
 // PoolStats mirrors the supervised pool's counters plus its occupancy.
 type PoolStats struct {
 	Workers     int   `json:"workers"`
-	QueueFree   int   `json:"queue_free"`
+	Idle        int   `json:"idle"` // workers neither running nor owed a job
 	Submitted   int64 `json:"submitted"`
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`

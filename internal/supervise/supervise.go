@@ -69,7 +69,8 @@ type Options struct {
 	// JobTimeout is the per-job deadline (0 = none).
 	JobTimeout time.Duration
 	// OnDone, when set, observes every job's outcome (nil err on success,
-	// the job's error on failure, a *PanicError after a panic).
+	// the job's error on failure, a *PanicError after a panic). The job's
+	// worker already counts as idle when it runs.
 	OnDone func(id string, err error)
 }
 
@@ -111,6 +112,7 @@ type Pool struct {
 
 	mu       sync.Mutex
 	draining bool
+	active   int // jobs accepted and not yet finished: queued or running
 	stats    Stats
 }
 
@@ -147,6 +149,7 @@ func (p *Pool) Submit(id string, job Job) error {
 	select {
 	case p.queue <- task{id: id, job: job}:
 		p.stats.Submitted++
+		p.active++
 		p.mu.Unlock()
 		cSubmitted.Inc()
 		return nil
@@ -158,17 +161,18 @@ func (p *Pool) Submit(id string, job Job) error {
 	}
 }
 
-// QueueFree returns the submission capacity currently unused: the number of
-// Submit calls that would be accepted right now (0 while draining). A
-// dispatcher that claims durable jobs uses it to pull exactly as much work as
-// the pool can hold instead of claiming jobs it would immediately shed.
-func (p *Pool) QueueFree() int {
+// Idle returns the number of workers with nothing to do: neither running a
+// job nor owed one by the queue (0 while draining). A job submitted while
+// Idle is positive starts at once, and with it its deadline, so a
+// dispatcher that claims durable jobs claims only that many: a claimed job
+// never waits behind a busy worker.
+func (p *Pool) Idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
 		return 0
 	}
-	return cap(p.queue) - len(p.queue)
+	return max(p.opt.Workers-p.active, 0)
 }
 
 // Drain stops intake and waits for queued and in-flight jobs to finish. It
@@ -225,6 +229,7 @@ func (p *Pool) worker() {
 func (p *Pool) runSupervised(t task) (panicked bool) {
 	err, panicked := p.attempt(t)
 	p.mu.Lock()
+	p.active--
 	switch {
 	case panicked:
 		p.stats.Panics++

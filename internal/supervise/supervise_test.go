@@ -213,11 +213,13 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestQueueFreeTracksCapacity(t *testing.T) {
+func TestIdleTracksWorkers(t *testing.T) {
 	block := make(chan struct{})
-	p := New(Options{Workers: 1, QueueDepth: 2})
-	if got := p.QueueFree(); got != 2 {
-		t.Fatalf("QueueFree on idle pool = %d, want 2", got)
+	idleAtDone := make(chan int, 4)
+	var p *Pool
+	p = New(Options{Workers: 2, QueueDepth: 4, OnDone: func(string, error) { idleAtDone <- p.Idle() }})
+	if got := p.Idle(); got != 2 {
+		t.Fatalf("Idle on a fresh pool = %d, want 2", got)
 	}
 	started := make(chan struct{})
 	if err := p.Submit("blocker", func(context.Context) error {
@@ -227,21 +229,35 @@ func TestQueueFreeTracksCapacity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	<-started // the worker holds "blocker"; the queue itself is empty again
-	if got := p.QueueFree(); got != 2 {
-		t.Errorf("QueueFree with job in flight = %d, want 2", got)
+	<-started
+	if got := p.Idle(); got != 1 {
+		t.Errorf("Idle with one job running = %d, want 1", got)
 	}
+	// Queued jobs are owed to workers: two more leave none idle, though the
+	// queue still has room.
 	for i := 0; i < 2; i++ {
-		if err := p.Submit("fill", func(context.Context) error { return nil }); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
+		if err := p.Submit("wait", func(context.Context) error { <-block; return nil }); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if got := p.QueueFree(); got != 0 {
-		t.Errorf("QueueFree on full queue = %d, want 0", got)
+	if got := p.Idle(); got != 0 {
+		t.Errorf("Idle with one job queued behind two workers = %d, want 0", got)
 	}
 	close(block)
+	// OnDone runs after the finished job stops counting against its worker,
+	// so the last job's OnDone sees every worker idle.
+	seen := 0
+	for i := 0; i < 3; i++ {
+		seen = max(seen, <-idleAtDone)
+	}
+	if seen != 2 {
+		t.Errorf("largest Idle seen from OnDone = %d, want 2", seen)
+	}
+	if got := p.Idle(); got != 2 {
+		t.Errorf("Idle after every job finished = %d, want 2", got)
+	}
 	drain(t, p)
-	if got := p.QueueFree(); got != 0 {
-		t.Errorf("QueueFree after drain = %d, want 0 (no intake)", got)
+	if got := p.Idle(); got != 0 {
+		t.Errorf("Idle after drain = %d, want 0 (no intake)", got)
 	}
 }
