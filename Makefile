@@ -6,8 +6,10 @@
 #   make fuzz            — short fuzzing pass over the .bench parser,
 #                          PODEM's and the redundancy proof's verdicts
 #                          (checked by SAT and fault sim), the
-#                          word-parallel path trace and the lazy correction
-#                          ranking (checked against eager ranking)
+#                          word-parallel path trace, the lazy correction
+#                          ranking (checked against eager ranking) and the
+#                          observability-row scores (checked against
+#                          propagation)
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -54,14 +56,16 @@ race:
 # internal/bench/testdata/fuzz plus the f.Add seeds, of PODEM's verdicts and
 # the redundancy proof's on random circuits against SAT and fault-simulation
 # oracles, of the word-parallel path trace against the per-vector reference,
-# and of first-solution search with lazy correction ranking against eager
-# ranking.
+# of first-solution search with lazy correction ranking against eager
+# ranking, and of observability-row correction scores against propagating
+# each candidate row.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveEdgeCases -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/tpg
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/pathtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyRanking$$' -fuzztime $(FUZZTIME) ./internal/diagnose
+	$(GO) test -run '^$$' -fuzz '^FuzzObservability$$' -fuzztime $(FUZZTIME) ./internal/diagnose
 
 # The chaos harness: corrupted-input and randomized-cancellation trials must
 # hold "no panic, well-formed partial results" under the race detector.

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,21 +258,17 @@ func TestDeterministicPartialResults(t *testing.T) {
 // leaves) and bit-flipped at random positions (disk corruption). Every
 // resume must either converge to the reference solution set or fail with a
 // clean error — never panic, never report a divergent answer.
+//
+// The reference journal is byte-for-byte repeatable, so the fixed-seed
+// offsets hit the same bytes in every run of the test.
 func TestResumeChaos(t *testing.T) {
 	devOut, pi, n, c := makeProblem(t, 17)
 	opt := diagnose.Options{MaxErrors: 2, Exact: true, Seed: 17}
 
-	var buf bytes.Buffer
-	j := telemetry.NewJournal(&buf)
-	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{Journal: j}))
-	ref, err := diagnose.DiagnoseStuckAtContext(ctx, c, devOut, pi, n, opt)
-	if err != nil {
-		t.Fatal(err)
+	ref, journal := referenceJournal(t, c, devOut, pi, n, opt)
+	if _, again := referenceJournal(t, c, devOut, pi, n, opt); !bytes.Equal(journal, again) {
+		t.Fatalf("reference journal is not repeatable: %d and %d bytes", len(journal), len(again))
 	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	journal := buf.Bytes()
 	if len(ref.Tuples) == 0 {
 		t.Fatal("reference run found no tuples")
 	}
@@ -313,6 +311,34 @@ func TestResumeChaos(t *testing.T) {
 		}
 		resume(trial, flipped, false)
 	}
+}
+
+// measuredNS matches a journal attribute holding an engine-measured
+// duration, such as a node span's diag_ns and corr_ns.
+var measuredNS = regexp.MustCompile(`"([a-z_]+_ns)":[0-9]+`)
+
+// referenceJournal runs the journaled reference diagnosis under a tracer
+// clock that steps 1 ms per reading, then sets every engine-measured
+// duration to 1 ms, so the journal's bytes depend on the inputs alone.
+func referenceJournal(t *testing.T, c *circuit.Circuit, devOut, pi [][]uint64, n int, opt diagnose.Options) (*diagnose.StuckAtResult, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	var tick atomic.Int64
+	j := telemetry.NewJournal(&buf)
+	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(telemetry.Options{
+		Journal: j,
+		Now: func() time.Time {
+			return time.Unix(0, tick.Add(1)*int64(time.Millisecond))
+		},
+	}))
+	ref, err := diagnose.DiagnoseStuckAtContext(ctx, c, devOut, pi, n, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return ref, measuredNS.ReplaceAll(buf.Bytes(), []byte(`"$1":1000000`))
 }
 
 // tupleKeys canonicalizes a result's tuples for set comparison.

@@ -198,18 +198,20 @@ type Solution struct {
 type Stats struct {
 	Nodes    int           // decision-tree nodes expanded ("nodes" column)
 	Rounds   int           // rounds used in the final schedule step
-	Trials   int           // full-width trials run that changed the circuit's values
+	Trials   int           // full-width screens run of a row that changes the target's values
 	Screened int           // corrections rejected by the Theorem-1 screen alone
 	DiagTime time.Duration // path trace + heuristic-1 ranking
 	CorrTime time.Duration // enumeration + screening + ranking
 	Schedule Params        // thresholds of the schedule step that succeeded
-	// Simulations counts full-circuit parallel-pattern simulations plus
-	// event-driven trial propagations — the unit Budget.MaxSimulations caps.
+	// Simulations counts full-circuit parallel-pattern simulations plus one
+	// trial per heuristic-1 suspect and per Theorem-1 survivor, whether the
+	// trial is propagated or scored from observability rows — the unit
+	// Budget.MaxSimulations caps.
 	Simulations int64
 	// Candidates counts corrections examined (enumerated and at least
 	// Theorem-1 screened) — the unit Budget.MaxCandidates caps.
 	Candidates int64
-	// H3Rejected counts the full-width trials the Vcorr/h3 screen rejected
+	// H3Rejected counts the full-width screens the Vcorr/h3 screen rejected
 	// (too many newly failing vectors).
 	H3Rejected int
 	// Verified counts solutions that passed the verified-results gate (an

@@ -48,7 +48,7 @@ func rankedRun(t testing.TB, fc failSpaceCase, opt Options, eager bool) (*Result
 
 // checkLazyParity runs fc under opt with lazy and with eager ranking and
 // requires the same solutions, expansions, status and Stats, except that
-// the lazy run may run fewer full-width trials.
+// the lazy run may run fewer full-width screens.
 func checkLazyParity(t testing.TB, label string, fc failSpaceCase, opt Options) (lazyTrials, eagerTrials int) {
 	t.Helper()
 	got, gotExp := rankedRun(t, fc, opt, false)
@@ -107,7 +107,7 @@ func parityOptions() []Options {
 // stuck-at and bridging models, first-solution search with lazy ranking
 // expands the same corrections in the same order as eager ranking, finds
 // the same solutions and does the same counted work, with no more
-// full-width trials.
+// full-width screens.
 func TestLazyRankingParity(t *testing.T) {
 	lazy, eager := 0, 0
 	for _, fc := range failSpaceCases(t) {
@@ -118,9 +118,9 @@ func TestLazyRankingParity(t *testing.T) {
 		}
 	}
 	if lazy >= eager {
-		t.Errorf("lazy ranking ran %d full-width trials, eager %d; want fewer", lazy, eager)
+		t.Errorf("lazy ranking ran %d full-width screens, eager %d; want fewer", lazy, eager)
 	}
-	t.Logf("full-width trials: lazy %d, eager %d", lazy, eager)
+	t.Logf("full-width screens: lazy %d, eager %d", lazy, eager)
 }
 
 // FuzzLazyRanking is TestLazyRankingParity on fuzzed circuit and error

@@ -9,15 +9,17 @@ import (
 // rank descending, then C.String(), then enumeration order, capped at
 // Options.MaxCorrectionsPerNode. Exact runs rank every Theorem-1 survivor
 // at expansion (the eager screen). First-solution runs expand only the few
-// best corrections of most nodes, so they screen each survivor with one
-// trial on the node's Verr engine instead: it yields h1score exactly (rect
-// and fixes count only failing-vector bits), and with h3score ≤ 1 that
-// bounds the rank. The full-width trial that gives the exact rank runs only
-// when the search asks the node for its next correction and the survivor's
-// bound could still beat the best exactly ranked correction not yet handed
-// out. The sequence handed out is therefore the eager screen's sorted
-// prefix; only Stats.Trials and Stats.H3Rejected, which count full-width
-// trials run, come out smaller.
+// best corrections of most nodes, so they score each survivor in the
+// node's Verr view instead: that yields h1score exactly (rect and fixes
+// count only failing-vector bits), and with h3score ≤ 1 it bounds the
+// rank. The full-width screen that gives the exact rank runs only when the
+// search asks the node for its next correction and the survivor's bound
+// could still beat the best exactly ranked correction not yet handed out.
+// Both scores come from the target line's observability rows in that view
+// (observe.go), one flip trial per line instead of one propagation per
+// correction. The sequence handed out is therefore the eager screen's
+// sorted prefix; only Stats.Trials and Stats.H3Rejected, which count
+// full-width screens run, come out smaller.
 
 // ranking is a node's corrections not yet handed to the search.
 type ranking struct {
@@ -123,9 +125,9 @@ func (r *runState) ensure(nd *node, i int) bool {
 }
 
 // nextRanked hands out the node's best correction not yet handed out. It
-// runs the full-width trial of every pending survivor whose bound is at
+// runs the full-width screen of every pending survivor whose bound is at
 // least the best exact rank known: any other survivor ranks strictly
-// below that correction. The trials are correction time; their
+// below that correction. The screens are correction time; their
 // Simulations were charged when the survivor was screened.
 func (r *runState) nextRanked(nd *node) (RankedCorrection, bool) {
 	rk := nd.rank
@@ -140,7 +142,7 @@ func (r *runState) nextRanked(nd *node) (RankedCorrection, bool) {
 		for rk.due() {
 			p := rk.pending[0]
 			rk.pending = rk.pending[1:]
-			sr := r.screenTrial(ec.full.e, &r.ws[0], ec, p.c)
+			sr := r.rankTrial(&r.ws[0], ec, p.c)
 			r.countTrial(sr)
 			if sr.outcome == screenKept {
 				rk.insert(rankEntry{rc: r.rankCorrection(ec, p.c, sr), idx: p.idx})
@@ -158,7 +160,7 @@ func (r *runState) nextRanked(nd *node) (RankedCorrection, bool) {
 }
 
 // due reports whether the best pending survivor needs its full-width
-// trial: its bound is at least the best exact rank not yet handed out.
+// screen: its bound is at least the best exact rank not yet handed out.
 func (rk *ranking) due() bool {
 	return len(rk.pending) > 0 && (len(rk.ready) == 0 || rk.pending[0].bound >= rk.ready[len(rk.ready)-1].rc.Rank)
 }
@@ -172,12 +174,12 @@ func (rk *ranking) insert(e rankEntry) {
 }
 
 // screenLazy is the first-solution correction screen: the Theorem-1 test
-// and, for each survivor, one trial on the node's Verr engine that yields
-// its bound. The trial reuses the row the Theorem-1 test left in ws.cand.
-// Every survivor is charged its one simulation here, exactly as the eager
-// screen charges it, so counted budgets cut at the same candidate. When
-// the Verr view is the full view the one trial ranks exactly and nothing
-// is left pending.
+// and, for each survivor, its bound from the Verr view (verrTrial), which
+// reads the row the Theorem-1 test left in ws.cand. Every survivor is
+// charged its one simulation here, exactly as the eager screen charges it,
+// so counted budgets cut at the same candidate. When the Verr view is the
+// full view a propagating full-width trial ranks exactly and nothing is
+// left pending.
 func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 	ws := &r.ws[0]
 	inPlace := ec.verr.e == ec.full.e
@@ -211,16 +213,26 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 			pending = append(pending, pendingCorr{c: corr, idx: idx, bound: r.rankCorrection(ec, corr, sr).Rank})
 		}
 	}
-	ec.verr = vecView{} // the Verr engine is done with
+	ec.verr = vecView{} // the Verr engine and its rows are done with
 	return r.newRanking(ec, ready, pending)
 }
 
-// verrTrial propagates the candidate row theorem1 left in ws.cand on the
-// Verr engine and counts what the bound needs: the erroneous bits it
-// rectifies and the failing vectors it fixes. Both count only failing
-// vectors, so they equal the full-width trial's counts; newFails stays 0,
-// which makes h3score 1 and the rank the bound.
+// verrTrial counts what the bound needs for the candidate row theorem1 left
+// in ws.cand: the erroneous bits it rectifies and the failing vectors it
+// fixes. Both count only failing vectors, so they equal the full-width
+// screen's counts; newFails stays 0 and the outcome kept, which makes
+// h3score 1 and the rank the bound. Single-target corrections are scored
+// from the Verr view's observability rows, multi-target ones propagated.
 func (r *runState) verrTrial(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+	if _, ok := corr.(multiTargeter); ok {
+		return r.verrPropagate(ws, ec, corr)
+	}
+	sr := r.rowTrial(ws, ec, &ec.verr, corr.Target())
+	return screenResult{outcome: screenKept, rect: sr.rect, fixes: sr.fixes}
+}
+
+// verrPropagate is verrTrial by propagation on the Verr engine.
+func (r *runState) verrPropagate(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
 	v := &ec.verr
 	e := v.e
 	rect := 0
@@ -230,4 +242,17 @@ func (r *runState) verrTrial(ws *workerRows, ec *expandCtx, corr Correction) scr
 		}
 	}
 	return screenResult{outcome: screenKept, rect: int32(rect), fixes: int32(fixedVectors(e, ws, v))}
+}
+
+// rankTrial is the full-width screen of a pending survivor, giving its
+// outcome and exact rank: a local NewValues on the full engine into
+// ws.cand, scored from the full view's observability rows. Multi-target
+// corrections are propagated (screenTrial).
+func (r *runState) rankTrial(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+	e := ec.full.e
+	if _, ok := corr.(multiTargeter); ok {
+		return r.screenTrial(e, ws, ec, corr)
+	}
+	corr.NewValues(e, ws.cand[:e.W])
+	return r.rowTrial(ws, ec, &ec.full, corr.Target())
 }

@@ -159,8 +159,8 @@ type runState struct {
 	// Telemetry. tr is nil for untraced runs; the cached metric handles are
 	// then nil too and no-op, so expand pays only dead branches.
 	tr          *telemetry.Tracer
-	cTrials     *telemetry.Counter   // sim.trials (wired into each node's engine)
-	cEvents     *telemetry.Counter   // sim.events
+	cTrials     *telemetry.Counter   // sim.trials: propagations run (wired into each node's engine)
+	cEvents     *telemetry.Counter   // sim.events: lines re-evaluated by them
 	cKept       *telemetry.Counter   // pathtrace.kept — suspects surviving Top+widening
 	cDropped    *telemetry.Counter   // pathtrace.dropped — marked lines cut away
 	cVerified   *telemetry.Counter   // result.verified — solutions passing the gate
@@ -660,12 +660,16 @@ type vecView struct {
 	spec [][]uint64
 	diff [][]uint64
 	mask []uint64
+	// obs holds the target lines' observability rows built so far in this
+	// view (see observe.go).
+	obs map[circuit.Line]*obsRows
 }
 
 // expandCtx bundles the per-node state shared by the diagnosis and
 // correction loops of one expansion: the node's two vector spaces, the
 // failing-vector counts the screens and scores are computed against, and
-// the PO lookup. Everything here is read-only during a fan-out.
+// the PO lookup. Everything here is read-only during a fan-out; only the
+// first-solution screens, which never fan out, build observability rows.
 //
 // full spans all of V; it carries the Vcorr/h3 screen, the ranking counts
 // and the verify gate. verr spans the failing vectors alone (the paper's
@@ -900,9 +904,9 @@ func (r *runState) foldScreen(ec *expandCtx, corr Correction, sr screenResult) (
 	return true, r.rankCorrection(ec, corr, sr)
 }
 
-// countTrial accounts one full-width trial: Trials counts the trials that
-// changed the circuit's values, H3Rejected those the Vcorr/h3 screen
-// rejected.
+// countTrial accounts one full-width screen: Trials counts the screens of a
+// row that changes the target's values, whether propagated or scored from
+// observability rows, and H3Rejected those the Vcorr/h3 screen rejected.
 func (r *runState) countTrial(sr screenResult) {
 	switch sr.outcome {
 	case screenNewFails:
@@ -952,7 +956,7 @@ func (r *runState) screenTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, cor
 // corrections (bridging faults) force the same row onto every affected net
 // at once.
 func trialRow(e *sim.Engine, corr Correction, cand []uint64) []circuit.Line {
-	if mt, ok := corr.(interface{ Targets() []circuit.Line }); ok {
+	if mt, ok := corr.(multiTargeter); ok {
 		targets := mt.Targets()
 		rows := make([][]uint64, len(targets))
 		for i := range rows {
@@ -989,7 +993,7 @@ func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr 
 	}
 	orBad[e.W-1] &= sim.TailMask(r.n)
 	newFails := popcount(orBad)
-	if float64(newFails) > (1-r.params.H3)*float64(ec.passCount)+1e-9 {
+	if r.h3Rejects(ec, newFails) {
 		return screenResult{outcome: screenNewFails}
 	}
 	fixes := fixedVectors(e, ws, v)
@@ -999,6 +1003,12 @@ func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr 
 		newFails: int32(newFails),
 		fixes:    int32(fixes),
 	}
+}
+
+// h3Rejects is the Vcorr/h3 screen: a correction may newly fail at most
+// (1−h3) of the node's passing vectors.
+func (r *runState) h3Rejects(ec *expandCtx, newFails int) bool {
+	return float64(newFails) > (1-r.params.H3)*float64(ec.passCount)+1e-9
 }
 
 // rankCorrection turns a kept candidate's screen counts into the ranked
@@ -1043,9 +1053,19 @@ func rectifiedBits(e *sim.Engine, x circuit.Line, d, spec []uint64) int {
 // rectifies (all POs correct) in view v. It works entirely in ws scratch so
 // the screening hot loop stays allocation-free.
 func fixedVectors(e *sim.Engine, ws *workerRows, v *vecView) int {
-	// stillBad = OR over POs of their post-trial diff. TrialVal falls back to
-	// the base row for POs the trial never reached, so tv^spec is the
-	// post-trial diff for changed and unchanged outputs alike.
+	still := stillBad(e, ws, v)
+	fixed := 0
+	for w := range still {
+		fixed += bits.OnesCount64(v.mask[w] &^ still[w])
+	}
+	return fixed
+}
+
+// stillBad computes, into ws.still, the OR over POs of their post-trial diff
+// in view v. TrialVal falls back to the base row for POs the trial never
+// reached, so tv^spec is the post-trial diff for changed and unchanged
+// outputs alike.
+func stillBad(e *sim.Engine, ws *workerRows, v *vecView) []uint64 {
 	still := ws.still[:e.W]
 	for w := range still {
 		still[w] = 0
@@ -1057,11 +1077,7 @@ func fixedVectors(e *sim.Engine, ws *workerRows, v *vecView) int {
 			still[w] |= tv[w] ^ spec[w]
 		}
 	}
-	fixed := 0
-	for w := range still {
-		fixed += bits.OnesCount64(v.mask[w] &^ still[w])
-	}
-	return fixed
+	return still
 }
 
 func popcount(row []uint64) int {

@@ -19,8 +19,6 @@ func Enumerate(c *circuit.Circuit, l circuit.Line, wireSrcs []circuit.Line) []Mo
 	case circuit.Input, circuit.Const0, circuit.Const1, circuit.DFF:
 		return nil
 	}
-	var mods []Mod
-
 	// Gate replacement. The inverted counterpart is covered by ToggleOutInv
 	// and skipped here to avoid duplicate corrections.
 	inv, _ := g.Type.InversionOf()
@@ -33,6 +31,19 @@ func Enumerate(c *circuit.Circuit, l circuit.Line, wireSrcs []circuit.Line) []Mo
 	default:
 		cands = replacementMulti
 	}
+	// A single-input BUF/NOT may be the residue of a missing-input-wire
+	// error on a two-input gate; AddWire then restores both the wire and
+	// the (inversion-preserving) gate type.
+	var restoreTypes []circuit.GateType
+	switch g.Type {
+	case circuit.Buf:
+		restoreTypes = []circuit.GateType{circuit.And, circuit.Or}
+	case circuit.Not:
+		restoreTypes = []circuit.GateType{circuit.Nand, circuit.Nor}
+	}
+	// Size mods for every candidate the loops below can emit.
+	nf := len(g.Fanin)
+	mods := make([]Mod, 0, len(cands)+1+2*nf+len(wireSrcs)*(1+len(restoreTypes)+nf))
 	for _, t := range cands {
 		if t == g.Type || t == inv {
 			continue
@@ -51,25 +62,12 @@ func Enumerate(c *circuit.Circuit, l circuit.Line, wireSrcs []circuit.Line) []Mo
 	}
 
 	if len(wireSrcs) > 0 {
-		// Precompute the fanout cone of l once for the cycle filter.
-		inCone := map[circuit.Line]bool{}
-		for _, x := range c.FanoutCone(l) {
-			inCone[x] = true
-		}
+		// Mark the fanout cone of l (l included) once for the cycle filter.
+		inCone := fanoutConeSet(c, l)
 		canAdd := g.Type != circuit.Buf && g.Type != circuit.Not && g.Type != circuit.DFF &&
 			g.Type != circuit.Xor && g.Type != circuit.Xnor
-		// A single-input BUF/NOT may be the residue of a missing-input-wire
-		// error on a two-input gate; AddWire then restores both the wire and
-		// the (inversion-preserving) gate type.
-		var restoreTypes []circuit.GateType
-		switch g.Type {
-		case circuit.Buf:
-			restoreTypes = []circuit.GateType{circuit.And, circuit.Or}
-		case circuit.Not:
-			restoreTypes = []circuit.GateType{circuit.Nand, circuit.Nor}
-		}
 		for _, src := range wireSrcs {
-			if inCone[src] || src == l {
+			if inCone[src/64]&(1<<(src%64)) != 0 {
 				continue
 			}
 			if canAdd {
@@ -96,4 +94,25 @@ func Enumerate(c *circuit.Circuit, l circuit.Line, wireSrcs []circuit.Line) []Mo
 		}
 	}
 	return mods
+}
+
+// fanoutConeSet returns the fanout cone of l, l included, as a bitset over
+// c's lines: bit x%64 of word x/64 is set for every line x in the cone.
+func fanoutConeSet(c *circuit.Circuit, l circuit.Line) []uint64 {
+	fo := c.Fanout()
+	set := make([]uint64, (c.NumLines()+63)/64)
+	set[l/64] |= 1 << (l % 64)
+	var buf [64]circuit.Line
+	stack := append(buf[:0], l)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, y := range fo[x] {
+			if set[y/64]&(1<<(y%64)) == 0 {
+				set[y/64] |= 1 << (y % 64)
+				stack = append(stack, y)
+			}
+		}
+	}
+	return set
 }

@@ -187,26 +187,7 @@ func (m Mod) Check(c *circuit.Circuit) error {
 
 // inFanoutCone reports whether x lies in the fanout cone of l (inclusive).
 func inFanoutCone(c *circuit.Circuit, l, x circuit.Line) bool {
-	if x == l {
-		return true
-	}
-	fo := c.Fanout()
-	seen := map[circuit.Line]bool{l: true}
-	stack := []circuit.Line{l}
-	for len(stack) > 0 {
-		y := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range fo[y] {
-			if r == x {
-				return true
-			}
-			if !seen[r] {
-				seen[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
-	return false
+	return fanoutConeSet(c, l)[x/64]&(1<<(x%64)) != 0
 }
 
 // Apply structurally applies the mod to c (mutating it). The caller should

@@ -40,7 +40,7 @@ type Engine struct {
 	// Trial-loop telemetry. Both are nil by default (a nil *Counter no-ops),
 	// so the only disabled-path cost is one predictable branch per trial —
 	// never per event. Wire them with Instrument.
-	CTrials *telemetry.Counter // trials run (all Trial* entry points)
+	CTrials *telemetry.Counter // trials run (all Trial* entry points): propagations, not screened candidates
 	CEvents *telemetry.Counter // lines re-evaluated across all trials
 }
 
