@@ -82,12 +82,14 @@ chaos-resume:
 # Durable-store gate: SIGKILL dedcd (race build) at random points mid-workload,
 # restart over the same store directory, and require every accepted job to
 # reach a terminal state with solutions identical to an uninterrupted run, and
-# every restart to be listening within 4 s.
+# every restart to be listening within 4 s. A requeued job must resume from the
+# newest earlier attempt journal that holds a checkpoint, skipping newer ones
+# that hold none.
 # Also scales up the store-corruption trials (damaged log/snapshot must recover
 # cleanly or fail typed — never panic or fabricate state).
 chaos-store:
 	CHAOS_STORE_TRIALS=50 CHAOS_STORE_RACE=1 \
-		$(GO) test -race -count 1 -run 'TestChaosStoreKill|TestRestartResumesFromCheckpoint' \
+		$(GO) test -race -count 1 -run 'TestChaosStoreKill|TestRestartResumesFromCheckpoint|TestResumeSkipsJournalsWithoutCheckpoint' \
 		-timeout 30m ./cmd/dedcd
 	CHAOS_STORE_CORRUPT_TRIALS=1000 \
 		$(GO) test -race -count 1 -run TestStoreCorruptionTrials -timeout 30m ./internal/chaos

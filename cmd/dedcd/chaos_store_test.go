@@ -158,9 +158,11 @@ func TestChaosStoreKill(t *testing.T) {
 	t.Logf("slowest restart: %v from exec to listening (bound %v)", slowest, restartBound)
 }
 
-// TestRestartResumesFromCheckpoint kills dedcd only after a checkpoint ref is
-// durably recorded, so the post-restart attempt must resume the prior
-// attempt's journal rather than recompute from scratch.
+// TestRestartResumesFromCheckpoint kills dedcd only after a checkpoint line
+// has reached the attempt journal, so the post-restart attempt must resume
+// from that journal rather than recompute from scratch. The checkpoint
+// survives the SIGKILL because the journal writes it through at once; the
+// write is not fsync'd, so it would not survive a power loss.
 func TestRestartResumesFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test")
@@ -196,9 +198,8 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("submit: %v", m)
 	}
 
-	// The checkpoint hook records the attempt journal as the job's resume ref
-	// in the store; the journal file appearing with a checkpoint line means
-	// that ref write (which precedes further progress) has happened.
+	// The restarted daemon finds attempt 1's journal from the job ID and the
+	// attempt number, so a checkpoint line on disk is all the resume needs.
 	journal := filepath.Join(storeDir, "journals", id+".a1.jsonl")
 	deadline := time.Now().Add(2 * time.Minute)
 	for {

@@ -7,58 +7,83 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"time"
 
 	"dedc/internal/diagnose"
 	"dedc/internal/store"
+	"dedc/internal/stream"
 	"dedc/internal/telemetry"
 )
 
-// This file is the dispatcher: the bridge between the durable job store and
-// the supervised execution pool. It claims queued jobs, records each
-// attempt's checkpoint refs, and writes every attempt outcome back to the
-// store. A claim lasts until that outcome write, a cancel, or the death of
-// the process (boot replay requeues it then). The store is the only source of
-// truth — the dispatcher keeps no job state beyond the cancel functions of
+// This file runs the jobs: -workers worker loops between the durable job
+// store and the diagnosis engine. Each loop claims a queued job, runs the
+// attempt under recover, writes its outcome back to the store, and claims
+// again. A claim lasts until that outcome write, a cancel, or the death of
+// the process (boot replay requeues it then). The store is the only source
+// of truth — the loops keep no job state beyond the cancel functions of
 // attempts currently executing here.
 
-// dispatch claims jobs whenever a pool worker is idle, waking on submits, on
-// every attempt's end and on a coarse ticker (which also picks up jobs whose
-// retry backoff has elapsed).
-func (s *server) dispatch(ctx context.Context) {
+// Attempt counters in the process-wide registry, for /metrics. The server's
+// own counts (poolStats) feed /v1/stats and /healthz.
+var (
+	cSubmitted = telemetry.Default.Counter("pool.submitted", "Claimed jobs whose attempt a worker started.")
+	cCompleted = telemetry.Default.Counter("pool.completed", "Attempts that returned without an error.")
+	cFailed    = telemetry.Default.Counter("pool.failed", "Attempts that returned an error.")
+	cPanics    = telemetry.Default.Counter("pool.panics", "Attempts that panicked; their jobs failed terminally.")
+)
+
+// work is one worker loop. It claims a ready job, runs it, and claims again
+// at once; with nothing ready it waits for a kick (a submit, a requeue, or
+// another worker's claim), or for the coarse ticker that also picks up jobs
+// whose retry backoff has elapsed. A worker claims only while it is idle, so
+// every claimed job starts at once and with it its -job-timeout deadline: a
+// job never sits claimed behind a busy worker (one held, say, by a runner
+// that ignores its context). The loop returns when ctx ends (drain or
+// shutdown), after the attempt it is running.
+func (s *server) work(ctx context.Context) {
+	defer s.loops.Done()
 	t := time.NewTicker(25 * time.Millisecond)
 	defer t.Stop()
-	for {
+	for ctx.Err() == nil {
+		if j, ok, err := s.st.Claim(s.claimToken()); err == nil && ok {
+			// Another job may be ready for another idle worker.
+			s.kick()
+			s.runClaimed(j)
+			continue
+		}
 		select {
 		case <-ctx.Done():
-			return
 		case <-s.wake:
 		case <-t.C:
 		}
-		s.fill(ctx)
 	}
 }
 
-// fill claims one ready job per idle pool worker, so every claimed job
-// starts at once and with it its -job-timeout deadline; a job never sits
-// claimed behind a busy worker (one held, say, by a runner that ignores its
-// context). Each claim runs under its own token (claimToken); the claimed
-// job carries it as j.Worker, and every outcome write for the attempt uses
-// it.
-func (s *server) fill(ctx context.Context) {
-	for ctx.Err() == nil && s.pool.Idle() > 0 {
-		j, ok, err := s.st.Claim(s.claimToken())
-		if err != nil || !ok {
-			return
-		}
-		s.startJob(j)
+// drain stops the worker loops from claiming and waits for the attempts in
+// flight to finish. It returns ctx.Err() if ctx ends first; the attempts
+// keep running regardless.
+func (s *server) drain(ctx context.Context) error {
+	s.stopClaims()
+	done := make(chan struct{})
+	go func() {
+		s.loops.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// startJob hands one claimed job to the pool. The claim is already recorded;
-// every exit path from here must settle it (run, release, or fail).
-func (s *server) startJob(j store.Job) {
+// runClaimed runs one claimed job. The claim is already recorded; every exit
+// path from here must settle it (run, release, or fail). Each claim runs
+// under its own token (claimToken); the claimed job carries it as j.Worker,
+// and every outcome write for the attempt uses it.
+func (s *server) runClaimed(j store.Job) {
 	var req jobRequest
 	if err := json.Unmarshal(j.Spec, &req); err != nil {
 		// A spec that does not decode will not decode next attempt either.
@@ -72,34 +97,49 @@ func (s *server) startJob(j store.Job) {
 	s.mu.Lock()
 	s.running[j.ID] = att
 	s.mu.Unlock()
-	err := s.pool.Submit(j.ID, func(pctx context.Context) error {
-		defer func() {
-			s.dropAttempt(j.ID, att)
-			cancel()
-		}()
-		// A panicking attempt never returns through runAttempt, so its
-		// terminal state is recorded here — under this attempt's own claim
-		// token — before the pool reports the panic and replaces the
-		// worker. Panic means poison pill: the input is presumed to crash
-		// the engine again, so the failure skips the remaining attempts.
-		defer func() {
-			if r := recover(); r != nil {
-				if ferr := s.st.FailTerminal(j.ID, j.Worker, fmt.Sprintf("attempt %d panicked: %v", j.Attempt, r)); ferr != nil && !ignorableOutcomeErr(ferr) {
-					s.log.Warn("recording panic outcome", "id", j.ID, "err", ferr)
-				}
-				panic(r)
-			}
-		}()
-		return s.runAttempt(jctx, pctx, cancel, j, req)
-	})
-	if err != nil {
-		// The pool shed or refused the claim before it ran: return it to the
-		// queue without burning an attempt.
+	s.busy.Add(1)
+	s.submitted.Add(1)
+	cSubmitted.Inc()
+	defer func() {
+		s.busy.Add(-1)
 		s.dropAttempt(j.ID, att)
 		cancel()
-		if rerr := s.st.Release(j.ID, j.Worker); rerr != nil {
-			s.log.Warn("releasing unexecuted claim", "id", j.ID, "err", rerr)
+	}()
+	// A panicking attempt never returns through runAttempt, so its terminal
+	// state is recorded here, under this attempt's own claim token. Panic
+	// means poison pill: the input is presumed to crash the engine again, so
+	// the failure skips the remaining attempts.
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
 		}
+		stack := debug.Stack()
+		if ferr := s.st.FailTerminal(j.ID, j.Worker, fmt.Sprintf("attempt %d panicked: %v", j.Attempt, r)); ferr != nil && !ignorableOutcomeErr(ferr) {
+			s.log.Warn("recording panic outcome", "id", j.ID, "err", ferr)
+		}
+		s.log.Error("job panicked; failed terminally", "id", j.ID, "panic", r, "stack", string(stack))
+		s.panics.Add(1)
+		cPanics.Inc()
+	}()
+	if err := s.runAttempt(jctx, cancel, j, req); err != nil {
+		s.failed.Add(1)
+		cFailed.Inc()
+		return
+	}
+	s.completed.Add(1)
+	cCompleted.Inc()
+}
+
+// poolStats snapshots the workers' occupancy and attempt counts.
+func (s *server) poolStats() stream.PoolStats {
+	return stream.PoolStats{
+		Workers:   s.workers,
+		Idle:      max(s.workers-int(s.busy.Load()), 0),
+		Submitted: s.submitted.Load(),
+		Completed: s.completed.Load(),
+		Failed:    s.failed.Load(),
+		Panics:    s.panics.Load(),
 	}
 }
 
@@ -114,44 +154,34 @@ func (s *server) dropAttempt(id string, att *attempt) {
 	s.mu.Unlock()
 }
 
-// runAttempt executes one claimed attempt end to end: per-attempt journal
-// with the checkpoint ref recorded at every checkpoint, resume from the
-// previous attempt's checkpoint when one is recorded, and the terminal write
+// runAttempt executes one claimed attempt end to end: per-attempt journal,
+// resume from the newest earlier attempt's checkpoint, and the outcome write
 // back to the store.
-func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFunc, j store.Job, req jobRequest) error {
-	// The pool context carries the per-attempt deadline; the job context
-	// carries explicit cancellation and process shutdown. At the deadline the
-	// attempt is cancelled and its failure settled at once, so a runner that
-	// ignores its context does not hold the claim past -job-timeout; its late
-	// outcome write is then rejected by the store's claim check. cancel is
-	// this attempt's own cancel func — never resolved through s.running,
-	// which may already hold a successor attempt for the same job.
-	stop := context.AfterFunc(pctx, func() {
-		cancel()
-		s.settleFailure(j.ID, j.Worker, fmt.Sprintf("attempt %d exceeded the job deadline", j.Attempt))
-	})
-	defer stop()
+func (s *server) runAttempt(jctx context.Context, cancel context.CancelFunc, j store.Job, req jobRequest) error {
+	// jctx carries explicit cancellation and process shutdown. At the
+	// -job-timeout deadline the attempt is cancelled and its failure settled
+	// at once, so a runner that ignores its context does not hold the claim
+	// past the deadline; its late outcome write is then rejected by the
+	// store's claim check. cancel is this attempt's own cancel func — never
+	// resolved through s.running, which may already hold a successor attempt
+	// for the same job.
+	if s.jobTimeout > 0 {
+		deadline := time.AfterFunc(s.jobTimeout, func() {
+			cancel()
+			s.settleFailure(j.ID, j.Worker, fmt.Sprintf("attempt %d exceeded the job deadline", j.Attempt))
+		})
+		defer deadline.Stop()
+	}
 
 	// A cancel can land between claim and execution; don't run a dead job.
 	if cur, p := s.st.Lookup(j.ID); p != store.Found || cur.State != store.StateRunning || cur.Worker != j.Worker {
 		return nil
 	}
 
-	env := runEnv{}
-	runCtx, closeJournal := s.attemptJournal(jctx, j, cancel, &env)
+	// Live progress rides every attempt, journaled or not.
+	env := runEnv{OnCheckpoint: s.progressHook(j), Resume: s.resumePoint(j)}
+	runCtx, closeJournal := s.attemptJournal(jctx, j)
 	defer closeJournal()
-	// Live progress rides every attempt, journaled or not: the hook wraps
-	// whatever checkpoint callback the journal installed (the checkpoint
-	// ref) with publication to the events bus.
-	env.OnCheckpoint = s.progressHook(j, env.OnCheckpoint)
-	if j.Ref != "" {
-		if f, err := os.Open(j.Ref); err == nil {
-			defer f.Close()
-			env.Resume = f
-		} else {
-			s.log.Warn("checkpoint journal unavailable; restarting attempt fresh", "id", j.ID, "ref", j.Ref, "err", err)
-		}
-	}
 
 	res, err := s.run(runCtx, req, env)
 
@@ -181,6 +211,33 @@ func (s *server) runAttempt(jctx, pctx context.Context, cancel context.CancelFun
 	return err
 }
 
+// resumePoint finds the checkpoint a claimed attempt resumes from: the last
+// one in the journal of the newest earlier attempt that holds one. Attempts
+// are numbered, so the journals are <id>.a<N-1>.jsonl down to <id>.a1.jsonl.
+// A journal that is missing, holds no checkpoint or does not decode is
+// skipped; with none usable the attempt starts fresh.
+func (s *server) resumePoint(j store.Job) *diagnose.Checkpoint {
+	if s.journalDir == "" {
+		return nil
+	}
+	for a := j.Attempt - 1; a >= 1; a-- {
+		f, err := os.Open(s.journalPath(j.ID, a))
+		if err != nil {
+			continue
+		}
+		cp, err := diagnose.LatestCheckpoint(f)
+		f.Close()
+		if err != nil {
+			s.log.Warn("skipping an attempt journal that does not decode", "id", j.ID, "attempt", a, "err", err)
+			continue
+		}
+		if cp != nil {
+			return cp
+		}
+	}
+	return nil
+}
+
 // settleFailure records a failed attempt under the attempt's claim token;
 // the store decides between a backoff-requeue and a terminal failure. Races
 // with a cancel (terminal) or an earlier settlement are benign.
@@ -199,17 +256,19 @@ func ignorableOutcomeErr(err error) bool {
 		errors.Is(err, store.ErrNotRunning) || errors.Is(err, store.ErrClosed)
 }
 
+// journalPath names the run journal of one attempt of a job.
+func (s *server) journalPath(id string, attempt int) string {
+	return filepath.Join(s.journalDir, fmt.Sprintf("%s.a%d.jsonl", id, attempt))
+}
+
 // attemptJournal attaches a per-attempt run journal (<dir>/<id>.a<N>.jsonl)
-// to ctx and wires the checkpoint hook: every checkpoint records the journal
-// path as the job's resume ref.
-// Journal trouble never fails the job — the run proceeds unjournaled — and
-// the returned cleanup is safe to call unconditionally.
-func (s *server) attemptJournal(ctx context.Context, j store.Job, cancel context.CancelFunc, env *runEnv) (context.Context, func()) {
+// to ctx. Journal trouble never fails the job — the run proceeds
+// unjournaled — and the returned cleanup is safe to call unconditionally.
+func (s *server) attemptJournal(ctx context.Context, j store.Job) (context.Context, func()) {
 	if s.journalDir == "" {
 		return ctx, func() {}
 	}
-	path := filepath.Join(s.journalDir, fmt.Sprintf("%s.a%d.jsonl", j.ID, j.Attempt))
-	f, err := os.Create(path)
+	f, err := os.Create(s.journalPath(j.ID, j.Attempt))
 	if err != nil {
 		s.log.Warn("attempt journal unavailable; running unjournaled", "id", j.ID, "err", err)
 		return ctx, func() {}
@@ -219,19 +278,6 @@ func (s *server) attemptJournal(ctx context.Context, j store.Job, cancel context
 	// them (the mirror sees the exact persisted line).
 	jl.SetMirror(s.mirrorSolutions(j.ID))
 	tr := telemetry.NewTracer(telemetry.Options{Journal: jl})
-	// The engine calls this after the checkpoint is journaled (and the
-	// journal flushes checkpoints through), so by the time the ref lands in
-	// the store the state it points at is already on disk.
-	env.OnCheckpoint = func(*diagnose.Checkpoint) {
-		if err := s.st.SetCheckpoint(j.ID, j.Worker, path); err != nil {
-			// The claim is gone (cancelled, or settled at the deadline) or
-			// the store refused the write: the attempt stops either way.
-			if !ignorableOutcomeErr(err) {
-				s.log.Warn("recording checkpoint ref", "id", j.ID, "err", err)
-			}
-			cancel()
-		}
-	}
 	return telemetry.WithTracer(ctx, tr), func() {
 		if cerr := jl.Close(); cerr != nil {
 			s.log.Warn("closing attempt journal", "id", j.ID, "err", cerr)
@@ -249,7 +295,7 @@ func (s *server) removeJournals(id string, attempts int) {
 		return
 	}
 	for a := 1; a <= attempts; a++ {
-		path := filepath.Join(s.journalDir, fmt.Sprintf("%s.a%d.jsonl", id, a))
+		path := s.journalPath(id, a)
 		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			s.log.Warn("removing evicted job's journal", "id", id, "path", path, "err", err)
 		}

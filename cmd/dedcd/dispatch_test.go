@@ -20,7 +20,6 @@ import (
 	"dedc/internal/fault"
 	"dedc/internal/gen"
 	"dedc/internal/store"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 )
 
@@ -79,7 +78,7 @@ func TestStartupSweepRemovesEvictedJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, supervise.Options{Workers: 1})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, 1)
 	s.journalDir = jdir
 	ctx, cancel := context.WithCancel(context.Background())
 	s.start(ctx)
@@ -87,7 +86,7 @@ func TestStartupSweepRemovesEvictedJournals(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	for name, keep := range files {
@@ -103,7 +102,7 @@ func TestStartupSweepRemovesEvictedJournals(t *testing.T) {
 
 // TestDispatchNoGoroutineLeak: a burst of real diagnosis submissions, some
 // shed by the admission cap and the rest run to terminal through the
-// dispatcher with journals and progress hooks, leaves the
+// worker loops with journals and progress hooks, leaves the
 // goroutine count where it was before the burst.
 func TestDispatchNoGoroutineLeak(t *testing.T) {
 	c := gen.Alu(2)
@@ -121,7 +120,7 @@ func TestDispatchNoGoroutineLeak(t *testing.T) {
 	}
 
 	st := store.NewMemory(store.Options{MaxAttempts: 1})
-	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, supervise.Options{Workers: 2, QueueDepth: 2})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, 2)
 	s.maxQueued = 2
 	s.journalDir = t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -132,7 +131,7 @@ func TestDispatchNoGoroutineLeak(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	// A client of its own, so its idle keep-alive connections (and the
@@ -210,8 +209,8 @@ func TestDispatchNoGoroutineLeak(t *testing.T) {
 func TestStuckAttemptSettledAtDeadline(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	st := store.NewMemory(store.Options{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st,
-		supervise.Options{Workers: 2, JobTimeout: timeout})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, 2)
+	s.jobTimeout = timeout
 	release := make(chan struct{})
 	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		<-release // deaf to its context
@@ -227,7 +226,7 @@ func TestStuckAttemptSettledAtDeadline(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	j, err := st.Submit(json.RawMessage(`{"impl":"x"}`))
@@ -278,9 +277,9 @@ func TestStuckAttemptSettledAtDeadline(t *testing.T) {
 	// failed job into a completed one.
 	close(release)
 	released = true
-	for deadline := time.Now().Add(10 * time.Second); s.pool.Stats().Completed < 2; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); s.poolStats().Completed < 2; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("stuck runners never returned: %+v", s.pool.Stats())
+			t.Fatalf("stuck runners never returned: %+v", s.poolStats())
 		}
 	}
 	if after, _ := st.Lookup(j.ID); after.State != store.StateFailed || len(after.Result) != 0 {
@@ -300,8 +299,8 @@ func TestClaimWaitsForIdleWorker(t *testing.T) {
 		slack   = 400 * time.Millisecond
 	)
 	st := store.NewMemory(store.Options{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st,
-		supervise.Options{Workers: 1, JobTimeout: timeout})
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, 1)
+	s.jobTimeout = timeout
 	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		time.Sleep(deaf)
 		return &jobResult{Status: "Complete", Solved: true}, nil
@@ -312,7 +311,7 @@ func TestClaimWaitsForIdleWorker(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	j, err := st.Submit(json.RawMessage(`{"impl":"x"}`))
@@ -354,5 +353,65 @@ func TestClaimWaitsForIdleWorker(t *testing.T) {
 	}
 	if want := "submitted claimed requeued claimed requeued claimed failed"; strings.Join(kinds, " ") != want {
 		t.Errorf("timeline = %v, want %s", kinds, want)
+	}
+}
+
+// TestDrainStopsClaimingAndWaits: drain stops the workers from claiming at
+// once, returns the context's error while an attempt is still running, and
+// returns nil once the attempt has finished; a job queued after the drain
+// began stays queued. The worker counts track the attempt throughout.
+func TestDrainStopsClaimingAndWaits(t *testing.T) {
+	st := store.NewMemory(store.Options{})
+	defer st.Close()
+	s := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), st, 1)
+	release := make(chan struct{})
+	s.run = func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+		<-release
+		return &jobResult{Status: "Complete", Solved: true}, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.start(ctx)
+	a, err := st.Submit(json.RawMessage(`{"impl":"a"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kick()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if j, _ := st.Lookup(a.ID); j.State == store.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never claimed")
+		}
+	}
+	if ps := s.poolStats(); ps.Workers != 1 || ps.Idle != 0 || ps.Submitted != 1 {
+		t.Errorf("pool stats while running = %+v, want 1 worker, 0 idle, 1 submitted", ps)
+	}
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer dcancel()
+	if err := s.drain(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain with an attempt running = %v, want DeadlineExceeded", err)
+	}
+	b, err := st.Submit(json.RawMessage(`{"impl":"b"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kick()
+	close(release)
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	if err := s.drain(wctx); err != nil {
+		t.Fatalf("drain after the attempt returned = %v", err)
+	}
+	if j, _ := st.Lookup(a.ID); j.State != store.StateDone {
+		t.Errorf("drained job = %s, want done", j.State)
+	}
+	if j, _ := st.Lookup(b.ID); j.State != store.StateQueued {
+		t.Errorf("job submitted during the drain = %s, want queued", j.State)
+	}
+	if ps := s.poolStats(); ps.Idle != 1 || ps.Submitted != 1 || ps.Completed != 1 {
+		t.Errorf("pool stats after the drain = %+v, want 1 idle, 1 submitted, 1 completed", ps)
 	}
 }

@@ -95,15 +95,12 @@ func (s *server) watchPump(ctx context.Context, sub *telemetry.Sub[store.Update]
 	}
 }
 
-// progressHook wraps an attempt's checkpoint callback with live progress
-// publication. satStart anchors the per-attempt sat.conflicts delta.
-func (s *server) progressHook(j store.Job, prev func(*diagnose.Checkpoint)) func(*diagnose.Checkpoint) {
+// progressHook is an attempt's checkpoint callback: it publishes live
+// progress. satStart anchors the per-attempt sat.conflicts delta.
+func (s *server) progressHook(j store.Job) func(*diagnose.Checkpoint) {
 	satConflicts := telemetry.Default.Counter("sat.conflicts")
 	satStart := satConflicts.Value()
 	return func(cp *diagnose.Checkpoint) {
-		if prev != nil {
-			prev(cp)
-		}
 		p := stream.Progress{
 			Job:          j.ID,
 			Attempt:      j.Attempt,
@@ -319,7 +316,7 @@ var statsCounters = map[string]string{
 	"evictions":        "store.evictions",
 }
 
-// handleStats serves GET /v1/stats: per-state job counts, pool occupancy,
+// handleStats serves GET /v1/stats: per-state job counts, worker occupancy,
 // daemon counters, phase latency quantiles, stream fan-out health, and the
 // latest checkpoint of every running attempt. One bounded JSON object —
 // dedctop polls it once per frame.
@@ -328,7 +325,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for st, n := range s.st.Counts() {
 		jobs[string(st)] = n
 	}
-	ps := s.pool.Stats()
 	counters := make(map[string]int64, len(statsCounters))
 	for wire, name := range statsCounters {
 		counters[wire] = telemetry.Default.Counter(name).Value()
@@ -342,18 +338,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(running, func(i, k int) bool { return running[i].Job < running[k].Job })
 
 	writeJSON(w, http.StatusOK, stream.Stats{
-		TS:   time.Now(),
-		Jobs: jobs,
-		Pool: stream.PoolStats{
-			Workers:     s.poolWorkers,
-			Idle:        s.pool.Idle(),
-			Submitted:   ps.Submitted,
-			Completed:   ps.Completed,
-			Failed:      ps.Failed,
-			Panics:      ps.Panics,
-			Shed:        ps.Shed,
-			WorkersLost: ps.WorkersLost,
-		},
+		TS:       time.Now(),
+		Jobs:     jobs,
+		Pool:     s.poolStats(),
 		Counters: counters,
 		Phases: map[string]stream.Quantiles{
 			"queue_wait": quantilesOf(telemetry.Default.Histogram("store.queue_wait_ns")),

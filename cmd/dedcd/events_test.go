@@ -18,13 +18,12 @@ import (
 	"dedc/internal/diagnose"
 	"dedc/internal/store"
 	"dedc/internal/stream"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 )
 
 // streamServer is testServer with a configurable store (retry tests need
 // MaxAttempts > 1) and a fast stream heartbeat.
-func streamServer(t *testing.T, sopt store.Options, popt supervise.Options, run runner) (*server, *httptest.Server) {
+func streamServer(t *testing.T, sopt store.Options, workers int, run runner) (*server, *httptest.Server) {
 	t.Helper()
 	if sopt.BackoffBase == 0 {
 		sopt.BackoffBase = 5 * time.Millisecond
@@ -32,7 +31,7 @@ func streamServer(t *testing.T, sopt store.Options, popt supervise.Options, run 
 	}
 	st := store.NewMemory(sopt)
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	s := newServer(log, st, popt)
+	s := newServer(log, st, workers)
 	s.streamHeartbeat = 50 * time.Millisecond
 	if run != nil {
 		s.run = run
@@ -45,7 +44,7 @@ func streamServer(t *testing.T, sopt store.Options, popt supervise.Options, run 
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	return s, ts
@@ -142,7 +141,7 @@ func TestEventsStreamLifecycleAndProgress(t *testing.T) {
 	// fire until the stream is attached: the runner waits for attached,
 	// which the test closes once it has read the claimed frame.
 	attached := make(chan struct{})
-	_, ts := streamServer(t, store.Options{MaxAttempts: 1}, supervise.Options{Workers: 1},
+	_, ts := streamServer(t, store.Options{MaxAttempts: 1}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			select {
 			case <-attached:
@@ -219,7 +218,7 @@ func TestEventsStreamLifecycleAndProgress(t *testing.T) {
 // (attempt 2) — the order the store persisted.
 func TestEventsRequeueBeforeNewAttempt(t *testing.T) {
 	var calls atomic.Int32
-	_, ts := streamServer(t, store.Options{MaxAttempts: 2}, supervise.Options{Workers: 1},
+	_, ts := streamServer(t, store.Options{MaxAttempts: 2}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("transient failure")
@@ -265,7 +264,7 @@ func TestEventsResumeFromLastEventID(t *testing.T) {
 	}
 	// Incarnation 1: run the job to done without any stream attached.
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	s1 := newServer(log, st, supervise.Options{Workers: 1})
+	s1 := newServer(log, st, 1)
 	s1.run = func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 		return &jobResult{Mode: "stuckat", Status: "FirstSolution", Solved: true}, nil
 	}
@@ -282,7 +281,7 @@ func TestEventsResumeFromLastEventID(t *testing.T) {
 	ts1.Close()
 	cancel1()
 	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	s1.pool.Drain(dctx)
+	s1.drain(dctx)
 	dcancel()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -294,7 +293,7 @@ func TestEventsResumeFromLastEventID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	s2 := newServer(log, st2, supervise.Options{Workers: 1})
+	s2 := newServer(log, st2, 1)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	s2.start(ctx2)
@@ -311,7 +310,7 @@ func TestEventsResumeFromLastEventID(t *testing.T) {
 // TestEventsBadResumePosition: a non-numeric Last-Event-ID is a 400, not a
 // silent full replay.
 func TestEventsBadResumePosition(t *testing.T) {
-	_, ts := streamServer(t, store.Options{}, supervise.Options{Workers: 1}, nil)
+	_, ts := streamServer(t, store.Options{}, 1, nil)
 	id := submitJob(t, ts.URL)
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
 	req.Header.Set("Last-Event-ID", "not-a-number")
@@ -330,7 +329,7 @@ func TestEventsBadResumePosition(t *testing.T) {
 func TestEventsHeartbeat(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	_, ts := streamServer(t, store.Options{}, supervise.Options{Workers: 1},
+	_, ts := streamServer(t, store.Options{}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			select {
 			case <-block:
@@ -367,7 +366,7 @@ func TestEventsHeartbeat(t *testing.T) {
 func TestEventsNoGoroutineLeak(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	_, ts := streamServer(t, store.Options{}, supervise.Options{Workers: 1},
+	_, ts := streamServer(t, store.Options{}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			select {
 			case <-block:
@@ -413,7 +412,7 @@ func TestStatsEndpoint(t *testing.T) {
 	release := make(chan struct{})
 	checkpointed := make(chan struct{})
 	var once atomic.Bool
-	_, ts := streamServer(t, store.Options{}, supervise.Options{Workers: 1},
+	_, ts := streamServer(t, store.Options{}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			env.OnCheckpoint(&diagnose.Checkpoint{Step: 1, Round: 2,
 				Frontier: make([]diagnose.FrontierEntry, 5)})
@@ -488,7 +487,7 @@ func TestReadyzDrainWindow(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	st := store.NewMemory(store.Options{})
 	defer st.Close()
-	s := newServer(log, st, supervise.Options{Workers: 1})
+	s := newServer(log, st, 1)
 	ts := httptest.NewServer(s.handler(telemetry.NewRegistry()))
 	defer ts.Close()
 

@@ -1,29 +1,30 @@
 // Command dedcd runs the diagnosis engine as a crash-only HTTP service over
 // a durable, event-sourced job store (internal/store). The daemon itself is
-// stateless: every job fact — submission, claim, checkpoint ref, outcome —
-// is an fsync'd event in the store, so a SIGKILL at any instant loses no
-// accepted work. On boot the log is replayed, jobs the dead process held
-// are requeued as orphans, and interrupted jobs resume from their last
-// journaled checkpoint.
+// stateless: every job state change — submission, claim, outcome — is an
+// fsync'd event in the store, so a SIGKILL at any instant loses no accepted
+// work. On boot the log is replayed, jobs the dead process held are requeued
+// as orphans, and interrupted jobs resume from the last checkpoint in their
+// attempt journals.
 //
-// Jobs execute on a supervised, bounded worker pool (internal/supervise).
-// One daemon owns a store directory (an exclusive flock), so a claim needs
-// no lease TTL: it lasts until the attempt's outcome write, a cancel, or the
-// death of the process. A failed attempt, or one that outlives -job-timeout,
-// is requeued with capped retries and jittered exponential backoff; a
-// panicking job is terminally failed (poison-pill semantics), its stack
-// logged, and its worker replaced.
+// Jobs run on -workers worker loops; each one claims a queued job only while
+// it is idle, runs the attempt, and claims again. One daemon owns a store
+// directory (an exclusive flock), so a claim needs no lease TTL: it lasts
+// until the attempt's outcome write, a cancel, or the death of the process.
+// A failed attempt, or one that outlives -job-timeout, is requeued with
+// capped retries and jittered exponential backoff; a panicking job is
+// terminally failed (poison-pill semantics) and its stack logged, and its
+// worker goes on to the next job.
 //
 // Endpoints (all JSON):
 //
 //	POST /v1/jobs             submit {"impl": "<bench>", "spec"|"device": "<bench>", ...}
-//	GET  /v1/jobs             list retained jobs + pool counters (?state=queued&limit=100)
+//	GET  /v1/jobs             list retained jobs + worker counters (?state=queued&limit=100)
 //	GET  /v1/jobs/{id}        job status + lifecycle timeline (404 never submitted, 410 evicted)
 //	GET  /v1/jobs/{id}/result terminal result (409 while queued/running)
 //	GET  /v1/jobs/{id}/events SSE stream: lifecycle + live search progress (resumable via Last-Event-ID)
 //	POST /v1/jobs/{id}/cancel cancel a queued or running job
-//	GET  /v1/stats            daemon summary: job counts, pool occupancy, latency quantiles, running attempts
-//	GET  /healthz             liveness + pool counters + job counts
+//	GET  /v1/stats            daemon summary: job counts, worker occupancy, latency quantiles, running attempts
+//	GET  /healthz             liveness + worker counters + job counts
 //	GET  /readyz              readiness: 503 while starting or draining
 //
 // The standard telemetry debug endpoints (/metrics, /debug/vars,
@@ -48,7 +49,6 @@ import (
 
 	"dedc/internal/cache"
 	"dedc/internal/store"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 )
 
@@ -65,7 +65,6 @@ func run(args []string) int {
 		"default evaluation workers per job's engine fan-outs (1 = sequential; results are identical for any value; requests may override per job)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20,
 		"byte budget for the content-addressed parse/ATPG cache shared by all workers (0 disables; results are identical either way)")
-	queue := fs.Int("queue", 8, "execution-pool queue depth; the dispatcher claims a job only for an idle worker, so waiting jobs stay queued in the store")
 	maxQueued := fs.Int("max-queued", 1024, "admission cap on queued jobs; submissions beyond it are shed with 503 (0 = unlimited)")
 	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "per-attempt deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs")
@@ -94,7 +93,7 @@ func run(args []string) int {
 	}
 
 	// Bind before opening the store: a busy or bad address must fail before
-	// boot replay requeues orphans or the dispatcher claims anything.
+	// boot replay requeues orphans or a worker claims anything.
 	// Requests arriving before the handler is attached wait in the accept
 	// backlog.
 	ln, err := net.Listen("tcp", *addr)
@@ -132,14 +131,11 @@ func run(args []string) int {
 
 	// Jobs live on their own context, independent of the signal: a drain lets
 	// in-flight work finish, and only a blown -drain-timeout cancels it (the
-	// dispatcher then releases the claims back to the queue).
+	// workers then release the claims back to the queue).
 	jobsCtx, cancelJobs := context.WithCancel(context.Background())
 	defer cancelJobs()
-	srv := newServer(log, st, supervise.Options{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		JobTimeout: *jobTimeout,
-	})
+	srv := newServer(log, st, *workers)
+	srv.jobTimeout = *jobTimeout
 	srv.simWorkers = *simWorkers
 	srv.cache = cache.NewPipeline(*cacheBytes)
 	srv.cache.Instrument(telemetry.Default)
@@ -154,8 +150,7 @@ func run(args []string) int {
 	}
 	srv.start(jobsCtx)
 	web := telemetry.ServeMuxListener(ln, srv.handler(telemetry.Default))
-	log.Info("dedcd listening", "addr", web.Addr(), "workers", *workers,
-		"queue", *queue, "store", *storeDir)
+	log.Info("dedcd listening", "addr", web.Addr(), "workers", *workers, "store", *storeDir)
 	if *addrFile != "" {
 		// Written after the listener is live, so a reader that sees the file
 		// can connect immediately.
@@ -187,12 +182,12 @@ func run(args []string) int {
 	}
 	gctx, gcancel := context.WithTimeout(context.Background(), *drainTimeout+10*time.Second)
 	defer gcancel()
-	if err := srv.pool.Drain(gctx); err != nil {
-		log.Error("job drain incomplete", "err", err, "stats", srv.pool.Stats())
+	if err := srv.drain(gctx); err != nil {
+		log.Error("job drain incomplete", "err", err, "stats", srv.poolStats())
 		code = 1
 	}
-	pst := srv.pool.Stats()
+	pst := srv.poolStats()
 	log.Info("drained", "completed", pst.Completed, "failed", pst.Failed,
-		"panics", pst.Panics, "shed", pst.Shed, "jobs", srv.st.Counts())
+		"panics", pst.Panics, "jobs", srv.st.Counts())
 	return code
 }

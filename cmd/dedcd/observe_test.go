@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dedc/internal/store"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 )
 
@@ -24,7 +23,7 @@ func TestRetryAfterComputation(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	st := store.NewMemory(store.Options{})
 	defer st.Close()
-	s := newServer(log, st, supervise.Options{Workers: 2})
+	s := newServer(log, st, 2)
 	s.retryBackoff = 250 * time.Millisecond
 
 	cases := []struct {
@@ -45,13 +44,13 @@ func TestRetryAfterComputation(t *testing.T) {
 
 // TestListFiltersAndLimit: GET /v1/jobs supports ?state= and ?limit=, reports
 // the pre-truncation match total, and rejects unknown states and bad limits.
-// The store is seeded directly and the dispatcher never started, so the
+// The store is seeded directly and the workers never started, so the
 // queued/running split is exact rather than a race with claiming.
 func TestListFiltersAndLimit(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	st := store.NewMemory(store.Options{})
 	defer st.Close()
-	s := newServer(log, st, supervise.Options{Workers: 1})
+	s := newServer(log, st, 1)
 	ts := httptest.NewServer(s.handler(telemetry.NewRegistry()))
 	defer ts.Close()
 	for i := 0; i < 3; i++ {
@@ -94,7 +93,7 @@ func TestListFiltersAndLimit(t *testing.T) {
 // lifecycle timeline — submitted before claimed before the terminal entry,
 // timestamps monotone — while the list view stays lean (no timelines).
 func TestStatusTimeline(t *testing.T) {
-	_, ts := testServer(t, supervise.Options{Workers: 1}, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 1, 0, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		return &jobResult{Status: "Complete", Solved: true}, nil
 	})
 	_, m := postJSON(t, ts.URL+"/v1/jobs", jobRequest{Impl: "x"})
@@ -135,11 +134,11 @@ func TestStatusTimeline(t *testing.T) {
 }
 
 // TestMetricsScrapeUnderLoad scrapes /metrics (and /healthz) continuously
-// while submitters and the pool churn jobs through the store — the lifecycle
+// while submitters and the workers churn jobs through the store — the lifecycle
 // counters, gauges and histograms must be registered and the scrape must stay
 // well-formed and race-clean (run with -race) throughout.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	s, _ := testServer(t, supervise.Options{Workers: 2}, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+	s, _ := testServer(t, 2, 0, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		return &jobResult{Status: "Complete", Solved: true}, nil
 	})
 	// The lifecycle metrics live on the process-wide default registry; serve

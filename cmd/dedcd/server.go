@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -21,7 +20,6 @@ import (
 	"dedc/internal/diagnose"
 	"dedc/internal/store"
 	"dedc/internal/stream"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 	"dedc/internal/tpg"
 )
@@ -70,11 +68,11 @@ type jobResult struct {
 	Stats       diagnose.Stats `json:"stats"`
 }
 
-// runEnv carries the per-attempt execution context the dispatcher provides:
-// a prior attempt's journal to resume from, and the checkpoint hook that
-// records the store's checkpoint ref at every checkpoint boundary.
+// runEnv carries the per-attempt execution context a worker provides: an
+// earlier attempt's checkpoint to resume from, and the checkpoint hook that
+// publishes the search's progress at every checkpoint boundary.
 type runEnv struct {
-	Resume       io.Reader // prior attempt's journal (nil = fresh run)
+	Resume       *diagnose.Checkpoint // earlier attempt's checkpoint (nil = fresh run)
 	OnCheckpoint func(*diagnose.Checkpoint)
 	// Cache, when non-nil and enabled, lets the attempt reuse parsed
 	// netlists and ATPG vector sets across jobs sharing a circuit
@@ -110,16 +108,26 @@ func detailOf(j store.Job) jobView {
 }
 
 // server is the stateless HTTP layer of the diagnosis service: every job
-// fact lives in the store (durable when file-backed), execution runs on a
-// supervised pool fed by the dispatcher in dispatch.go. The process can be
-// killed at any instant and a restart resumes the whole workload.
+// fact lives in the store (durable when file-backed), and jobs run on the
+// worker loops in dispatch.go. The process can be killed at any instant and
+// a restart resumes the whole workload.
 type server struct {
-	st   *store.Store
-	pool *supervise.Pool
-	log  *slog.Logger
-	run  runner
+	st  *store.Store
+	log *slog.Logger
+	run runner
 
 	baseCtx context.Context // process job lifetime: shutdown cancels attempts
+
+	// workers is the number of worker loops (-workers); jobTimeout is each
+	// attempt's deadline (-job-timeout, 0 = none).
+	workers    int
+	jobTimeout time.Duration
+	loops      sync.WaitGroup     // the running worker loops
+	stopClaims context.CancelFunc // ends the worker loops' claiming (drain)
+
+	// Attempt counts for poolStats; busy is the number of workers running an
+	// attempt.
+	busy, submitted, completed, failed, panics atomic.Int64
 
 	// worker is the base claim identity of this process; every claim extends
 	// it with a per-claim nonce (claimToken), so a stale attempt whose job
@@ -129,9 +137,10 @@ type server struct {
 	claims atomic.Uint64
 
 	// journalDir, when set, gives every attempt its own run journal
-	// (<dir>/<id>.a<attempt>.jsonl) with flush-on-checkpoint semantics; the
-	// journal path is recorded in the store as the job's checkpoint ref, so a
-	// requeued job resumes from its last checkpoint instead of restarting.
+	// (<dir>/<id>.a<attempt>.jsonl) with flush-on-checkpoint semantics, so a
+	// checkpoint survives the death of the process (not a power loss). A
+	// requeued job resumes from the last checkpoint of its newest earlier
+	// attempt journal instead of restarting.
 	journalDir string
 
 	// simWorkers is the default per-job evaluation-worker count
@@ -143,16 +152,15 @@ type server struct {
 	cache *cache.Pipeline
 
 	// maxQueued is the admission cap: submissions beyond this many queued
-	// jobs are shed with 503 (the durable queue replaces the pool queue as
-	// the backpressure boundary).
+	// jobs are shed with 503 (the durable queue is the backpressure
+	// boundary).
 	maxQueued int
 
-	// retryBackoff and poolWorkers feed the 503 Retry-After estimate: how
-	// long one queue "generation" takes to drain ahead of a shed submission.
+	// retryBackoff feeds the 503 Retry-After estimate: how long one queue
+	// "generation" takes to drain ahead of a shed submission.
 	retryBackoff time.Duration
-	poolWorkers  int
 
-	wake chan struct{} // nudges the dispatcher after a submit, a requeue or an attempt's end
+	wake chan struct{} // wakes an idle worker after a submit, a requeue or a claim
 
 	// events fans lifecycle, progress and solution frames out to SSE
 	// streams (see events.go); streamHeartbeat is the idle-stream comment
@@ -160,7 +168,7 @@ type server struct {
 	events          *telemetry.Bus[streamItem]
 	streamHeartbeat time.Duration
 
-	// ready/draining back /readyz: ready flips on once the dispatcher is
+	// ready/draining back /readyz: ready flips on once the workers are
 	// live, draining flips on at the first shutdown signal.
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -182,10 +190,11 @@ type attempt struct {
 	cancel context.CancelFunc
 }
 
-func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *server {
-	workers := popt.Workers
+// newServer builds a server whose jobs run on workers worker loops (4 when
+// workers <= 0) once start is called.
+func newServer(log *slog.Logger, st *store.Store, workers int) *server {
 	if workers <= 0 {
-		workers = 4 // supervise.New's default
+		workers = 4
 	}
 	s := &server{
 		st:           st,
@@ -195,7 +204,7 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 		simWorkers:   telemetry.DefaultWorkers(),
 		maxQueued:    1024,
 		retryBackoff: 250 * time.Millisecond,
-		poolWorkers:  workers,
+		workers:      workers,
 		wake:         make(chan struct{}, 1),
 		events:       telemetry.NewBus[streamItem](nil),
 		progress:     map[string]stream.Progress{},
@@ -208,31 +217,24 @@ func newServer(log *slog.Logger, st *store.Store, popt supervise.Options) *serve
 		env.Cache = s.cache
 		return runDiagnosis(ctx, req, env)
 	}
-	// The panicking attempt records its own terminal failure (under its own
-	// claim token) on the way out of the pool closure — see startJob; this
-	// hook logs the post-mortem, stack included, and wakes the dispatcher:
-	// the attempt's worker is idle now.
-	popt.OnDone = func(id string, err error) {
-		var pe *supervise.PanicError
-		if errors.As(err, &pe) {
-			log.Error("job panicked; failed terminally, worker replaced", "id", id, "err", err, "stack", string(pe.Stack))
-		}
-		s.kick()
-	}
-	s.pool = supervise.New(popt)
 	return s
 }
 
-// start launches the dispatcher and the watch pump. ctx bounds both loops
-// and every attempt's lifetime (shutdown cancellation). After start, /readyz
-// reports ready.
+// start launches the worker loops and the watch pump. ctx bounds both and
+// every attempt's lifetime (shutdown cancellation); drain ends the workers'
+// claiming earlier. After start, /readyz reports ready.
 func (s *server) start(ctx context.Context) {
 	s.baseCtx = ctx
+	claimCtx, stopClaims := context.WithCancel(ctx)
+	s.stopClaims = stopClaims
 	// Subscribe before the sweep, so a job evicted after it is seen by the
 	// pump.
 	watch := s.st.WatchAll(1024)
 	s.sweepJournals()
-	go s.dispatch(ctx)
+	s.loops.Add(s.workers)
+	for i := 0; i < s.workers; i++ {
+		go s.work(claimCtx)
+	}
 	go s.watchPump(ctx, watch)
 	s.ready.Store(true)
 }
@@ -243,7 +245,7 @@ func (s *server) handler(reg *telemetry.Registry) http.Handler {
 	mux := telemetry.DebugMux(reg)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"ok": true, "pool": s.pool.Stats(), "jobs": s.st.Counts(),
+			"ok": true, "pool": s.poolStats(), "jobs": s.st.Counts(),
 		})
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -289,14 +291,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // retryAfter estimates when queue pressure may have eased: the retry backoff
-// (one queue "generation" of healing time) scaled by how many pool-widths of
-// work sit ahead of a new submission, clamped to [1s, 5m], in whole seconds.
+// (one queue "generation" of healing time) scaled by how many worker-widths
+// of work sit ahead of a new submission, clamped to [1s, 5m], in whole
+// seconds.
 func (s *server) retryAfter(queued int) string {
-	workers := s.poolWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	est := s.retryBackoff * time.Duration(1+queued/workers)
+	est := s.retryBackoff * time.Duration(1+queued/s.workers)
 	if est < time.Second {
 		est = time.Second
 	}
@@ -344,7 +343,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 			views = append(views, viewOf(j))
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views, "total": total, "pool": s.pool.Stats()})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": views, "total": total, "pool": s.poolStats()})
 }
 
 // lookup resolves the request's job ID, writing the 404/410 distinction the
@@ -405,7 +404,7 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, viewOf(cur))
 }
 
-// kick nudges the dispatcher without blocking.
+// kick wakes one idle worker, if any, without blocking.
 func (s *server) kick() {
 	select {
 	case s.wake <- struct{}{}:
@@ -433,8 +432,8 @@ func (s *server) claimToken() string {
 }
 
 // runDiagnosis is the production runner: parse the inline netlists, build
-// vectors, run the engine — resuming from a prior attempt's journal when the
-// dispatcher provides one.
+// vectors, run the engine — resuming from an earlier attempt's checkpoint
+// when the worker found one.
 func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 	if req.Impl == "" {
 		return nil, errors.New("impl netlist is required")
@@ -477,7 +476,7 @@ func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, 
 
 	if mode == "stuckat" {
 		if env.Resume != nil {
-			res, rerr := diagnose.ResumeStuckAtFromJournal(ctx, env.Resume, impl, refOut, vecs.PI, vecs.N, opt)
+			res, rerr := diagnose.ResumeStuckAtFromCheckpoint(ctx, impl, refOut, vecs.PI, vecs.N, opt, env.Resume)
 			if rerr == nil {
 				out := stuckAtOut(impl, res)
 				out.Resumed = true
@@ -486,7 +485,7 @@ func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, 
 			if ctx.Err() != nil {
 				return nil, rerr
 			}
-			// The journal did not replay (corrupt file, mismatched config):
+			// The checkpoint did not replay (mismatched config or inputs):
 			// resume is an optimization, so the attempt restarts fresh.
 		}
 		res, err := diagnose.DiagnoseStuckAtContext(ctx, impl, refOut, vecs.PI, vecs.N, opt)
@@ -497,7 +496,7 @@ func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, 
 	}
 
 	if env.Resume != nil {
-		rep, rerr := diagnose.ResumeRepairFromJournal(ctx, env.Resume, impl, refOut, vecs.PI, vecs.N, opt)
+		rep, rerr := diagnose.ResumeRepairFromCheckpoint(ctx, impl, refOut, vecs.PI, vecs.N, opt, env.Resume)
 		if rerr == nil {
 			out, oerr := repairOut(rep)
 			if oerr != nil {

@@ -23,29 +23,29 @@ import (
 	"dedc/internal/fault"
 	"dedc/internal/gen"
 	"dedc/internal/store"
-	"dedc/internal/supervise"
 	"dedc/internal/telemetry"
 	"dedc/internal/tpg"
 )
 
 // testServer builds a server over an in-memory store with fast retry
-// tunings and starts its dispatcher.
-func testServer(t *testing.T, popt supervise.Options, run runner) (*server, *httptest.Server) {
+// tunings and starts its workers. A positive maxQueued sets the admission
+// cap.
+func testServer(t *testing.T, workers, maxQueued int, run runner) (*server, *httptest.Server) {
 	t.Helper()
-	return loggedTestServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), popt, run)
+	return loggedTestServer(t, slog.New(slog.NewTextHandler(io.Discard, nil)), workers, maxQueued, run)
 }
 
 // loggedTestServer is testServer with the daemon's log written to log.
-func loggedTestServer(t *testing.T, log *slog.Logger, popt supervise.Options, run runner) (*server, *httptest.Server) {
+func loggedTestServer(t *testing.T, log *slog.Logger, workers, maxQueued int, run runner) (*server, *httptest.Server) {
 	t.Helper()
 	st := store.NewMemory(store.Options{
 		MaxAttempts: 1,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 	})
-	s := newServer(log, st, popt)
-	if popt.QueueDepth > 0 {
-		s.maxQueued = popt.QueueDepth
+	s := newServer(log, st, workers)
+	if maxQueued > 0 {
+		s.maxQueued = maxQueued
 	}
 	if run != nil {
 		s.run = run
@@ -58,7 +58,7 @@ func loggedTestServer(t *testing.T, log *slog.Logger, popt supervise.Options, ru
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 	return s, ts
@@ -120,7 +120,7 @@ func waitState(t *testing.T, base, id string, want ...string) string {
 }
 
 func TestSubmitStatusResult(t *testing.T) {
-	_, ts := testServer(t, supervise.Options{Workers: 2}, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 2, 0, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		return &jobResult{Mode: "repair", Status: "FirstSolution", Solved: true, Corrections: []string{"fix"}}, nil
 	})
 	resp, m := postJSON(t, ts.URL+"/v1/jobs", jobRequest{Impl: "x"})
@@ -140,7 +140,7 @@ func TestSubmitStatusResult(t *testing.T) {
 
 func TestResultConflictWhileRunning(t *testing.T) {
 	release := make(chan struct{})
-	_, ts := testServer(t, supervise.Options{Workers: 1}, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 1, 0, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -157,11 +157,11 @@ func TestResultConflictWhileRunning(t *testing.T) {
 }
 
 // TestPanickingJobIsSurvived: a job that panics is terminally failed
-// (poison-pill: retries would panic again), its stack logged, the worker
-// replaced, and the service keeps serving.
+// (poison-pill: retries would panic again), its stack logged, and the
+// service keeps serving.
 func TestPanickingJobIsSurvived(t *testing.T) {
 	logs := &syncBuffer{}
-	_, ts := loggedTestServer(t, slog.New(slog.NewTextHandler(logs, nil)), supervise.Options{Workers: 1}, func(_ context.Context, req jobRequest, _ runEnv) (*jobResult, error) {
+	_, ts := loggedTestServer(t, slog.New(slog.NewTextHandler(logs, nil)), 1, 0, func(_ context.Context, req jobRequest, _ runEnv) (*jobResult, error) {
 		if req.Impl == "poison" {
 			panic("engine exploded")
 		}
@@ -171,7 +171,7 @@ func TestPanickingJobIsSurvived(t *testing.T) {
 	poisonID := m["id"].(string)
 	waitState(t, ts.URL, poisonID, "failed")
 
-	// The same (replaced) worker must process the next job normally.
+	// The same worker must process the next job normally.
 	_, m = postJSON(t, ts.URL+"/v1/jobs", jobRequest{Impl: "fine"})
 	waitState(t, ts.URL, m["id"].(string), "done")
 
@@ -179,8 +179,8 @@ func TestPanickingJobIsSurvived(t *testing.T) {
 	if code != http.StatusOK || health["ok"] != true {
 		t.Errorf("healthz after panic = %d %v", code, health)
 	}
-	// The pool's OnDone hook logs the *PanicError: the job's ID and the
-	// stack of the panicking runner.
+	// The worker logs the job's ID, the panic value and the stack of the
+	// panicking runner.
 	var record string
 	for deadline := time.Now().Add(5 * time.Second); record == "" && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		for _, line := range strings.Split(logs.String(), "\n") {
@@ -212,7 +212,7 @@ func TestClaimTokensAreUniquePerAttempt(t *testing.T) {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	st := store.NewMemory(store.Options{})
 	defer st.Close()
-	s := newServer(log, st, supervise.Options{Workers: 1})
+	s := newServer(log, st, 1)
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		tok := s.claimToken()
@@ -227,7 +227,7 @@ func TestClaimTokensAreUniquePerAttempt(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := testServer(t, supervise.Options{Workers: 1}, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 1, 0, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -243,7 +243,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 func TestLoadSheddingReturns503(t *testing.T) {
 	release := make(chan struct{})
-	_, ts := testServer(t, supervise.Options{Workers: 1, QueueDepth: 1}, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 1, 1, func(ctx context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -270,7 +270,7 @@ func TestLoadSheddingReturns503(t *testing.T) {
 }
 
 func TestFailedJobReportsError(t *testing.T) {
-	_, ts := testServer(t, supervise.Options{Workers: 1}, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
+	_, ts := testServer(t, 1, 0, func(context.Context, jobRequest, runEnv) (*jobResult, error) {
 		return nil, fmt.Errorf("bad input")
 	})
 	_, m := postJSON(t, ts.URL+"/v1/jobs", jobRequest{Impl: "x"})
@@ -291,7 +291,7 @@ func TestFailedAttemptIsRetried(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
 	})
-	s := newServer(log, st, supervise.Options{Workers: 1})
+	s := newServer(log, st, 1)
 	attempts := make(chan int, 8)
 	s.run = func(_ context.Context, _ jobRequest, _ runEnv) (*jobResult, error) {
 		select {
@@ -311,7 +311,7 @@ func TestFailedAttemptIsRetried(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 
@@ -334,7 +334,7 @@ func TestEvictedJobReturns410(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(log, st, supervise.Options{Workers: 1})
+	s := newServer(log, st, 1)
 	s.journalDir = filepath.Join(dir, "journals")
 	if err := os.Mkdir(s.journalDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestEvictedJobReturns410(t *testing.T) {
 		cancel()
 		dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer dcancel()
-		s.pool.Drain(dctx)
+		s.drain(dctx)
 		st.Close()
 	})
 
@@ -401,7 +401,7 @@ func TestEvictedJobReturns410(t *testing.T) {
 }
 
 func TestBadRequestBody(t *testing.T) {
-	_, ts := testServer(t, supervise.Options{Workers: 1}, nil)
+	_, ts := testServer(t, 1, 0, nil)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestRealStuckAtJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := testServer(t, supervise.Options{Workers: 1}, nil)
+	_, ts := testServer(t, 1, 0, nil)
 	_, m := postJSON(t, ts.URL+"/v1/jobs", jobRequest{
 		Impl: good.String(), Device: bad.String(), Random: 256, MaxErrors: 2,
 	})
@@ -474,7 +474,7 @@ func TestCancelledJobLeavesResumableJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, ts := testServer(t, supervise.Options{Workers: 1}, nil)
+	s, ts := testServer(t, 1, 0, nil)
 	s.journalDir = t.TempDir()
 
 	_, m := postJSON(t, ts.URL+"/v1/jobs", jobRequest{
@@ -496,17 +496,13 @@ func TestCancelledJobLeavesResumableJournal(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The checkpoint hook records the journal path as the job's resume ref.
-	if j, _ := s.st.Lookup(id); j.Ref != journal {
-		t.Errorf("checkpoint ref = %q, want %q", j.Ref, journal)
-	}
 	postJSON(t, ts.URL+"/v1/jobs/"+id+"/cancel", struct{}{})
 	waitState(t, ts.URL, id, "cancelled", "done")
 	// The cancelled state flips before the engine finishes unwinding; drain
-	// the pool so the journal has stopped moving before we read it back.
+	// the workers so the journal has stopped moving before we read it back.
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
-	if err := s.pool.Drain(dctx); err != nil {
+	if err := s.drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 

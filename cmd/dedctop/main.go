@@ -1,5 +1,5 @@
 // Command dedctop is a terminal dashboard for a running dedcd: it polls
-// GET /v1/stats and repaints a daemon summary — job counts, pool occupancy,
+// GET /v1/stats and repaints a daemon summary — job counts, worker occupancy,
 // latency quantiles, stream health, and a progress table with the latest
 // checkpoint of every running attempt.
 //

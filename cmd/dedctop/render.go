@@ -11,7 +11,7 @@ import (
 
 // render formats one dashboard frame from a /v1/stats snapshot. It is a pure
 // function of (prev, cur, elapsed): prev enables rate derivation (jobs/s from
-// the pool's completed counter delta) and may be nil on the first frame. With
+// the workers' completed counter delta) and may be nil on the first frame. With
 // plain=false the frame is prefixed with an ANSI home+clear so successive
 // frames repaint in place.
 func render(prev, cur *stream.Stats, elapsed time.Duration, plain bool) string {
@@ -23,9 +23,9 @@ func render(prev, cur *stream.Stats, elapsed time.Duration, plain bool) string {
 
 	// Jobs by state, stable order, zero states omitted by the daemon.
 	fmt.Fprintf(&b, "jobs      %s\n", formatJobs(cur.Jobs))
-	fmt.Fprintf(&b, "pool      %d workers · %d idle · completed %d · failed %d · panics %d · shed %d\n",
+	fmt.Fprintf(&b, "pool      %d workers · %d idle · completed %d · failed %d · panics %d\n",
 		cur.Pool.Workers, cur.Pool.Idle, cur.Pool.Completed, cur.Pool.Failed,
-		cur.Pool.Panics, cur.Pool.Shed)
+		cur.Pool.Panics)
 	if prev != nil && elapsed > 0 {
 		done := cur.Pool.Completed - prev.Pool.Completed
 		fmt.Fprintf(&b, "rate      %.2f jobs/s over the last %s\n",

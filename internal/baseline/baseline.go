@@ -1,7 +1,6 @@
-// Package baseline provides the reference diagnosis methods the incremental
-// algorithm is compared against: classical cause–effect single-fault
-// dictionary matching, and exhaustive brute-force tuple enumeration (used to
-// certify the exactness claims of Table 1 on small circuits).
+// Package baseline provides the reference diagnosis method the incremental
+// algorithm is compared against: exhaustive brute-force tuple enumeration,
+// used to certify the exactness claims of Table 1 on small circuits.
 package baseline
 
 import (
@@ -9,82 +8,6 @@ import (
 	"dedc/internal/fault"
 	"dedc/internal/sim"
 )
-
-// SingleFaultMatches returns every single stuck-at fault whose injection
-// into the netlist reproduces the device's primary-output responses exactly
-// on the vector set — the cause–effect dictionary approach.
-func SingleFaultMatches(c *circuit.Circuit, deviceOut [][]uint64, pi [][]uint64, n int) []fault.Fault {
-	e := sim.NewEngine(c, pi, n)
-	w := sim.Words(n)
-	// diffWanted[i] = base PO row XOR device row: the exact change pattern a
-	// matching fault must produce at PO i.
-	diffWanted := make([][]uint64, len(c.POs))
-	for i, po := range c.POs {
-		d := make([]uint64, w)
-		row := e.BaseVal(po)
-		for j := 0; j < w; j++ {
-			d[j] = row[j] ^ deviceOut[i][j]
-		}
-		d[w-1] &= sim.TailMask(n)
-		diffWanted[i] = d
-	}
-	poIdx := make(map[circuit.Line]int, len(c.POs))
-	for i, po := range c.POs {
-		poIdx[po] = i
-	}
-	var out []fault.Fault
-	for _, f := range fault.AllFaults(c) {
-		var changed []circuit.Line
-		if f.IsStem() {
-			changed = e.Trial(f.Line, e.ConstRow(f.Value))
-		} else {
-			g := &c.Gates[f.Reader]
-			changed = e.TrialEvalPin(f.Reader, g.Type, g.Fanin, f.Pin, e.ConstRow(f.Value))
-		}
-		if matchesDevice(e, changed, diffWanted, poIdx, n) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func matchesDevice(e *sim.Engine, changed []circuit.Line, diffWanted [][]uint64, poIdx map[circuit.Line]int, n int) bool {
-	w := sim.Words(n)
-	changedPO := map[int]bool{}
-	for _, l := range changed {
-		if i, ok := poIdx[l]; ok {
-			changedPO[i] = true
-		}
-	}
-	for i := range diffWanted {
-		if changedPO[i] {
-			continue // verified below against the trial value
-		}
-		for j := 0; j < w; j++ {
-			if diffWanted[i][j] != 0 {
-				return false // device differs here but the fault is silent
-			}
-		}
-	}
-	for _, l := range changed {
-		i, ok := poIdx[l]
-		if !ok {
-			continue
-		}
-		tv := e.TrialVal(l)
-		base := e.BaseVal(l)
-		for j := 0; j < w; j++ {
-			got := (tv[j] ^ base[j])
-			if j == w-1 {
-				got &= sim.TailMask(n)
-			}
-			if got != diffWanted[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // BruteForceTuples enumerates every fault tuple of size at most k whose
 // injection reproduces the device outputs, returning only the tuples of

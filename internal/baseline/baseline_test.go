@@ -1,67 +1,12 @@
 package baseline
 
 import (
-	"math/rand"
 	"testing"
 
 	"dedc/internal/fault"
 	"dedc/internal/gen"
 	"dedc/internal/sim"
 )
-
-func TestSingleFaultMatchesFindsActual(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 10; trial++ {
-		c := gen.Random(gen.RandomOptions{PIs: 6, Gates: 50, Seed: int64(trial)})
-		n := 256
-		pi := sim.RandomPatterns(len(c.PIs), n, rng.Int63())
-		faults := fault.AllFaults(c)
-		ft := faults[rng.Intn(len(faults))]
-		device := fault.Inject(c, ft)
-		devOut := sim.Outputs(device, sim.Simulate(device, pi, n))
-		matches := SingleFaultMatches(c, devOut, pi, n)
-		found := false
-		for _, m := range matches {
-			if m == ft {
-				found = true
-			}
-			// Every reported match must really reproduce the behaviour.
-			mc := fault.Inject(c, m)
-			mOut := sim.Outputs(mc, sim.Simulate(mc, pi, n))
-			for _, w := range sim.DiffMask(mOut, devOut, n) {
-				if w != 0 {
-					t.Fatalf("trial %d: reported match %v does not reproduce device", trial, m)
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("trial %d: actual fault %v not matched", trial, ft)
-		}
-	}
-}
-
-func TestSingleFaultMatchesEmptyForMultipleFaults(t *testing.T) {
-	// A double fault usually has no single-fault explanation; when the
-	// dictionary returns nothing, that absence is meaningful.
-	c := gen.Alu(4)
-	n := 512
-	pi := sim.RandomPatterns(len(c.PIs), n, 5)
-	sites := fault.Sites(c)
-	f1 := fault.Fault{Site: sites[10], Value: true}
-	f2 := fault.Fault{Site: sites[40], Value: false}
-	device := fault.Inject(c, f1, f2)
-	devOut := sim.Outputs(device, sim.Simulate(device, pi, n))
-	matches := SingleFaultMatches(c, devOut, pi, n)
-	for _, m := range matches {
-		mc := fault.Inject(c, m)
-		mOut := sim.Outputs(mc, sim.Simulate(mc, pi, n))
-		for _, w := range sim.DiffMask(mOut, devOut, n) {
-			if w != 0 {
-				t.Fatalf("spurious match %v", m)
-			}
-		}
-	}
-}
 
 func TestBruteForceFindsMinimalTuples(t *testing.T) {
 	c := gen.Random(gen.RandomOptions{PIs: 5, Gates: 20, Seed: 9})

@@ -133,7 +133,7 @@ func checkRecovery(t *testing.T, dir string, pristineSeq uint64, pristineIDs map
 
 // buildPristineStore drives enough lifecycle through a file-backed store to
 // populate both the snapshot (via a close/reopen cycle) and a live log tail:
-// completed, failed, cancelled, queued, and mid-flight jobs with checkpoints.
+// completed, failed, cancelled, queued, and mid-flight jobs.
 func buildPristineStore(t *testing.T, dir string) {
 	t.Helper()
 	opt := store.Options{
@@ -168,12 +168,9 @@ func buildPristineStore(t *testing.T, dir string) {
 			if err := s.Fail(j.ID, worker, "transient"); err != nil {
 				t.Fatal(err)
 			}
-		case 2:
-			// Left running: becomes an orphan requeue on the next Open.
-			if err := s.SetCheckpoint(j.ID, worker, "journals/"+j.ID+".a1.jsonl"); err != nil {
-				t.Fatal(err)
-			}
 		}
+		// i == 2 is left running: it becomes an orphan requeue on the next
+		// Open.
 	}
 	if err := s.Cancel("job-6"); err != nil {
 		t.Fatal(err)
@@ -196,9 +193,6 @@ func buildPristineStore(t *testing.T, dir string) {
 	j, ok, err := s.Claim(worker)
 	if err != nil || !ok {
 		t.Fatalf("tail claim: ok=%v err=%v", ok, err)
-	}
-	if err := s.SetCheckpoint(j.ID, worker, "journals/"+j.ID+".a2.jsonl"); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.Complete(j.ID, worker, json.RawMessage(`{"tuples":[["a"]]}`)); err != nil {
 		t.Fatal(err)

@@ -47,9 +47,10 @@ type FrontierEntry struct {
 }
 
 // emitCheckpoint journals the resumable state at a round boundary. The
-// journal flushes checkpoint events through to the writer, so the state is
-// on disk before any of the round's work begins — a SIGKILL at any later
-// point loses at most one round.
+// journal flushes checkpoint events through to the writer before any of the
+// round's work begins, so the state survives the death of the process — a
+// SIGKILL at any later point loses at most one round. The write is not
+// fsync'd, so it does not survive a power loss.
 func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 	if r.tr == nil && r.opt.OnCheckpoint == nil {
 		return
@@ -86,8 +87,8 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 			telemetry.Attr{Key: "state", Value: cp})
 	}
 	// Notify after the journal write: the flush-on-checkpoint policy means
-	// the state is durable by the time the host acts on it (e.g. records
-	// this journal as the job's resume point).
+	// the state has reached the journal's writer by the time the host acts
+	// on it (e.g. publishes the search's progress).
 	if r.opt.OnCheckpoint != nil {
 		r.opt.OnCheckpoint(&cp)
 	}

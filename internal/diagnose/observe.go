@@ -47,8 +47,8 @@ func observe(ws *workerRows, ec *expandCtx, v *vecView, l circuit.Line) *obsRows
 	rows := make([]uint64, 2*e.W)
 	o := &obsRows{fix: rows[:e.W:e.W], brk: rows[e.W:]}
 	for _, x := range e.Trial(l, flip) {
-		i, ok := ec.poIndex[x]
-		if !ok {
+		i := ec.poIndex[x]
+		if i < 0 {
 			continue
 		}
 		tv, bv, d := e.TrialVal(x), e.BaseVal(x), v.diff[i]

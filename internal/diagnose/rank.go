@@ -237,7 +237,7 @@ func (r *runState) verrPropagate(ws *workerRows, ec *expandCtx, corr Correction)
 	e := v.e
 	rect := 0
 	for _, x := range trialRow(e, corr, ws.cand[:e.W]) {
-		if i, ok := ec.poIndex[x]; ok {
+		if i := ec.poIndex[x]; i >= 0 {
 			rect += rectifiedBits(e, x, v.diff[i], v.spec[i])
 		}
 	}

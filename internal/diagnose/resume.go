@@ -87,8 +87,18 @@ func ResumeFromJournal(ctx context.Context, journal io.Reader, netlist *circuit.
 // ResumeStuckAtFromJournal is ResumeFromJournal in the exact stuck-at
 // configuration of DiagnoseStuckAtContext, returning the Table-1 form.
 func ResumeStuckAtFromJournal(ctx context.Context, journal io.Reader, netlist *circuit.Circuit, deviceOut [][]uint64, pi [][]uint64, n int, opt Options) (*StuckAtResult, error) {
+	cp, err := LatestCheckpoint(journal)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeStuckAtFromCheckpoint(ctx, netlist, deviceOut, pi, n, opt, cp)
+}
+
+// ResumeStuckAtFromCheckpoint is ResumeFromCheckpoint in the exact stuck-at
+// configuration of DiagnoseStuckAtContext, returning the Table-1 form.
+func ResumeStuckAtFromCheckpoint(ctx context.Context, netlist *circuit.Circuit, deviceOut [][]uint64, pi [][]uint64, n int, opt Options, cp *Checkpoint) (*StuckAtResult, error) {
 	opt.Exact = true
-	res, err := ResumeFromJournal(ctx, journal, netlist, deviceOut, pi, n, StuckAtModel{}, opt)
+	res, err := ResumeFromCheckpoint(ctx, netlist, deviceOut, pi, n, StuckAtModel{}, opt, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +108,18 @@ func ResumeStuckAtFromJournal(ctx context.Context, journal io.Reader, netlist *c
 // ResumeRepairFromJournal is ResumeFromJournal in the DEDC configuration of
 // RepairContext, returning the repair form.
 func ResumeRepairFromJournal(ctx context.Context, journal io.Reader, impl *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, opt Options) (*RepairResult, error) {
+	cp, err := LatestCheckpoint(journal)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeRepairFromCheckpoint(ctx, impl, specOut, pi, n, opt, cp)
+}
+
+// ResumeRepairFromCheckpoint is ResumeFromCheckpoint in the DEDC
+// configuration of RepairContext, returning the repair form.
+func ResumeRepairFromCheckpoint(ctx context.Context, impl *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, opt Options, cp *Checkpoint) (*RepairResult, error) {
 	opt.Exact = false
-	res, err := ResumeFromJournal(ctx, journal, impl, specOut, pi, n, NewErrorModel(impl, 0, 1), opt)
+	res, err := ResumeFromCheckpoint(ctx, impl, specOut, pi, n, NewErrorModel(impl, 0, 1), opt, cp)
 	if err != nil {
 		return nil, err
 	}

@@ -681,7 +681,7 @@ type expandCtx struct {
 	ckt       *circuit.Circuit
 	full      vecView
 	verr      vecView
-	poIndex   map[circuit.Line]int
+	poIndex   []int32 // per line: its index in ckt.POs, -1 if it is not a PO
 	errBits   int
 	fails     int
 	passCount int
@@ -709,9 +709,13 @@ func (r *runState) newExpandCtx(e *sim.Engine) *expandCtx {
 		}
 	}
 	fails := popcount(failMask)
-	poIndex := make(map[circuit.Line]int, len(ckt.POs))
+	poIndex := make([]int32, ckt.NumLines())
+	for l := range poIndex {
+		poIndex[l] = -1
+	}
+	// A line listed as a PO twice keeps its last index.
 	for i, po := range ckt.POs {
-		poIndex[po] = i
+		poIndex[po] = int32(i)
 	}
 	return &expandCtx{
 		ckt:       ckt,
@@ -797,7 +801,7 @@ func (r *runState) h1Trial(e *sim.Engine, ws *workerRows, ec *expandCtx, l circu
 	}
 	rect := 0
 	for _, x := range e.Trial(l, forced) {
-		if i, ok := ec.poIndex[x]; ok {
+		if i := ec.poIndex[x]; i >= 0 {
 			rect += rectifiedBits(e, x, v.diff[i], v.spec[i])
 		}
 	}
@@ -980,8 +984,8 @@ func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr 
 		orBad[w] = 0
 	}
 	for _, x := range changed {
-		i, ok := ec.poIndex[x]
-		if !ok {
+		i := ec.poIndex[x]
+		if i < 0 {
 			continue
 		}
 		rect += rectifiedBits(e, x, v.diff[i], v.spec[i])

@@ -3,9 +3,10 @@
 // snapshots, replayed on boot so the daemon itself holds no job state a
 // restart can lose.
 //
-// Every state change is one appended event (submit, claim, checkpoint_ref,
-// requeue, complete, fail, cancel); the in-memory job table is purely
-// derived. Jobs move through a claim state machine:
+// Every state change is one appended event (submit, claim, requeue,
+// complete, fail, cancel); the in-memory job table is purely derived. Logs
+// written by older builds may also hold checkpoint_ref and renew events,
+// which replay accepts as no-ops. Jobs move through a claim state machine:
 //
 //	          submit                 claim(worker, attempt)
 //	───────────────────▶ queued ───────────────────────▶ running
@@ -123,20 +124,19 @@ func (s State) Terminal() bool {
 // Event types, one per state transition. The log is the source of truth;
 // every field a transition needs is carried on the event so replay is pure.
 const (
-	EvSubmit        = "submit"         // spec
-	EvClaim         = "claim"          // worker, attempt
-	EvCheckpointRef = "checkpoint_ref" // worker, ref
-	EvRequeue       = "requeue"        // reason, error, not_before
-	EvComplete      = "complete"       // worker, result
-	EvFail          = "fail"           // worker, error (terminal)
-	EvCancel        = "cancel"         // error
+	EvSubmit   = "submit"   // spec
+	EvClaim    = "claim"    // worker, attempt
+	EvRequeue  = "requeue"  // reason, error, not_before
+	EvComplete = "complete" // worker, result
+	EvFail     = "fail"     // worker, error (terminal)
+	EvCancel   = "cancel"   // error
 )
 
 // Requeue reasons recorded on EvRequeue events.
 const (
 	ReasonRetry    = "retry"    // attempt returned an error, retries left
 	ReasonOrphaned = "orphaned" // boot replay found a claim from a dead process
-	ReasonReleased = "released" // claim returned unexecuted (pool shed it)
+	ReasonReleased = "released" // claim returned at shutdown
 )
 
 // Event is one record of the append-only log.
@@ -147,9 +147,8 @@ type Event struct {
 	Job  string `json:"job"`
 
 	Spec      json.RawMessage `json:"spec,omitempty"`       // submit
-	Worker    string          `json:"worker,omitempty"`     // claim/checkpoint_ref/complete/fail
+	Worker    string          `json:"worker,omitempty"`     // claim/complete/fail
 	Attempt   int             `json:"attempt,omitempty"`    // claim
-	Ref       string          `json:"ref,omitempty"`        // checkpoint_ref
 	Reason    string          `json:"reason,omitempty"`     // requeue
 	NotBefore int64           `json:"not_before,omitempty"` // requeue backoff, unix nanoseconds
 	Result    json.RawMessage `json:"result,omitempty"`     // complete
@@ -165,8 +164,7 @@ type Job struct {
 	State     State           `json:"state"`
 	Attempt   int             `json:"attempt"` // claims so far; monotone across restarts
 	Worker    string          `json:"worker,omitempty"`
-	NotBefore time.Time       `json:"not_before"`    // earliest next claim (retry backoff)
-	Ref       string          `json:"ref,omitempty"` // latest checkpoint ref (attempt journal path)
+	NotBefore time.Time       `json:"not_before"` // earliest next claim (retry backoff)
 	Result    json.RawMessage `json:"result,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Created   time.Time       `json:"created"`
@@ -177,9 +175,8 @@ type Job struct {
 
 // TimelineEvent is one entry of a job's machine-readable lifecycle timeline,
 // folded from the event log in apply: replay rebuilds it exactly, and
-// snapshots carry it across restarts. Checkpoint entries stop accumulating
-// past maxTimeline — state transitions are bounded by MaxAttempts and always
-// recorded.
+// snapshots carry it across restarts. It holds state transitions only, so
+// MaxAttempts bounds its length.
 type TimelineEvent struct {
 	Type    string    `json:"type"`
 	TS      time.Time `json:"ts"`
@@ -190,17 +187,13 @@ type TimelineEvent struct {
 
 // Timeline entry types.
 const (
-	TLSubmitted  = "submitted"
-	TLClaimed    = "claimed"
-	TLCheckpoint = "checkpoint"
-	TLRequeued   = "requeued"
-	TLCompleted  = "completed"
-	TLFailed     = "failed"
-	TLCancelled  = "cancelled"
+	TLSubmitted = "submitted"
+	TLClaimed   = "claimed"
+	TLRequeued  = "requeued"
+	TLCompleted = "completed"
+	TLFailed    = "failed"
+	TLCancelled = "cancelled"
 )
-
-// maxTimeline bounds the checkpoint entries retained per job.
-const maxTimeline = 256
 
 // timelineType maps a log event type to its timeline entry type ("" for
 // events that are not lifecycle transitions).
@@ -210,8 +203,6 @@ func timelineType(evType string) string {
 		return TLSubmitted
 	case EvClaim:
 		return TLClaimed
-	case EvCheckpointRef:
-		return TLCheckpoint
 	case EvRequeue:
 		return TLRequeued
 	case EvComplete:
@@ -476,19 +467,17 @@ func (s *Store) apply(ev Event) error {
 		j.State = StateRunning
 		j.Worker = ev.Worker
 		j.Attempt = ev.Attempt
-	case EvCheckpointRef, "renew":
-		// "renew" is a lease renewal written by builds that had lease TTLs;
-		// replay accepts it, under the same checks, as a no-op so their
-		// store directories still open.
+	case "checkpoint_ref", "renew":
+		// Older builds wrote these: "checkpoint_ref" recorded the attempt
+		// journal at every checkpoint, "renew" a lease renewal. Replay
+		// accepts both, under the same checks, as no-ops so their store
+		// directories still open.
 		if j.State != StateRunning {
 			return fmt.Errorf("%w: %s (seq %d) of %s job %s", ErrCorrupt, ev.Type, ev.Seq, j.State, ev.Job)
 		}
 		if ev.Worker != j.Worker {
 			return fmt.Errorf("%w: %s (seq %d) of job %s by %q, claim held by %q",
 				ErrCorrupt, ev.Type, ev.Seq, ev.Job, ev.Worker, j.Worker)
-		}
-		if ev.Type == EvCheckpointRef {
-			j.Ref = ev.Ref
 		}
 	case EvRequeue:
 		if j.State != StateRunning {
@@ -533,7 +522,7 @@ func (s *Store) apply(ev Event) error {
 		}
 		s.counts[cur.State]++
 	}
-	if tl := timelineType(ev.Type); tl != "" && (tl != TLCheckpoint || len(cur.Timeline) < maxTimeline) {
+	if tl := timelineType(ev.Type); tl != "" {
 		cur.Timeline = append(cur.Timeline, TimelineEvent{
 			Type:    tl,
 			TS:      time.Unix(0, ev.TS),
@@ -668,17 +657,6 @@ func (s *Store) claimCheck(id, worker string) (*Job, error) {
 		return nil, fmt.Errorf("job %s held by %q, not %q: %w", id, j.Worker, worker, ErrWrongWorker)
 	}
 	return j, nil
-}
-
-// SetCheckpoint records ref as the job's resume point.
-func (s *Store) SetCheckpoint(id, worker, ref string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, err := s.claimCheck(id, worker)
-	if err != nil {
-		return err
-	}
-	return s.append(Event{Type: EvCheckpointRef, Job: j.ID, Worker: worker, Ref: ref})
 }
 
 // Complete records the attempt's terminal result.

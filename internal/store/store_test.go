@@ -94,9 +94,6 @@ func TestDoubleClaimRejected(t *testing.T) {
 	if _, ok, err := s.Claim("w2"); ok || err != nil {
 		t.Fatalf("second Claim = ok=%v err=%v, want no job", ok, err)
 	}
-	if err := s.SetCheckpoint(j.ID, "w2", "ref"); !errors.Is(err, ErrWrongWorker) {
-		t.Errorf("SetCheckpoint by non-holder = %v, want ErrWrongWorker", err)
-	}
 	if err := s.Complete(j.ID, "w2", nil); !errors.Is(err, ErrWrongWorker) {
 		t.Errorf("Complete by non-holder = %v, want ErrWrongWorker", err)
 	}
@@ -133,9 +130,6 @@ func TestStaleAttemptCannotSettleSuccessor(t *testing.T) {
 	}
 	if err := s.Complete(j.ID, stale.Worker, nil); !errors.Is(err, ErrWrongWorker) {
 		t.Errorf("stale Complete = %v, want ErrWrongWorker", err)
-	}
-	if err := s.SetCheckpoint(j.ID, stale.Worker, "ref"); !errors.Is(err, ErrWrongWorker) {
-		t.Errorf("stale SetCheckpoint = %v, want ErrWrongWorker", err)
 	}
 	// The successor's claim is intact and settles normally.
 	got, _ := s.Lookup(j.ID)

@@ -114,30 +114,6 @@ func TestTimelineSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestTimelineCheckpointCap: checkpoint entries stop accumulating at the cap,
-// but lifecycle transitions still land after it.
-func TestTimelineCheckpointCap(t *testing.T) {
-	s := memStore(t, nil, Options{})
-	j := submit(t, s, `{}`)
-	mustClaim(t, s, "w1")
-	for i := 0; i < maxTimeline+50; i++ {
-		if err := s.SetCheckpoint(j.ID, "w1", "ref"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, _ := s.Lookup(j.ID)
-	if len(got.Timeline) != maxTimeline {
-		t.Fatalf("timeline length = %d, want cap %d", len(got.Timeline), maxTimeline)
-	}
-	if err := s.Complete(j.ID, "w1", nil); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.Lookup(j.ID)
-	if last := got.Timeline[len(got.Timeline)-1]; last.Type != TLCompleted {
-		t.Fatalf("last timeline entry after cap = %s, want %s", last.Type, TLCompleted)
-	}
-}
-
 // TestCountsCacheMatchesList: the O(1) Counts cache agrees with a recount of
 // List at every lifecycle stage, including across a restart.
 func TestCountsCacheMatchesList(t *testing.T) {

@@ -39,7 +39,7 @@ func TimelineState(t string) State {
 	switch t {
 	case TLSubmitted, TLRequeued:
 		return StateQueued
-	case TLClaimed, TLCheckpoint:
+	case TLClaimed:
 		return StateRunning
 	case TLCompleted:
 		return StateDone

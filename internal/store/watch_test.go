@@ -41,16 +41,13 @@ func TestWatchDeliversTransitions(t *testing.T) {
 	if err != nil || !ok || claimed.ID != j.ID {
 		t.Fatalf("Claim = %+v %v %v", claimed, ok, err)
 	}
-	if err := st.SetCheckpoint(j.ID, "w1", "ckpt-1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Complete(j.ID, "w1", json.RawMessage(`{"ok":true}`)); err != nil {
 		t.Fatal(err)
 	}
 
 	ups := drainWatch(t, sub)
-	wantTypes := []string{TLSubmitted, TLClaimed, TLCheckpoint, TLCompleted}
-	wantStates := []State{StateQueued, StateRunning, StateRunning, StateDone}
+	wantTypes := []string{TLSubmitted, TLClaimed, TLCompleted}
+	wantStates := []State{StateQueued, StateRunning, StateDone}
 	if len(ups) != len(wantTypes) {
 		t.Fatalf("got %d updates %+v, want %d", len(ups), ups, len(wantTypes))
 	}
@@ -116,9 +113,6 @@ func TestWatchSilentDuringReplay(t *testing.T) {
 	if _, _, err := st.Claim("w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetCheckpoint(j.ID, "w1", "ckpt"); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +155,11 @@ func TestWatchSlowSubscriberDrops(t *testing.T) {
 	}
 	sub := st.Watch(j.ID, 4)
 	defer sub.Cancel()
-	for i := 0; i < 12; i++ {
-		if err := st.SetCheckpoint(j.ID, "w1", "ckpt"); err != nil {
+	for i := 0; i < 6; i++ {
+		if err := st.Release(j.ID, "w1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Claim("w1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,8 +170,9 @@ func TestWatchSlowSubscriberDrops(t *testing.T) {
 	if len(ups) != 4 {
 		t.Fatalf("ring delivered %d updates, want 4", len(ups))
 	}
-	// The survivors are the newest window: the 12 checkpoints occupy timeline
-	// indexes 2..13 (submit=0, claim=1), so the 4-slot ring keeps 10..13.
+	// The survivors are the newest window: the 6 release/claim pairs occupy
+	// timeline indexes 2..13 (submit=0, claim=1), so the 4-slot ring keeps
+	// 10..13.
 	for i, u := range ups {
 		if want := 10 + i; u.Index != want {
 			t.Errorf("survivor %d has index %d, want %d", i, u.Index, want)
@@ -249,14 +247,13 @@ func TestWatchStoreCloseEnds(t *testing.T) {
 // reconstruct lifecycle states from a replayed timeline prefix.
 func TestTimelineState(t *testing.T) {
 	for tl, want := range map[string]State{
-		TLSubmitted:  StateQueued,
-		TLRequeued:   StateQueued,
-		TLClaimed:    StateRunning,
-		TLCheckpoint: StateRunning,
-		TLCompleted:  StateDone,
-		TLFailed:     StateFailed,
-		TLCancelled:  StateCancelled,
-		"bogus":      "",
+		TLSubmitted: StateQueued,
+		TLRequeued:  StateQueued,
+		TLClaimed:   StateRunning,
+		TLCompleted: StateDone,
+		TLFailed:    StateFailed,
+		TLCancelled: StateCancelled,
+		"bogus":     "",
 	} {
 		if got := TimelineState(tl); got != want {
 			t.Errorf("TimelineState(%q) = %q, want %q", tl, got, want)

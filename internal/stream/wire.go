@@ -58,16 +58,15 @@ type Quantiles struct {
 	Max   int64   `json:"max"`
 }
 
-// PoolStats mirrors the supervised pool's counters plus its occupancy.
+// PoolStats reports dedcd's job workers: how many there are, how many are
+// idle, and how many attempts they started and how each ended.
 type PoolStats struct {
-	Workers     int   `json:"workers"`
-	Idle        int   `json:"idle"` // workers neither running nor owed a job
-	Submitted   int64 `json:"submitted"`
-	Completed   int64 `json:"completed"`
-	Failed      int64 `json:"failed"`
-	Panics      int64 `json:"panics"`
-	Shed        int64 `json:"shed"`
-	WorkersLost int64 `json:"workers_lost"`
+	Workers   int   `json:"workers"`
+	Idle      int   `json:"idle"` // workers not running an attempt
+	Submitted int64 `json:"submitted"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Panics    int64 `json:"panics"`
 }
 
 // StreamStats reports the event-bus side of the daemon: how many live

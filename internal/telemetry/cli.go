@@ -33,7 +33,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // trial fan-outs may use. The default is GOMAXPROCS; 1 forces the exact
 // sequential path. Results are bit-identical for every value — the knob
 // trades cores for wall-clock only. Commands whose -workers name is already
-// taken (dedcd's supervise pool) register their own flag around
+// taken (dedcd's job workers) register their own flag around
 // DefaultWorkers instead.
 func WorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", DefaultWorkers(),
