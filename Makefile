@@ -33,8 +33,13 @@ FUZZTIME ?= 10s
 
 all: build
 
+# perfbench/ is its own module, so ./... at the root does not reach it; build
+# and test it too, so a library change that breaks the benchmark harness
+# fails here rather than only in a benchmark run. Its build output is
+# discarded: perfbench/run.sh builds the harness it runs under .bench_build/.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 # gofmt -l lists every file whose formatting differs; any output fails.
 # perfbench/ is its own module, so ./... at the root does not reach it; vet
@@ -47,6 +52,7 @@ vet:
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

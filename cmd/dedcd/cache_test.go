@@ -30,26 +30,26 @@ func TestRunDiagnosisCachedVsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := jobRequest{Impl: implText, Spec: specText, Random: 64, Seed: 1, MaxErrors: 2, Workers: 1}
+	req := jobRequest{Impl: implText, Spec: specText, Random: 64, Seed: 1, MaxErrors: 2}
 
 	strip := func(r *jobResult) *jobResult {
 		c := *r
 		c.Stats = diagnose.Stats{} // wall-clock phase timers differ run to run
 		return &c
 	}
-	fresh, err := runDiagnosis(context.Background(), req, runEnv{})
+	fresh, err := runDiagnosis(context.Background(), req, runEnv{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := cache.NewPipeline(1 << 20)
-	cold, err := runDiagnosis(context.Background(), req, runEnv{Cache: p})
+	cold, err := runDiagnosis(context.Background(), req, runEnv{Cache: p, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Snapshot(); st.Hits != 0 || st.Misses == 0 {
 		t.Fatalf("cold run traffic: %+v", st)
 	}
-	warm, err := runDiagnosis(context.Background(), req, runEnv{Cache: p})
+	warm, err := runDiagnosis(context.Background(), req, runEnv{Cache: p, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

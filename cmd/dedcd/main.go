@@ -62,7 +62,7 @@ func run(args []string) int {
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for harnesses using -addr :0)")
 	workers := fs.Int("workers", 2, "concurrent diagnosis workers")
 	simWorkers := fs.Int("sim-workers", telemetry.DefaultWorkers(),
-		"default evaluation workers per job's engine fan-outs (1 = sequential; results are identical for any value; requests may override per job)")
+		"goroutines each job's verification gate re-simulation shards pattern words across (1 = sequential; results are identical for any value)")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20,
 		"byte budget for the content-addressed parse/ATPG cache shared by all workers (0 disables; results are identical either way)")
 	maxQueued := fs.Int("max-queued", 1024, "admission cap on queued jobs; submissions beyond it are shed with 503 (0 = unlimited)")

@@ -49,10 +49,6 @@ type jobRequest struct {
 	MaxErrors int `json:"max_errors,omitempty"`
 	// NoVerify disables the verified-results gate (on by default).
 	NoVerify bool `json:"no_verify,omitempty"`
-	// Workers sets the evaluation-worker count for this job's engine
-	// fan-outs (results are identical for any value). 0 inherits the
-	// service's -sim-workers default.
-	Workers int `json:"workers,omitempty"`
 }
 
 // jobResult is the terminal payload of GET /v1/jobs/{id}/result.
@@ -78,6 +74,9 @@ type runEnv struct {
 	// netlists and ATPG vector sets across jobs sharing a circuit
 	// (-cache-bytes). A nil pipeline recomputes everything.
 	Cache *cache.Pipeline
+	// Workers is the attempt's diagnose.Options.Workers (-sim-workers);
+	// 0 selects GOMAXPROCS.
+	Workers int
 }
 
 // runner executes one diagnosis attempt; the indirection lets tests inject
@@ -143,8 +142,8 @@ type server struct {
 	// attempt journal instead of restarting.
 	journalDir string
 
-	// simWorkers is the default per-job evaluation-worker count
-	// (-sim-workers), applied when a request leaves "workers" unset.
+	// simWorkers is every job's Options.Workers (-sim-workers): the
+	// goroutines its verification gate's re-simulation shards across.
 	simWorkers int
 
 	// cache is the shared content-addressed parse/ATPG cache (-cache-bytes);
@@ -211,9 +210,7 @@ func newServer(log *slog.Logger, st *store.Store, workers int) *server {
 		running:      map[string]*attempt{},
 	}
 	s.run = func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
-		if req.Workers == 0 {
-			req.Workers = s.simWorkers
-		}
+		env.Workers = s.simWorkers
 		env.Cache = s.cache
 		return runDiagnosis(ctx, req, env)
 	}
@@ -472,7 +469,7 @@ func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, 
 	vecs := env.Cache.Vectors(ctx, impl, tpg.Options{Random: random, Seed: seed, Deterministic: true})
 	refOut := diagnose.DeviceOutputs(ref, vecs.PI, vecs.N)
 	opt := diagnose.Options{MaxErrors: maxErrors, NoVerify: req.NoVerify, Seed: seed,
-		Workers: req.Workers, OnCheckpoint: env.OnCheckpoint}
+		Workers: env.Workers, OnCheckpoint: env.OnCheckpoint}
 
 	if mode == "stuckat" {
 		if env.Resume != nil {

@@ -93,9 +93,9 @@ type (
 
 // Diagnosis engine types.
 type (
-	// Options tunes the incremental search. Options.Workers sets the engine
-	// pool size for the trial fan-outs (0 = GOMAXPROCS, 1 = exact sequential
-	// path); results are bit-identical for every value — see DefaultWorkers.
+	// Options tunes the incremental search. Options.Workers shards the
+	// verification gate's re-simulation (0 = GOMAXPROCS, 1 = sequential);
+	// results are bit-identical for every value — see DefaultWorkers.
 	Options = diagnose.Options
 	// Params is one threshold step (h1/h2/h3) of the relaxation schedule.
 	Params = diagnose.Params

@@ -2,99 +2,13 @@ package chaos
 
 import (
 	"context"
-	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"dedc/internal/diagnose"
-	"dedc/internal/fault"
 )
 
-// settleGoroutines waits for the goroutine count to fall back to the
-// baseline (plus slack for the runtime's own helpers); a count that never
-// settles is a leak, reported with full stacks.
-func settleGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if now := runtime.NumGoroutine(); now <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d now\n%s", before, runtime.NumGoroutine(), buf[:n])
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestParallelCancellationChaos cancels pooled diagnosis runs (Workers=8,
-// oversubscribed on most hosts) at randomized points, usually landing inside
-// a parallel screen or ranking fan-out. Every run must return a well-formed
-// partial result, valid surviving tuples, and leave no pool worker behind —
-// Each always joins its helper goroutines before returning, cancelled or not.
-func TestParallelCancellationChaos(t *testing.T) {
-	before := runtime.NumGoroutine()
-	const trials = 60
-	for trial := 0; trial < trials; trial++ {
-		devOut, pi, n, c := makeProblem(t, int64(trial%6))
-		rng := rand.New(rand.NewSource(int64(trial)*53 + 7))
-		err := Trial(func() {
-			var ctx context.Context
-			var cancel context.CancelFunc
-			switch trial % 3 {
-			case 0: // already cancelled before the search starts
-				ctx, cancel = context.WithCancel(context.Background())
-				cancel()
-			case 1: // deadline somewhere inside the search
-				ctx, cancel = context.WithTimeout(context.Background(), time.Duration(rng.Intn(2000))*time.Microsecond)
-				defer cancel()
-			default: // async cancellation racing the fan-outs
-				ctx, cancel = context.WithCancel(context.Background())
-				defer cancel()
-				go func(d time.Duration) {
-					time.Sleep(d)
-					cancel()
-				}(time.Duration(rng.Intn(1500)) * time.Microsecond)
-			}
-			res, derr := diagnose.DiagnoseStuckAtContext(ctx, c, devOut, pi, n,
-				diagnose.Options{MaxErrors: 2, Workers: 8})
-			if derr != nil {
-				t.Errorf("trial %d: unexpected input error: %v", trial, derr)
-				return
-			}
-			if res == nil {
-				t.Errorf("trial %d: nil result", trial)
-				return
-			}
-			if res.Status < diagnose.StatusComplete || res.Status > diagnose.StatusBudgetExhausted {
-				t.Errorf("trial %d: invalid status %d", trial, res.Status)
-			}
-			if trial%3 == 0 && res.Status != diagnose.StatusCancelled {
-				t.Errorf("trial %d: pre-cancelled ctx gave status %v", trial, res.Status)
-			}
-			if merr := res.Stats.MonotoneSince(diagnose.Stats{}); merr != nil {
-				t.Errorf("trial %d: %v", trial, merr)
-			}
-			for _, tu := range res.Tuples {
-				fc := fault.Inject(c, tu...)
-				if !diagnose.Verify(fc, devOut, pi, n) {
-					t.Errorf("trial %d: truncated run returned invalid tuple %v", trial, tu)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-	settleGoroutines(t, before)
-}
-
 // TestParallelCompleteMatchesSequentialUnderChaosSeeds re-checks determinism
-// on the chaos problem corpus: for every seed the pooled run's tuples and
+// on the chaos problem corpus: for every seed a Workers=8 run's tuples and
 // deterministic stats must equal the sequential run's.
 func TestParallelCompleteMatchesSequentialUnderChaosSeeds(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {

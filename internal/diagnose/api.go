@@ -19,16 +19,43 @@ var ErrInvalidVectors = errors.New("invalid vector set")
 // context-aware entry points: everything that would otherwise surface as a
 // panic deep inside sim or circuit is rejected here with a sentinel error.
 func validateInputs(netlist *circuit.Circuit, refOut [][]uint64, pi [][]uint64, n int) error {
-	if netlist == nil {
-		return fmt.Errorf("diagnose: nil netlist: %w", circuit.ErrInvalidNetlist)
-	}
-	if err := netlist.Validate(); err != nil {
+	if err := validateVectors(netlist, pi, n); err != nil {
 		return err
 	}
-	// Validate tolerates DFF-broken feedback, but simulation needs a full
-	// topological order: reject any cycle up front instead of panicking.
-	if _, err := netlist.TopoChecked(); err != nil {
-		return fmt.Errorf("diagnose: netlist has state feedback; scan-convert or unroll first: %w", err)
+	w := sim.Words(n)
+	if len(refOut) != len(netlist.POs) {
+		return fmt.Errorf("diagnose: %d response rows for %d primary outputs: %w", len(refOut), len(netlist.POs), ErrInvalidVectors)
+	}
+	for i, row := range refOut {
+		if len(row) < w {
+			return fmt.Errorf("diagnose: response row %d has %d words, need %d for %d patterns: %w", i, len(row), w, n, ErrInvalidVectors)
+		}
+	}
+	return nil
+}
+
+// validateReference is validateInputs for the entry points that simulate
+// the reference circuit (a specification or a device) themselves: the
+// netlist and vectors are checked, then the reference must be a netlist
+// that simulates, with the netlist's primary inputs and outputs.
+func validateReference(netlist, ref *circuit.Circuit, pi [][]uint64, n int) error {
+	if err := validateVectors(netlist, pi, n); err != nil {
+		return err
+	}
+	if err := validateNetlist(ref); err != nil {
+		return err
+	}
+	if len(ref.PIs) != len(netlist.PIs) || len(ref.POs) != len(netlist.POs) {
+		return fmt.Errorf("diagnose: reference has %d PIs and %d POs, netlist %d and %d: %w",
+			len(ref.PIs), len(ref.POs), len(netlist.PIs), len(netlist.POs), circuit.ErrInvalidNetlist)
+	}
+	return nil
+}
+
+// validateVectors checks the netlist and that pi holds n patterns for it.
+func validateVectors(netlist *circuit.Circuit, pi [][]uint64, n int) error {
+	if err := validateNetlist(netlist); err != nil {
+		return err
 	}
 	if n <= 0 {
 		return fmt.Errorf("diagnose: pattern count %d: %w", n, ErrInvalidVectors)
@@ -42,13 +69,21 @@ func validateInputs(netlist *circuit.Circuit, refOut [][]uint64, pi [][]uint64, 
 			return fmt.Errorf("diagnose: PI row %d has %d words, need %d for %d patterns: %w", i, len(row), w, n, ErrInvalidVectors)
 		}
 	}
-	if len(refOut) != len(netlist.POs) {
-		return fmt.Errorf("diagnose: %d response rows for %d primary outputs: %w", len(refOut), len(netlist.POs), ErrInvalidVectors)
+	return nil
+}
+
+// validateNetlist checks that c is a netlist simulation can run on.
+func validateNetlist(c *circuit.Circuit) error {
+	if c == nil {
+		return fmt.Errorf("diagnose: nil netlist: %w", circuit.ErrInvalidNetlist)
 	}
-	for i, row := range refOut {
-		if len(row) < w {
-			return fmt.Errorf("diagnose: response row %d has %d words, need %d for %d patterns: %w", i, len(row), w, n, ErrInvalidVectors)
-		}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	// Validate tolerates DFF-broken feedback, but simulation needs a full
+	// topological order: reject any cycle up front instead of panicking.
+	if _, err := c.TopoChecked(); err != nil {
+		return fmt.Errorf("diagnose: netlist has state feedback; scan-convert or unroll first: %w", err)
 	}
 	return nil
 }

@@ -9,10 +9,10 @@ import (
 	"dedc/internal/tpg"
 )
 
-// benchExpandFixture is an injected multi-fault alu and the root-node
-// expansion over it, at a chosen engine-pool worker count.
-func benchExpandFixture(b *testing.B) (args func(workers int) ([]RankedCorrection, Stats)) {
-	b.Helper()
+// BenchmarkExpandRootScreen is the allocation regression guard for the
+// screen path: run with -benchmem to see allocs/op of one root expansion
+// of an injected multi-fault alu.
+func BenchmarkExpandRootScreen(b *testing.B) {
 	c := gen.Alu(4)
 	vecs := tpg.BuildVectors(c, tpg.Options{Random: 256, Seed: 1, Deterministic: true})
 	sites := fault.Sites(c)
@@ -21,31 +21,11 @@ func benchExpandFixture(b *testing.B) (args func(workers int) ([]RankedCorrectio
 		fault.Fault{Site: sites[33], Value: false})
 	devOut := DeviceOutputs(device, vecs.PI, vecs.N)
 	params := DefaultSchedule()[2]
-	return func(workers int) ([]RankedCorrection, Stats) {
-		return expandRoot(context.Background(), c, devOut, vecs.PI, vecs.N,
-			StuckAtModel{}, Options{MaxErrors: 2, Workers: workers}, params)
-	}
-}
-
-// BenchmarkExpandRootScreen is the allocation regression guard for the
-// screen path: run with -benchmem to see allocs/op of one root expansion.
-func BenchmarkExpandRootScreen(b *testing.B) {
-	expand := benchExpandFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		expand(1)
-	}
-}
-
-// BenchmarkExpandRootScreenPooled is the same expansion through a 4-worker
-// engine pool.
-func BenchmarkExpandRootScreenPooled(b *testing.B) {
-	expand := benchExpandFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		expand(4)
+		expandRoot(context.Background(), c, devOut, vecs.PI, vecs.N,
+			StuckAtModel{}, Options{MaxErrors: 2, Workers: 1}, params)
 	}
 }
 

@@ -181,6 +181,41 @@ func TestValidationSentinels(t *testing.T) {
 	}
 }
 
+// TestReferenceEntryPointsRejectMalformedInputs: the entry points that
+// simulate the reference circuit themselves (RepairProven's spec,
+// DiagnoseAdaptive's device) reject malformed vectors and references with
+// a sentinel error instead of panicking inside the simulator.
+func TestReferenceEntryPointsRejectMalformedInputs(t *testing.T) {
+	c := gen.RippleAdder(4)
+	n := 64
+	pi := sim.RandomPatterns(len(c.PIs), n, 1)
+	short := make([][]uint64, len(pi))
+	for i := range short {
+		short[i] = pi[i][:0]
+	}
+	cases := []struct {
+		name string
+		ref  *circuit.Circuit
+		pi   [][]uint64
+		n    int
+		want error
+	}{
+		{"too few PI rows", c, pi[:2], n, ErrInvalidVectors},
+		{"PI rows too short", c, short, n, ErrInvalidVectors},
+		{"zero patterns", c, pi, 0, ErrInvalidVectors},
+		{"nil reference", nil, pi, n, circuit.ErrInvalidNetlist},
+		{"reference interface differs", gen.RippleAdder(3), pi, n, circuit.ErrInvalidNetlist},
+	}
+	for _, tc := range cases {
+		if _, err := RepairProven(c, tc.ref, tc.pi, tc.n, Options{}, 0, 0); !errors.Is(err, tc.want) {
+			t.Errorf("RepairProven, %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := DiagnoseAdaptive(c, tc.ref, tc.pi, tc.n, Options{}, 0, 0); !errors.Is(err, tc.want) {
+			t.Errorf("DiagnoseAdaptive, %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestStatusStrings pins the rendering used in reports and CLI output.
 func TestStatusStrings(t *testing.T) {
 	cases := map[Status]string{

@@ -124,15 +124,12 @@ type Options struct {
 	Policy Policy
 	// DisablePathTrace makes every line a suspect (ablation; quadratic).
 	DisablePathTrace bool
-	// Workers sets the number of concurrent evaluation workers used for the
-	// per-node trial loops (heuristic-1 ranking, correction screening) and
-	// the verification gate's batch re-simulation. 0 selects GOMAXPROCS; 1
-	// runs the exact sequential legacy path. Solutions, journals and
-	// Stats.Deterministic are bit-identical for every value: parallel
-	// fan-outs shard work by index and merge results in index order. Runs
-	// with counted budgets (Budget.MaxSimulations / MaxNodes /
-	// MaxCandidates) always take the sequential path so their deterministic
-	// truncation points are preserved.
+	// Workers sets how many goroutines the verification gate's batch
+	// re-simulation (sim.SimulateParallel) shards its pattern words across;
+	// nothing else in the search reads it. 0 selects GOMAXPROCS; 1 simulates
+	// sequentially. Solutions, journals and Stats.Deterministic are
+	// bit-identical for every value, because the patterns of a word-parallel
+	// simulation are independent.
 	Workers int
 	// NoVerify disables the verified-results gate. By default every solution
 	// is independently re-proven before it is recorded: the corrections are

@@ -76,8 +76,13 @@ type AdaptiveResult struct {
 // shrinking the candidate set — the classical adaptive-diagnosis refinement
 // over static dictionaries. The loop ends when every surviving tuple is
 // provably equivalent to the others (perfect resolution) or maxIters is
-// reached.
+// reached. Malformed inputs, or a device whose interface differs from the
+// netlist's, return a sentinel error (circuit.ErrInvalidNetlist,
+// circuit.ErrCombinationalCycle, ErrInvalidVectors).
 func DiagnoseAdaptive(netlist, device *circuit.Circuit, pi [][]uint64, n int, opt Options, maxIters int, maxConflicts int64) (*AdaptiveResult, error) {
+	if err := validateReference(netlist, device, pi, n); err != nil {
+		return nil, err
+	}
 	if maxIters <= 0 {
 		maxIters = 16
 	}

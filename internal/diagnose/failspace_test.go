@@ -138,7 +138,7 @@ func rankAll(r *runState, ec *expandCtx) []RankedCorrection {
 // every line's heuristic-1 rectified count and the counts a Verr trial
 // bounds the rank with equal a full-width computation over failMask, and a
 // whole expansion ranks the same candidates with the same Stats as one run
-// at full width: eagerly (sequentially and on the engine pool) and lazily.
+// at full width: eagerly and lazily.
 func TestFailSpaceParity(t *testing.T) {
 	p := DefaultSchedule()[2]
 	compacted, inPlace := map[string]int{}, map[string]int{}
@@ -157,21 +157,20 @@ func TestFailSpaceParity(t *testing.T) {
 				t.Fatalf("%s: Verr engine is %d words for %d fails of %d", fc.name, ec.verr.e.W, ec.fails, fc.n)
 			}
 		}
-		ws := &r.ws[0]
 		for l := circuit.Line(0); int(l) < fc.netlist.NumLines(); l++ {
-			if got, want := r.h1Trial(ec.verr.e, ws, ec, l), fullWidthH1(ec, l); got != want {
+			if got, want := r.h1Trial(ec, l), fullWidthH1(ec, l); got != want {
 				t.Fatalf("%s: H1 at L%d: Verr engine %d, full width %d", fc.name, l, got, want)
 			}
 			for _, corr := range fc.model.Enumerate(fc.netlist, l) {
 				for _, h2 := range []float64{0.3, 0.7, 1} {
 					r.params.H2 = h2
-					if got, want := r.theorem1(ec.verr.e, ws, ec, corr), fullWidthTheorem1(ec, h2, corr); got != want {
+					if got, want := r.theorem1(ec, corr), fullWidthTheorem1(ec, h2, corr); got != want {
 						t.Fatalf("%s: Theorem 1 (h2=%v) for %v: Verr engine %v, full width %v", fc.name, h2, corr, got, want)
 					}
 				}
-				corr.NewValues(ec.verr.e, ws.cand[:ec.verr.e.W])
-				bound := r.verrTrial(ws, ec, corr)
-				full := r.screenTrial(ec.full.e, ws, ec, corr)
+				corr.NewValues(ec.verr.e, r.rows.cand[:ec.verr.e.W])
+				bound := r.verrTrial(ec, corr)
+				full := r.screenTrial(ec, corr)
 				if full.outcome == screenKept {
 					if bound.rect != full.rect || bound.fixes != full.fixes {
 						t.Fatalf("%s: %v: Verr trial rect/fixes %d/%d, full width %d/%d", fc.name, corr,
@@ -192,14 +191,11 @@ func TestFailSpaceParity(t *testing.T) {
 				t.Fatalf("%s: %v (rank %v) ranked before %v (rank %v)", fc.name, a.C, a.Rank, b.C, b.Rank)
 			}
 		}
-		for _, mode := range []struct {
-			exact   bool
-			workers int
-		}{{true, 1}, {true, 3}, {false, 1}} {
+		for _, exact := range []bool{true, false} {
 			run := newExpandRun(context.Background(), fc.netlist, fc.specOut, fc.pi, fc.n, fc.model,
-				Options{MaxErrors: 2, Workers: mode.workers, Exact: mode.exact}, p)
+				Options{MaxErrors: 2, Workers: 1, Exact: exact}, p)
 			got := rankAll(run, nodeCtx(run, fc, true))
-			label := fmt.Sprintf("%s/exact=%v/workers%d", fc.name, mode.exact, mode.workers)
+			label := fmt.Sprintf("%s/exact=%v", fc.name, exact)
 			sameRanking(t, label, got, want)
 			g, w := run.res.Stats, ref.res.Stats
 			if g.Candidates != w.Candidates || g.Screened != w.Screened || g.Trials != w.Trials ||

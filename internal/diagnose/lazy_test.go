@@ -83,9 +83,8 @@ func solutionKeysInOrder(res *Result) []string {
 
 // parityOptions are the first-solution configurations the lazy ranking is
 // checked under: every traversal policy, unlimited and at several
-// simulation budgets (cut points inside the correction screen), a tight
-// per-node cap, and the engine pool. MaxNodes keeps unsolvable cases
-// short.
+// simulation budgets (cut points inside the correction screen), and a
+// tight per-node cap. MaxNodes keeps unsolvable cases short.
 func parityOptions() []Options {
 	var opts []Options
 	for _, pol := range []Policy{PolicyRounds, PolicyDFS, PolicyBFS} {
@@ -95,10 +94,9 @@ func parityOptions() []Options {
 			o.Budget.MaxSimulations = sims
 			opts = append(opts, o)
 		}
-		capped, pooled := base, base
+		capped := base
 		capped.MaxCorrectionsPerNode = 2
-		pooled.Workers = 2
-		opts = append(opts, capped, pooled)
+		opts = append(opts, capped)
 	}
 	return opts
 }

@@ -95,19 +95,6 @@ func (StuckAtModel) Enumerate(c *circuit.Circuit, l circuit.Line) []Correction {
 	return out
 }
 
-// modCorrection adapts errmodel.Mod to the Correction interface.
-type modCorrection struct {
-	m errmodel.Mod
-}
-
-func (mc modCorrection) Target() circuit.Line                  { return mc.m.Target() }
-func (mc modCorrection) NewValues(e *sim.Engine, dst []uint64) { mc.m.NewValues(e, dst) }
-func (mc modCorrection) Apply(c *circuit.Circuit) error        { return mc.m.Apply(c) }
-func (mc modCorrection) String() string                        { return mc.m.String() }
-
-// Mod returns the underlying design-error-model modification.
-func (mc modCorrection) Mod() errmodel.Mod { return mc.m }
-
 // ErrorModel enumerates design-error-model corrections. Following the paper
 // ("the algorithm exhaustively compiles a list of corrections from the
 // design error model"), wire-source candidates for missing/wrong-wire
@@ -153,15 +140,14 @@ func NewErrorModel(c *circuit.Circuit, maxSources int, seed int64) *ErrorModel {
 	return em
 }
 
-// Enumerate implements Model. As with StuckAtModel, corrections are slab-
-// boxed: one allocation per Enumerate call instead of one per correction.
+// Enumerate implements Model. errmodel.Mod is itself a Correction, so the
+// corrections are pointers into the enumerated slice: one allocation per
+// Enumerate call instead of one per correction.
 func (em *ErrorModel) Enumerate(c *circuit.Circuit, l circuit.Line) []Correction {
 	mods := errmodel.Enumerate(c, l, em.WireSources)
-	slab := make([]modCorrection, len(mods))
 	out := make([]Correction, len(mods))
-	for i, m := range mods {
-		slab[i] = modCorrection{m: m}
-		out[i] = &slab[i]
+	for i := range mods {
+		out[i] = &mods[i]
 	}
 	return out
 }
@@ -169,11 +155,11 @@ func (em *ErrorModel) Enumerate(c *circuit.Circuit, l circuit.Line) []Correction
 // CorrectionMod extracts the errmodel.Mod from a Correction produced by an
 // ErrorModel, with ok=false for stuck-at corrections.
 func CorrectionMod(c Correction) (errmodel.Mod, bool) {
-	switch mc := c.(type) {
-	case modCorrection:
-		return mc.Mod(), true
-	case *modCorrection:
-		return mc.Mod(), true
+	switch m := c.(type) {
+	case errmodel.Mod:
+		return m, true
+	case *errmodel.Mod:
+		return *m, true
 	}
 	return errmodel.Mod{}, false
 }

@@ -68,11 +68,23 @@ func TestNewErrorModelSampledSources(t *testing.T) {
 	}
 }
 
+// TestModCorrectionStringMatchesMod: the corrections ErrorModel hands out
+// print exactly as the errmodel.Mod values they are, in enumeration order,
+// so correction keys, digests and checkpoints carry the mod strings.
 func TestModCorrectionStringMatchesMod(t *testing.T) {
-	m := errmodel.Mod{Kind: errmodel.ToggleOutInv, Line: 9}
-	mc := modCorrection{m: m}
-	if mc.String() != m.String() {
-		t.Fatal("wrapper string differs from mod string")
+	c := gen.Alu(4)
+	em := NewErrorModel(c, 0, 7)
+	for l := circuit.Line(0); int(l) < c.NumLines(); l++ {
+		mods := errmodel.Enumerate(c, l, em.WireSources)
+		corrs := em.Enumerate(c, l)
+		if len(corrs) != len(mods) {
+			t.Fatalf("L%d: %d corrections for %d mods", l, len(corrs), len(mods))
+		}
+		for i, corr := range corrs {
+			if corr.String() != mods[i].String() {
+				t.Fatalf("L%d #%d: correction %q, mod %q", l, i, corr, mods[i])
+			}
+		}
 	}
 }
 

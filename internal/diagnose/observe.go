@@ -34,18 +34,18 @@ type obsRows struct {
 // observe returns l's observability rows in view v, building them on first
 // use with one trial that complements l at every vector. The rows are kept
 // in the view, so they are dropped with its engine.
-func observe(ws *workerRows, ec *expandCtx, v *vecView, l circuit.Line) *obsRows {
+func observe(rows *trialRows, ec *expandCtx, v *vecView, l circuit.Line) *obsRows {
 	if o := v.obs[l]; o != nil {
 		return o
 	}
 	e := v.e
 	base := e.BaseVal(l)
-	flip := ws.forced[:e.W]
+	flip := rows.forced[:e.W]
 	for w := range flip {
 		flip[w] = ^base[w]
 	}
-	rows := make([]uint64, 2*e.W)
-	o := &obsRows{fix: rows[:e.W:e.W], brk: rows[e.W:]}
+	fb := make([]uint64, 2*e.W)
+	o := &obsRows{fix: fb[:e.W:e.W], brk: fb[e.W:]}
 	for _, x := range e.Trial(l, flip) {
 		i := ec.poIndex[x]
 		if i < 0 {
@@ -67,7 +67,7 @@ func observe(ws *workerRows, ec *expandCtx, v *vecView, l circuit.Line) *obsRows
 		}
 	}
 	o.brk[e.W-1] &= sim.TailMask(e.N)
-	still := stillBad(e, ws, v)
+	still := stillBad(e, rows, v)
 	for w := range o.fix {
 		o.fix[w] = v.mask[w] &^ still[w]
 	}
@@ -78,13 +78,13 @@ func observe(ws *workerRows, ec *expandCtx, v *vecView, l circuit.Line) *obsRows
 	return o
 }
 
-// rowTrial screens the candidate row in ws.cand for line l in view v from
+// rowTrial screens the candidate row in r.rows.cand for line l in view v from
 // l's observability rows: the same outcome and counts as propagating it.
 // The row is unchanged, and nothing propagates, iff d is zero in every
 // word, tail bits included.
-func (r *runState) rowTrial(ws *workerRows, ec *expandCtx, v *vecView, l circuit.Line) screenResult {
-	o := observe(ws, ec, v, l)
-	cand, base := ws.cand[:v.e.W], v.e.BaseVal(l)
+func (r *runState) rowTrial(ec *expandCtx, v *vecView, l circuit.Line) screenResult {
+	o := observe(&r.rows, ec, v, l)
+	cand, base := r.rows.cand[:v.e.W], v.e.BaseVal(l)
 	changed := false
 	rect, fixes, newFails := 0, 0, 0
 	for w := range cand {

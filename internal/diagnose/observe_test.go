@@ -96,7 +96,6 @@ func candidateRows(rng *rand.Rand, e *sim.Engine, l circuit.Line) [][]uint64 {
 // seen and returns whether the Verr view was gathered.
 func checkObservability(t testing.TB, label string, r *runState, ec *expandCtx, rng *rand.Rand, seen map[screenOutcome]int) bool {
 	t.Helper()
-	ws := &r.ws[0]
 	targets := append([]circuit.Line(nil), ec.ckt.POs...)
 	for k := 0; k < 8; k++ {
 		targets = append(targets, circuit.Line(rng.Intn(ec.ckt.NumLines())))
@@ -107,9 +106,9 @@ func checkObservability(t testing.TB, label string, r *runState, ec *expandCtx, 
 			corr := rowCorr{l, cand}
 			for _, h3 := range []float64{1, 0.95, 0} {
 				r.params.H3 = h3
-				copy(ws.cand, cand)
-				got := r.rowTrial(ws, ec, &ec.full, l)
-				want := r.fullTrial(ec.full.e, ws, ec, corr)
+				copy(r.rows.cand, cand)
+				got := r.rowTrial(ec, &ec.full, l)
+				want := r.fullTrial(ec, corr)
 				if got != want {
 					t.Fatalf("%s: full view, L%d h3=%v: rows %+v, propagation %+v", label, l, h3, got, want)
 				}
@@ -123,9 +122,9 @@ func checkObservability(t testing.TB, label string, r *runState, ec *expandCtx, 
 		}
 		for _, cand := range candidateRows(rng, ec.verr.e, l) {
 			corr := rowCorr{l, cand}
-			copy(ws.cand, cand)
-			got := r.verrTrial(ws, ec, corr)
-			want := r.verrPropagate(ws, ec, corr)
+			copy(r.rows.cand, cand)
+			got := r.verrTrial(ec, corr)
+			want := r.verrPropagate(ec, corr)
 			if got != want {
 				t.Fatalf("%s: Verr view, L%d: rows %+v, propagation %+v", label, l, got, want)
 			}

@@ -16,9 +16,11 @@ import (
 	"dedc/internal/tpg"
 )
 
-// workerCounts is the cross-worker determinism grid: the exact sequential
-// path, the smallest pool, and an oversubscribed one (more workers than this
-// host is likely to have cores).
+// workerCounts is the cross-worker determinism grid for Options.Workers,
+// which shards the verification gate's re-simulation: sequential, two
+// shards, and an oversubscribed count (more workers than this host is
+// likely to have cores, capped by sim.SimulateParallel's per-worker word
+// floor).
 var workerCounts = []int{1, 2, 8}
 
 // runAtWorkers runs one exact stuck-at search at a worker count and returns
@@ -38,9 +40,9 @@ func runAtWorkers(t *testing.T, fixtureSeed int64, workers int) ([]string, Statu
 	return solutionKeys(res), res.Status, res.Stats.Deterministic()
 }
 
-// TestWorkersDeterministicStuckAt pins the headline property of the engine
-// pool: solutions, status and every deterministic counter are bit-identical
-// for any worker count.
+// TestWorkersDeterministicStuckAt pins the contract of Options.Workers:
+// solutions, status and every deterministic counter are bit-identical for
+// any worker count.
 func TestWorkersDeterministicStuckAt(t *testing.T) {
 	wantKeys, wantStatus, wantStats := runAtWorkers(t, 23, 1)
 	if len(wantKeys) == 0 {
@@ -61,8 +63,8 @@ func TestWorkersDeterministicStuckAt(t *testing.T) {
 }
 
 // TestWorkersDeterministicRepair runs the DEDC flow (error-model corrections,
-// verified-results gate, parallel re-simulation) across worker counts on the
-// generated example circuits.
+// verified-results gate) across worker counts on the generated example
+// circuits.
 func TestWorkersDeterministicRepair(t *testing.T) {
 	for _, name := range []string{"alu4", "ecc8", "mult4"} {
 		bm, ok := gen.ByName(name)
@@ -137,11 +139,13 @@ func TestWorkersDeterministicRandomSweep(t *testing.T) {
 }
 
 // journalAtWorkers captures a run journal with a pinned stepping clock, so
-// its normalized content is a function of the search trajectory alone.
+// its normalized content is a function of the search trajectory alone. The
+// 1024 patterns are 16 words, wide enough for the verification gate to
+// shard its re-simulation at two or more workers.
 func journalAtWorkers(t *testing.T, workers int) string {
 	t.Helper()
 	c := gen.Alu(4)
-	vecs := tpg.BuildVectors(c, tpg.Options{Random: 256, Seed: 1, Deterministic: true})
+	vecs := tpg.BuildVectors(c, tpg.Options{Random: 1024, Seed: 1, Deterministic: true})
 	sites := fault.Sites(c)
 	device := fault.Inject(c,
 		fault.Fault{Site: sites[20], Value: true},
@@ -182,8 +186,8 @@ func journalAtWorkers(t *testing.T, workers int) string {
 
 // TestWorkersJournalIdentical requires the whole journal — every span,
 // iteration, solution and checkpoint event, in order — to be independent of
-// the worker count: pool workers emit no events, and the checkpoints fold
-// stats through the same ordered merge as the sequential path.
+// the worker count: the gate's re-simulation shards emit no events and
+// compute the same rows as the sequential simulation.
 func TestWorkersJournalIdentical(t *testing.T) {
 	want := journalAtWorkers(t, 1)
 	for _, workers := range workerCounts[1:] {
@@ -195,7 +199,8 @@ func TestWorkersJournalIdentical(t *testing.T) {
 
 // TestResumeWorkerCountIndependent replays one crashed run's journal at
 // every worker count: a checkpoint written by a sequential run must resume
-// to identical solutions under a pool, and vice versa.
+// to identical solutions at any Workers, which the checkpoint's config
+// fingerprint excludes.
 func TestResumeWorkerCountIndependent(t *testing.T) {
 	c, devOut, pi, n := resumeFixture(t)
 	opt := Options{MaxErrors: 2, Exact: true, Seed: 7, Workers: 1}

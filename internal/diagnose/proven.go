@@ -27,8 +27,14 @@ type ProvenResult struct {
 // circuit. A counterexample becomes a new vector in V and the loop repeats —
 // the classic counterexample-guided refinement that upgrades the paper's
 // simulation-based method into a proof-producing one. maxIters bounds the
-// loop; satConflicts bounds each proof attempt (0 = unlimited).
+// loop; satConflicts bounds each proof attempt (0 = unlimited). Malformed
+// inputs, or a spec whose interface differs from impl's, return a sentinel
+// error (circuit.ErrInvalidNetlist, circuit.ErrCombinationalCycle,
+// ErrInvalidVectors).
 func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options, maxIters int, satConflicts int64) (*ProvenResult, error) {
+	if err := validateReference(impl, spec, pi, n); err != nil {
+		return nil, err
+	}
 	if maxIters <= 0 {
 		maxIters = 64
 	}

@@ -142,7 +142,7 @@ func (r *runState) nextRanked(nd *node) (RankedCorrection, bool) {
 		for rk.due() {
 			p := rk.pending[0]
 			rk.pending = rk.pending[1:]
-			sr := r.rankTrial(&r.ws[0], ec, p.c)
+			sr := r.rankTrial(ec, p.c)
 			r.countTrial(sr)
 			if sr.outcome == screenKept {
 				rk.insert(rankEntry{rc: r.rankCorrection(ec, p.c, sr), idx: p.idx})
@@ -175,13 +175,12 @@ func (rk *ranking) insert(e rankEntry) {
 
 // screenLazy is the first-solution correction screen: the Theorem-1 test
 // and, for each survivor, its bound from the Verr view (verrTrial), which
-// reads the row the Theorem-1 test left in ws.cand. Every survivor is
+// reads the row the Theorem-1 test left in r.rows.cand. Every survivor is
 // charged its one simulation here, exactly as the eager screen charges it,
 // so counted budgets cut at the same candidate. When the Verr view is the
 // full view a propagating full-width trial ranks exactly and nothing is
 // left pending.
 func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
-	ws := &r.ws[0]
 	inPlace := ec.verr.e == ec.full.e
 	var ready []rankEntry
 	var pending []pendingCorr
@@ -195,21 +194,21 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 				break
 			}
 			r.res.Stats.Candidates++
-			if !r.theorem1(ec.verr.e, ws, ec, corr) {
+			if !r.theorem1(ec, corr) {
 				r.res.Stats.Screened++
 				continue
 			}
 			r.res.Stats.Simulations++
 			idx++
 			if inPlace {
-				sr := r.fullTrial(ec.full.e, ws, ec, corr)
+				sr := r.fullTrial(ec, corr)
 				r.countTrial(sr)
 				if sr.outcome == screenKept {
 					ready = append(ready, rankEntry{rc: r.rankCorrection(ec, corr, sr), idx: idx})
 				}
 				continue
 			}
-			sr := r.verrTrial(ws, ec, corr)
+			sr := r.verrTrial(ec, corr)
 			pending = append(pending, pendingCorr{c: corr, idx: idx, bound: r.rankCorrection(ec, corr, sr).Rank})
 		}
 	}
@@ -218,41 +217,40 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 }
 
 // verrTrial counts what the bound needs for the candidate row theorem1 left
-// in ws.cand: the erroneous bits it rectifies and the failing vectors it
+// in r.rows.cand: the erroneous bits it rectifies and the failing vectors it
 // fixes. Both count only failing vectors, so they equal the full-width
 // screen's counts; newFails stays 0 and the outcome kept, which makes
 // h3score 1 and the rank the bound. Single-target corrections are scored
 // from the Verr view's observability rows, multi-target ones propagated.
-func (r *runState) verrTrial(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+func (r *runState) verrTrial(ec *expandCtx, corr Correction) screenResult {
 	if _, ok := corr.(multiTargeter); ok {
-		return r.verrPropagate(ws, ec, corr)
+		return r.verrPropagate(ec, corr)
 	}
-	sr := r.rowTrial(ws, ec, &ec.verr, corr.Target())
+	sr := r.rowTrial(ec, &ec.verr, corr.Target())
 	return screenResult{outcome: screenKept, rect: sr.rect, fixes: sr.fixes}
 }
 
 // verrPropagate is verrTrial by propagation on the Verr engine.
-func (r *runState) verrPropagate(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+func (r *runState) verrPropagate(ec *expandCtx, corr Correction) screenResult {
 	v := &ec.verr
 	e := v.e
 	rect := 0
-	for _, x := range trialRow(e, corr, ws.cand[:e.W]) {
+	for _, x := range trialRow(e, corr, r.rows.cand[:e.W]) {
 		if i := ec.poIndex[x]; i >= 0 {
 			rect += rectifiedBits(e, x, v.diff[i], v.spec[i])
 		}
 	}
-	return screenResult{outcome: screenKept, rect: int32(rect), fixes: int32(fixedVectors(e, ws, v))}
+	return screenResult{outcome: screenKept, rect: int32(rect), fixes: int32(fixedVectors(e, &r.rows, v))}
 }
 
 // rankTrial is the full-width screen of a pending survivor, giving its
 // outcome and exact rank: a local NewValues on the full engine into
-// ws.cand, scored from the full view's observability rows. Multi-target
+// r.rows.cand, scored from the full view's observability rows. Multi-target
 // corrections are propagated (screenTrial).
-func (r *runState) rankTrial(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
-	e := ec.full.e
+func (r *runState) rankTrial(ec *expandCtx, corr Correction) screenResult {
 	if _, ok := corr.(multiTargeter); ok {
-		return r.screenTrial(e, ws, ec, corr)
+		return r.screenTrial(ec, corr)
 	}
-	corr.NewValues(e, ws.cand[:e.W])
-	return r.rowTrial(ws, ec, &ec.full, corr.Target())
+	corr.NewValues(ec.full.e, r.rows.cand[:ec.full.e.W])
+	return r.rowTrial(ec, &ec.full, corr.Target())
 }

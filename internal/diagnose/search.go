@@ -39,7 +39,7 @@ func runSearch(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64
 }
 
 // newRunState prepares a run: options completed, metric handles resolved,
-// evaluation workers set up.
+// trial scratch rows allocated.
 func newRunState(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint64, pi [][]uint64, n int, model Model, opt Options) *runState {
 	opt = opt.defaults()
 	r := &runState{
@@ -56,7 +56,7 @@ func newRunState(ctx context.Context, netlist *circuit.Circuit, specOut [][]uint
 		lazy:    !opt.Exact,
 	}
 	r.instrument()
-	r.initWorkers()
+	r.rows = newTrialRows(r.w)
 	return r
 }
 
@@ -167,61 +167,22 @@ type runState struct {
 	cVerifyFail *telemetry.Counter   // result.verify_failed — solutions dropped by it
 	hRect       *telemetry.Histogram // diagnose.h1_rect — per-suspect rectified bits
 
-	// Evaluation workers. pool is nil for Workers=1 runs (the exact legacy
-	// sequential path); parOK records whether this run's budget shape allows
-	// parallel fan-outs at all (counted budgets force sequential execution so
-	// their deterministic truncation points survive). ws holds the per-worker
-	// scratch rows; sequential runs use ws[0].
-	pool      *sim.EnginePool
-	parOK     bool
-	poolBound *sim.Engine // engine the pool is currently bound to
-	ws        []workerRows
-	ws1       [1]workerRows // backing array for the sequential case
-
-	isPOrow map[circuit.Line]int // line -> PO index
+	rows trialRows // reusable value rows of the per-node trial loops
 }
 
-// workerRows is the per-worker set of reusable value-row buffers consumed by
-// the per-node trial loops. One worker owns one entry for the duration of a
-// fan-out, so the hot path allocates nothing.
-type workerRows struct {
+// trialRows are the reusable value-row buffers consumed by the per-node
+// trial loops, so the hot path allocates nothing.
+type trialRows struct {
 	forced []uint64 // H1: inverted-Verr row forced onto a suspect
 	cand   []uint64 // screen: candidate-correction output row
 	orBad  []uint64 // screen: OR of newly-erroneous bits (Vcorr)
 	still  []uint64 // fixedVectors: OR of post-trial diffs
 }
 
-// initWorkers sets up the run's evaluation workers from Options.Workers:
-// the engine pool (only when parallel execution is both requested and
-// deterministic-safe) and the per-worker scratch rows. Counted budgets need
-// the sequential path — they truncate the search at an exact work-item
-// index, which a concurrent fan-out cannot reproduce.
-func (r *runState) initWorkers() {
-	b := r.opt.Budget
-	r.parOK = b.MaxSimulations == 0 && b.MaxNodes == 0 && b.MaxCandidates == 0
-	workers := 1
-	if r.opt.Workers > 1 && r.parOK {
-		workers = r.opt.Workers
-		r.pool = sim.NewEnginePool(workers)
-		r.pool.Instrument(r.tr.Registry())
-	}
-	// All per-worker rows live in one shared slab; the sequential case reuses
-	// the inline backing array, so scratch setup is one allocation.
-	if workers == 1 {
-		r.ws = r.ws1[:]
-	} else {
-		r.ws = make([]workerRows, workers)
-	}
-	rows := make([]uint64, workers*4*r.w)
-	for i := range r.ws {
-		q := rows[i*4*r.w:]
-		r.ws[i] = workerRows{
-			forced: q[0*r.w : 1*r.w],
-			cand:   q[1*r.w : 2*r.w],
-			orBad:  q[2*r.w : 3*r.w],
-			still:  q[3*r.w : 4*r.w],
-		}
-	}
+// newTrialRows carves w-word trial rows out of one slab.
+func newTrialRows(w int) trialRows {
+	q := make([]uint64, 4*w)
+	return trialRows{forced: q[0*w : 1*w], cand: q[1*w : 2*w], orBad: q[2*w : 3*w], still: q[3*w : 4*w]}
 }
 
 // instrument resolves the run's metric handles from the tracer's registry
@@ -668,8 +629,8 @@ type vecView struct {
 // expandCtx bundles the per-node state shared by the diagnosis and
 // correction loops of one expansion: the node's two vector spaces, the
 // failing-vector counts the screens and scores are computed against, and
-// the PO lookup. Everything here is read-only during a fan-out; only the
-// first-solution screens, which never fan out, build observability rows.
+// the PO lookup. Only the first-solution screens write to it: they build
+// observability rows.
 //
 // full spans all of V; it carries the Vcorr/h3 screen, the ranking counts
 // and the verify gate. verr spans the failing vectors alone (the paper's
@@ -765,20 +726,14 @@ type scoredLine struct {
 // each suspect's Verr bit-list (its values on failing vectors), propagate,
 // and keep the lines whose maximum effect rectifies at least H1·errBits
 // erroneous output bits. The trials run on the node's Verr engine.
-// Workers>1 runs them on the engine pool with results merged in suspect
-// order, bit-identical to the sequential loop.
 func (r *runState) rankSuspects(ec *expandCtx, suspects []circuit.Line) []scoredLine {
-	if r.useParallel(len(suspects)) {
-		return r.rankSuspectsParallel(ec, suspects)
-	}
-	ws := &r.ws[0]
 	var lines []scoredLine
 	for _, l := range suspects {
 		if r.stop() {
 			break
 		}
 		r.res.Stats.Simulations++
-		rect := r.h1Trial(ec.verr.e, ws, ec, l)
+		rect := r.h1Trial(ec, l)
 		r.hRect.Observe(int64(rect))
 		if float64(rect) >= r.params.H1*float64(ec.errBits)-1e-9 {
 			lines = append(lines, scoredLine{l, rect})
@@ -789,13 +744,12 @@ func (r *runState) rankSuspects(ec *expandCtx, suspects []circuit.Line) []scored
 
 // h1Trial forces l's values with its Verr bit-list inverted — the maximum
 // effect any modification of l can have — and counts the erroneous output
-// bits the propagation rectifies. e is the node's Verr engine or a pool
-// fork of it. Safe for concurrent use when each worker owns its engine and
-// workerRows.
-func (r *runState) h1Trial(e *sim.Engine, ws *workerRows, ec *expandCtx, l circuit.Line) int {
+// bits the propagation rectifies on the node's Verr engine.
+func (r *runState) h1Trial(ec *expandCtx, l circuit.Line) int {
 	v := &ec.verr
+	e := v.e
 	row := e.BaseVal(l)
-	forced := ws.forced[:e.W]
+	forced := r.rows.forced[:e.W]
 	for w := range forced {
 		forced[w] = row[w] ^ v.mask[w]
 	}
@@ -808,14 +762,11 @@ func (r *runState) h1Trial(e *sim.Engine, ws *workerRows, ec *expandCtx, l circu
 	return rect
 }
 
-// screenOutcome is one candidate's screening verdict, recorded by index so
-// a parallel fan-out can be folded into stats and rankings in exactly the
-// order the sequential loop would have produced.
+// screenOutcome is one candidate's screening verdict.
 type screenOutcome uint8
 
 const (
-	screenNotRun   screenOutcome = iota // stop fired before this candidate
-	screenRejected                      // failed the Theorem-1 complement test
+	screenRejected screenOutcome = iota // failed the Theorem-1 complement test
 	screenNoChange                      // trial identical to base: dead candidate
 	screenNewFails                      // failed the Vcorr newly-failing test
 	screenKept                          // survives; rect/newFails/fixes valid
@@ -829,29 +780,12 @@ type screenResult struct {
 	fixes    int32
 }
 
-// screenCorrections enumerates the correction model at every ranked suspect
-// and screens each candidate: the Theorem-1 complement test (one local gate
-// evaluation on the Verr engine), then a full-width trial propagation for
-// the Vcorr screen and the ranking metrics. Workers>1 runs the Theorem-1
-// tests on the calling goroutine and fans the survivors' trials out across
-// the engine pool; enumeration, stats accounting and ranking stay on the
-// calling goroutine, folding results in enumeration order.
+// screenCorrections is the exact runs' correction screen: it enumerates the
+// correction model at every ranked suspect and screens each candidate — the
+// Theorem-1 complement test (one local gate evaluation on the Verr engine),
+// then a full-width trial propagation for the Vcorr screen and the ranking
+// metrics — ranking every survivor.
 func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []rankEntry {
-	if r.pool != nil {
-		// Enumerate every suspect up front into one flat work list — the
-		// enumeration order is exactly the sequential loop's processing
-		// order, so sharding by index and folding in index order reproduces
-		// the sequential candidate ranking bit for bit.
-		var work []Correction
-		for _, sl := range lines {
-			work = append(work, r.model.Enumerate(ec.ckt, sl.l)...)
-		}
-		if r.useParallel(len(work)) {
-			return r.screenCorrectionsParallel(ec, work)
-		}
-		return r.screenCorrectionsFlat(ec, work)
-	}
-	ws := &r.ws[0]
 	var cands []rankEntry
 	for _, sl := range lines {
 		if r.halted {
@@ -862,50 +796,19 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []rankEn
 				break
 			}
 			r.res.Stats.Candidates++
-			sr := r.screenOne(ws, ec, corr)
-			if done, rc := r.foldScreen(ec, corr, sr); done {
-				cands = append(cands, rankEntry{rc: rc, idx: len(cands)})
+			if !r.theorem1(ec, corr) {
+				r.res.Stats.Screened++
+				continue
+			}
+			r.res.Stats.Simulations++
+			sr := r.screenTrial(ec, corr)
+			r.countTrial(sr)
+			if sr.outcome == screenKept {
+				cands = append(cands, rankEntry{rc: r.rankCorrection(ec, corr, sr), idx: len(cands)})
 			}
 		}
 	}
 	return cands
-}
-
-// screenCorrectionsFlat is the sequential screen over a pre-enumerated work
-// list — the small-batch fallback of pooled runs. It matches the nested
-// sequential loop exactly: same item order, same stop points, same stats.
-func (r *runState) screenCorrectionsFlat(ec *expandCtx, work []Correction) []rankEntry {
-	ws := &r.ws[0]
-	var cands []rankEntry
-	for _, corr := range work {
-		if r.stop() {
-			break
-		}
-		r.res.Stats.Candidates++
-		sr := r.screenOne(ws, ec, corr)
-		if done, rc := r.foldScreen(ec, corr, sr); done {
-			cands = append(cands, rankEntry{rc: rc, idx: len(cands)})
-		}
-	}
-	return cands
-}
-
-// foldScreen accounts one screened candidate into Stats and, for survivors,
-// produces its ranked form. It is the single merge rule shared by the
-// sequential loops and the parallel fold, which is what keeps their stats
-// and rankings identical.
-func (r *runState) foldScreen(ec *expandCtx, corr Correction, sr screenResult) (bool, RankedCorrection) {
-	switch sr.outcome {
-	case screenRejected:
-		r.res.Stats.Screened++
-		return false, RankedCorrection{}
-	}
-	r.res.Stats.Simulations++
-	r.countTrial(sr)
-	if sr.outcome != screenKept {
-		return false, RankedCorrection{}
-	}
-	return true, r.rankCorrection(ec, corr, sr)
 }
 
 // countTrial accounts one full-width screen: Trials counts the screens of a
@@ -921,21 +824,13 @@ func (r *runState) countTrial(sr screenResult) {
 	}
 }
 
-// screenOne runs both screens on a single candidate correction in the
-// sequential loops: the Theorem-1 test on the node's Verr engine and, for
-// survivors, the full-width trial.
-func (r *runState) screenOne(ws *workerRows, ec *expandCtx, corr Correction) screenResult {
-	if !r.theorem1(ec.verr.e, ws, ec, corr) {
-		return screenResult{outcome: screenRejected}
-	}
-	return r.screenTrial(ec.full.e, ws, ec, corr)
-}
-
 // theorem1 is the Theorem-1 screen: the correction must complement at least
-// h2·|Verr| bits of its target's Verr bit-list. e is the node's Verr engine,
-// so the local evaluation spans the failing vectors alone.
-func (r *runState) theorem1(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) bool {
-	cand := ws.cand[:e.W]
+// h2·|Verr| bits of its target's Verr bit-list. It evaluates the correction
+// on the node's Verr engine, so the local evaluation spans the failing
+// vectors alone, and leaves the candidate row in r.rows.cand.
+func (r *runState) theorem1(ec *expandCtx, corr Correction) bool {
+	e := ec.verr.e
+	cand := r.rows.cand[:e.W]
 	corr.NewValues(e, cand)
 	base := e.BaseVal(corr.Target())
 	mask := ec.verr.mask
@@ -947,13 +842,11 @@ func (r *runState) theorem1(e *sim.Engine, ws *workerRows, ec *expandCtx, corr C
 }
 
 // screenTrial is the full-width half of the screen for a Theorem-1
-// survivor: it trial-propagates the correction over all of V for the Vcorr
-// screen and the ranking metrics. e is the node's full engine or a pool
-// fork of it. It mutates only the engine's trial state and ws, so distinct
-// workers can screen distinct candidates concurrently.
-func (r *runState) screenTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
-	corr.NewValues(e, ws.cand[:e.W])
-	return r.fullTrial(e, ws, ec, corr)
+// survivor: it trial-propagates the correction over all of V, on the
+// node's full engine, for the Vcorr screen and the ranking metrics.
+func (r *runState) screenTrial(ec *expandCtx, corr Correction) screenResult {
+	corr.NewValues(ec.full.e, r.rows.cand[:ec.full.e.W])
+	return r.fullTrial(ec, corr)
 }
 
 // trialRow trial-propagates a correction's candidate row on e. Multi-target
@@ -971,15 +864,16 @@ func trialRow(e *sim.Engine, corr Correction, cand []uint64) []circuit.Line {
 	return e.Trial(corr.Target(), cand)
 }
 
-// fullTrial is screenTrial for a candidate row already in ws.cand.
-func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr Correction) screenResult {
+// fullTrial is screenTrial for a candidate row already in r.rows.cand.
+func (r *runState) fullTrial(ec *expandCtx, corr Correction) screenResult {
 	v := &ec.full
-	changed := trialRow(e, corr, ws.cand[:e.W])
+	e := v.e
+	changed := trialRow(e, corr, r.rows.cand[:e.W])
 	if len(changed) == 0 {
 		return screenResult{outcome: screenNoChange}
 	}
 	rect := 0
-	orBad := ws.orBad[:e.W]
+	orBad := r.rows.orBad[:e.W]
 	for w := range orBad {
 		orBad[w] = 0
 	}
@@ -1000,7 +894,7 @@ func (r *runState) fullTrial(e *sim.Engine, ws *workerRows, ec *expandCtx, corr 
 	if r.h3Rejects(ec, newFails) {
 		return screenResult{outcome: screenNewFails}
 	}
-	fixes := fixedVectors(e, ws, v)
+	fixes := fixedVectors(e, &r.rows, v)
 	return screenResult{
 		outcome:  screenKept,
 		rect:     int32(rect),
@@ -1054,10 +948,10 @@ func rectifiedBits(e *sim.Engine, x circuit.Line, d, spec []uint64) int {
 }
 
 // fixedVectors counts failing vectors that the current trial fully
-// rectifies (all POs correct) in view v. It works entirely in ws scratch so
-// the screening hot loop stays allocation-free.
-func fixedVectors(e *sim.Engine, ws *workerRows, v *vecView) int {
-	still := stillBad(e, ws, v)
+// rectifies (all POs correct) in view v. It works entirely in rows scratch
+// so the screening hot loop stays allocation-free.
+func fixedVectors(e *sim.Engine, rows *trialRows, v *vecView) int {
+	still := stillBad(e, rows, v)
 	fixed := 0
 	for w := range still {
 		fixed += bits.OnesCount64(v.mask[w] &^ still[w])
@@ -1065,12 +959,12 @@ func fixedVectors(e *sim.Engine, ws *workerRows, v *vecView) int {
 	return fixed
 }
 
-// stillBad computes, into ws.still, the OR over POs of their post-trial diff
+// stillBad computes, into rows.still, the OR over POs of their post-trial diff
 // in view v. TrialVal falls back to the base row for POs the trial never
 // reached, so tv^spec is the post-trial diff for changed and unchanged
 // outputs alike.
-func stillBad(e *sim.Engine, ws *workerRows, v *vecView) []uint64 {
-	still := ws.still[:e.W]
+func stillBad(e *sim.Engine, rows *trialRows, v *vecView) []uint64 {
+	still := rows.still[:e.W]
 	for w := range still {
 		still[w] = 0
 	}

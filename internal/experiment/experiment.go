@@ -32,8 +32,9 @@ type Config struct {
 	Deterministic bool
 	// MaxNodes caps each diagnosis run's tree (0 = diagnose default).
 	MaxNodes int
-	// Workers sets each diagnosis run's evaluation-worker count
-	// (0 = GOMAXPROCS, 1 = sequential; results are identical for any value).
+	// Workers is each diagnosis run's Options.Workers: the verification
+	// gate's re-simulation shards (0 = GOMAXPROCS, 1 = sequential; results
+	// are identical for any value).
 	Workers int
 	// RunBudget bounds each diagnosis run's wall-clock time (default 30s).
 	RunBudget time.Duration

@@ -19,8 +19,7 @@ type Engine struct {
 	W int // words per row
 
 	val     [][]uint64 // base values, one row per line
-	scratch [][]uint64 // trial values, one row per line (carved from slab)
-	slab    []uint64   // backing store of scratch
+	scratch [][]uint64 // trial values, one row per line (carved from one slab)
 
 	stamp   []uint32 // epoch when scratch[l] was last written
 	queued  []uint32 // epoch when l was last enqueued
@@ -72,97 +71,31 @@ func (e *Engine) ConstRow(v bool) []uint64 {
 // NewEngine simulates the circuit over the given input patterns and returns
 // an engine ready for trials. pi has one row per PI in circuit PI order.
 func NewEngine(c *circuit.Circuit, pi [][]uint64, n int) *Engine {
-	return newEngineVal(c, Simulate(c, pi, n), n)
-}
-
-// newEngineVal builds an engine around an already-simulated base value
-// matrix. It is the shared body of NewEngine and Fork: the former computes
-// the matrix, the latter borrows it.
-func newEngineVal(c *circuit.Circuit, val [][]uint64, n int) *Engine {
 	w := Words(n)
 	e := &Engine{
-		C:      c,
-		N:      n,
-		W:      w,
-		val:    val,
-		stamp:  make([]uint32, c.NumLines()),
-		queued: make([]uint32, c.NumLines()),
-		pinned: make([]uint32, c.NumLines()),
-		levels: c.Levels(),
-		fanout: c.Fanout(),
+		C:       c,
+		N:       n,
+		W:       w,
+		val:     Simulate(c, pi, n),
+		scratch: make([][]uint64, c.NumLines()),
+		stamp:   make([]uint32, c.NumLines()),
+		queued:  make([]uint32, c.NumLines()),
+		pinned:  make([]uint32, c.NumLines()),
+		levels:  c.Levels(),
+		fanout:  c.Fanout(),
 	}
-	e.slab = make([]uint64, c.NumLines()*w)
-	e.scratch = make([][]uint64, c.NumLines())
-	e.carve()
-	e.buckets = make([][]circuit.Line, numLevels(e.levels))
-	return e
-}
-
-// carve cuts the per-line scratch rows of width W out of the slab.
-func (e *Engine) carve() {
+	slab := make([]uint64, c.NumLines()*w)
 	for i := range e.scratch {
-		e.scratch[i] = e.slab[i*e.W : (i+1)*e.W : (i+1)*e.W]
+		e.scratch[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
-}
-
-func numLevels(levels []int32) int {
 	maxLevel := int32(0)
-	for _, lv := range levels {
+	for _, lv := range e.levels {
 		if lv > maxLevel {
 			maxLevel = lv
 		}
 	}
-	return int(maxLevel + 1)
-}
-
-// Fork returns a worker view of the engine for concurrent trials: the base
-// value matrix, level table and fanout table are shared read-only with the
-// parent (and with every other fork), while the trial scratch — value rows,
-// epoch stamps, worklist buckets, changed set — is private. Forks of one
-// engine may run trials concurrently with each other and with the parent;
-// none of them may be used concurrently with anything that mutates the base
-// state. The trial counters are shared with the parent (they are atomic).
-func (e *Engine) Fork() *Engine {
-	// Resolve the shared const rows up front so concurrent ConstRow calls on
-	// forks never race on lazy initialisation.
-	zero, ones := e.ConstRow(false), e.ConstRow(true)
-	f := newEngineVal(e.C, e.val, e.N)
-	f.zeroRow, f.onesRow = zero, ones
-	f.CTrials, f.CEvents = e.CTrials, e.CEvents
-	return f
-}
-
-// rebind repoints a fork at a new parent engine, reusing the fork's scratch
-// allocations and growing them only when the new engine has more lines or
-// wider rows than any engine the fork served before. It backs
-// EnginePool.Bind so a pool moves between per-node engines — whose line
-// counts change as corrections add gates — and between a node's
-// failing-vector and full-width engines without reallocating per-worker
-// slabs after warm-up.
-func (e *Engine) rebind(root *Engine) {
-	lines := root.C.NumLines()
-	e.C, e.N, e.W, e.val = root.C, root.N, root.W, root.val
-	e.levels, e.fanout = root.levels, root.fanout
-	e.zeroRow, e.onesRow = root.ConstRow(false), root.ConstRow(true)
-	e.CTrials, e.CEvents = root.CTrials, root.CEvents
-	e.slab = resize(e.slab, lines*e.W)
-	e.scratch = resize(e.scratch, lines)
-	e.carve()
-	// Stale epoch stamps are harmless: the next trial bumps e.epoch past
-	// every stamp this fork ever wrote, and fresh entries are zero.
-	e.stamp, e.queued, e.pinned = resize(e.stamp, lines), resize(e.queued, lines), resize(e.pinned, lines)
-	if n := numLevels(e.levels); n > len(e.buckets) {
-		e.buckets = append(e.buckets, make([][]circuit.Line, n-len(e.buckets))...)
-	}
-}
-
-// resize returns s with length n, reusing its backing array when it is
-// large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
+	e.buckets = make([][]circuit.Line, maxLevel+1)
+	return e
 }
 
 // BaseVal returns the base (no-trial) value row of line l. Callers must not
@@ -335,12 +268,9 @@ func (e *Engine) complementPins(finComp []bool) {
 			continue
 		}
 		if nc == len(e.comp) {
-			e.comp = append(e.comp, nil)
+			e.comp = append(e.comp, make([]uint64, e.W))
 		}
-		if len(e.comp[nc]) < e.W { // new, or narrower than a rebind's width
-			e.comp[nc] = make([]uint64, e.W)
-		}
-		row := e.comp[nc][:e.W]
+		row := e.comp[nc]
 		nc++
 		src := e.faninV[p]
 		for i := 0; i < e.W; i++ {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"dedc/internal/circuit"
 )
@@ -279,6 +280,57 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, pi [][]uint64, n i
 		EvalGateInto(g.Type, val[l], w, scratch...)
 	}
 	return val, nil
+}
+
+// simParallelMinWords is the smallest word count per worker that makes
+// sharding a batch simulation worthwhile; below it SimulateParallel falls
+// back to the sequential Simulate.
+const simParallelMinWords = 8
+
+// SimulateParallel is Simulate with the pattern words sharded across
+// workers: each worker runs the full topological walk over its own word
+// range, so the result is bit-identical to Simulate for any worker count
+// (per-pattern values never depend on other patterns). Narrow batches fall
+// back to the sequential path.
+func SimulateParallel(c *circuit.Circuit, pi [][]uint64, n, workers int) [][]uint64 {
+	w := Words(n)
+	if workers > w/simParallelMinWords {
+		workers = w / simParallelMinWords
+	}
+	if workers <= 1 {
+		return Simulate(c, pi, n)
+	}
+	val := make([][]uint64, c.NumLines())
+	storage := make([]uint64, c.NumLines()*w)
+	for i := range val {
+		val[i] = storage[i*w : (i+1)*w]
+	}
+	for i, p := range c.PIs {
+		copy(val[p], pi[i][:w])
+	}
+	topo := c.Topo() // warm the cache on the calling goroutine
+	var wg sync.WaitGroup
+	for sh := 0; sh < workers; sh++ {
+		lo, hi := sh*w/workers, (sh+1)*w/workers
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			scratch := make([][]uint64, 0, 8)
+			for _, l := range topo {
+				g := &c.Gates[l]
+				if g.Type == circuit.Input {
+					continue
+				}
+				scratch = scratch[:0]
+				for _, f := range g.Fanin {
+					scratch = append(scratch, val[f][lo:hi])
+				}
+				EvalGateInto(g.Type, val[l][lo:hi], hi-lo, scratch...)
+			}
+		}(lo, hi)
+	}
+	wg.Wait()
+	return val
 }
 
 // Outputs extracts the PO rows of a value matrix, in circuit PO order.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -525,5 +526,31 @@ func BenchmarkEngineTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Trial(circuit.Line(i%c.NumLines()), forced)
+	}
+}
+
+func TestSimulateParallelMatchesSimulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5; trial++ {
+		c := randomCircuit(rng, 5, 60)
+		n := 64 * 32 // 32 words: enough for 4 workers at the 8-word floor
+		pi := RandomPatterns(len(c.PIs), n, rng.Int63())
+		want := Simulate(c, pi, n)
+		for _, workers := range []int{0, 1, 2, 3, 4, 16} {
+			got := SimulateParallel(c, pi, n, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers %d: SimulateParallel diverges from Simulate", trial, workers)
+			}
+		}
+	}
+}
+
+func TestSimulateParallelNarrowFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := randomCircuit(rng, 4, 30)
+	n := 70 // 2 words: below the per-worker floor, must take the sequential path
+	pi := RandomPatterns(len(c.PIs), n, rng.Int63())
+	if got, want := SimulateParallel(c, pi, n, 8), Simulate(c, pi, n); !reflect.DeepEqual(got, want) {
+		t.Fatal("narrow-batch fallback diverges from Simulate")
 	}
 }

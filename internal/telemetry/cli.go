@@ -24,20 +24,20 @@ type CLI struct {
 	LogFormat  string
 }
 
-// DefaultWorkers is the default evaluation-worker count for the engine's
-// parallel trial fan-outs: one worker per available CPU.
+// DefaultWorkers is the default worker count of the verification gate's
+// sharded re-simulation: one worker per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // WorkersFlag installs the shared -workers flag on fs and returns the bound
-// value: the number of concurrent evaluation workers the diagnosis engine's
-// trial fan-outs may use. The default is GOMAXPROCS; 1 forces the exact
-// sequential path. Results are bit-identical for every value — the knob
-// trades cores for wall-clock only. Commands whose -workers name is already
+// value: diagnose.Options.Workers, the number of goroutines the
+// verification gate's re-simulation shards its pattern words across. The
+// default is GOMAXPROCS; 1 simulates sequentially. Results are
+// bit-identical for every value. Commands whose -workers name is already
 // taken (dedcd's job workers) register their own flag around
 // DefaultWorkers instead.
 func WorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", DefaultWorkers(),
-		"concurrent evaluation workers for engine trial fan-outs (1 = sequential; results are identical for any value)")
+		"goroutines the verification gate's re-simulation shards pattern words across (1 = sequential; results are identical for any value)")
 }
 
 // Register installs the flags on fs.
