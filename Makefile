@@ -5,11 +5,12 @@
 #                          chaos gates
 #   make fuzz            — short fuzzing pass over the .bench parser,
 #                          PODEM's and the redundancy proof's verdicts
-#                          (checked by SAT and fault sim), the
+#                          (checked by equivalence proofs and fault sim), the
 #                          word-parallel path trace, the lazy correction
-#                          ranking (checked against eager ranking) and the
+#                          ranking (checked against eager ranking), the
 #                          observability-row scores (checked against
-#                          propagation)
+#                          propagation) and the exhaustive-simulation
+#                          equivalence verdict (checked against SAT)
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -63,8 +64,9 @@ race:
 # the redundancy proof's on random circuits against SAT and fault-simulation
 # oracles, of the word-parallel path trace against the per-vector reference,
 # of first-solution search with lazy correction ranking against eager
-# ranking, and of observability-row correction scores against propagating
-# each candidate row.
+# ranking, of observability-row correction scores against propagating
+# each candidate row, and of equiv's exhaustive-simulation verdict against
+# the SAT verdict on random circuits up to one input past its bound.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveEdgeCases -fuzztime $(FUZZTIME) ./internal/bench
@@ -72,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTrace$$' -fuzztime $(FUZZTIME) ./internal/pathtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyRanking$$' -fuzztime $(FUZZTIME) ./internal/diagnose
 	$(GO) test -run '^$$' -fuzz '^FuzzObservability$$' -fuzztime $(FUZZTIME) ./internal/diagnose
+	$(GO) test -run '^$$' -fuzz '^FuzzExhaustiveVerdict$$' -fuzztime $(FUZZTIME) ./internal/equiv
 
 # The chaos harness: corrupted-input and randomized-cancellation trials must
 # hold "no panic, well-formed partial results" under the race detector.

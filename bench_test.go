@@ -319,8 +319,9 @@ func BenchmarkSubstrates(b *testing.B) {
 	})
 }
 
-// BenchmarkEquivalence measures the SAT-based formal checker on proof
-// (UNSAT) and refutation (SAT) workloads.
+// BenchmarkEquivalence measures the formal checker on proof (UNSAT) and
+// refutation (SAT) workloads. alu12 has 27 inputs, past the exhaustive
+// simulation bound, so both go to SAT.
 func BenchmarkEquivalence(b *testing.B) {
 	b.Run("prove/alu12-vs-optimized", func(b *testing.B) {
 		c := gen.Alu(12)
@@ -352,7 +353,7 @@ func BenchmarkEquivalence(b *testing.B) {
 	})
 }
 
-// BenchmarkRepairProven measures the CEGAR loop (repair + SAT certification
+// BenchmarkRepairProven measures the CEGAR loop (repair + certification
 // + counterexample folding) from a weak initial vector set.
 func BenchmarkRepairProven(b *testing.B) {
 	spec := gen.Alu(6)

@@ -66,7 +66,7 @@ func TestCLIPipeline(t *testing.T) {
 	// equiv: must detect the difference.
 	cmd := exec.Command(equivBin, "-a", good, "-b", bad)
 	out, _ := cmd.CombinedOutput()
-	if cmd.ProcessState.ExitCode() != 1 || !strings.Contains(string(out), "NOT EQUIVALENT") {
+	if cmd.ProcessState.ExitCode() != 1 || !strings.Contains(string(out), "NOT EQUIVALENT (sat)") {
 		t.Fatalf("equiv missed the corruption: %s", out)
 	}
 
@@ -82,9 +82,10 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("dedc did not repair: %s", stderr)
 	}
 
-	// equiv: the repair must now be formally equivalent.
+	// equiv: the repair must now be formally equivalent; the ALU is narrow
+	// enough for the proof to be an exhaustive simulation.
 	sout, _ := run(t, equivBin, "-a", good, "-b", fixed)
-	if !strings.Contains(sout, "EQUIVALENT") || strings.Contains(sout, "NOT EQUIVALENT") {
+	if !strings.Contains(sout, "EQUIVALENT (proof: exhaustive simulation") || strings.Contains(sout, "NOT EQUIVALENT") {
 		t.Fatalf("repair not proven equivalent: %s", sout)
 	}
 

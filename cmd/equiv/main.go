@@ -1,6 +1,8 @@
 // Command equiv formally checks two .bench netlists for functional
-// equivalence using the built-in SAT solver. Exit code 0 = equivalent,
-// 1 = not equivalent (counterexample printed), 2 = inconclusive/error.
+// equivalence: by exhaustive simulation when they have few inputs, otherwise
+// with the built-in SAT solver, which also finds every counterexample. The
+// verdict line names the method. Exit code 0 = equivalent, 1 = not
+// equivalent (counterexample printed), 2 = inconclusive/error.
 //
 // Usage:
 //
@@ -43,10 +45,12 @@ func main() {
 	case res.Aborted:
 		fmt.Printf("INCONCLUSIVE after %d conflicts\n", res.Conflicts)
 		os.Exit(2)
+	case res.Equivalent && res.Method == equiv.MethodSimulation:
+		fmt.Printf("EQUIVALENT (proof: exhaustive simulation of %d input patterns)\n", uint64(1)<<len(a.PIs))
 	case res.Equivalent:
-		fmt.Printf("EQUIVALENT (proof: %d conflicts, %d decisions)\n", res.Conflicts, res.Decisions)
+		fmt.Printf("EQUIVALENT (proof: sat, %d conflicts, %d decisions)\n", res.Conflicts, res.Decisions)
 	default:
-		fmt.Printf("NOT EQUIVALENT — distinguishing input:\n")
+		fmt.Printf("NOT EQUIVALENT (sat) — distinguishing input:\n")
 		for i, pi := range a.PIs {
 			v := 0
 			if res.Counterexample[i] {

@@ -305,8 +305,9 @@ func Unroll(c *Circuit, frames int) (*Circuit, error) {
 	return u.Comb, nil
 }
 
-// Distinguish SAT-checks two fault tuples: a distinguishing input vector,
-// or a proof that the two faulty machines are functionally identical.
+// Distinguish checks two fault tuples: a distinguishing input vector found
+// by SAT, or a proof, by exhaustive simulation or SAT, that the two faulty
+// machines are functionally identical.
 func Distinguish(c *Circuit, a, b Tuple, maxConflicts int64) (vector []bool, equivalent bool, err error) {
 	return diagnose.Distinguish(c, a, b, maxConflicts)
 }
@@ -329,12 +330,14 @@ func DiagnoseAdaptive(netlist, device *Circuit, v Vectors, o Options) (*Adaptive
 	return diagnose.DiagnoseAdaptive(netlist, device, v.PI, v.N, o, 0, 0)
 }
 
-// EquivResult is a SAT equivalence verdict with counterexample.
+// EquivResult is an equivalence verdict, the method that decided it, and a
+// counterexample when the circuits differ.
 type EquivResult = equiv.Result
 
-// ProveEquivalent SAT-checks two combinational circuits: a proof of
-// equivalence, or a counterexample input. maxConflicts bounds the search
-// (0 = unlimited).
+// ProveEquivalent checks two combinational circuits: a proof of equivalence
+// (by exhaustive simulation when the circuits have few inputs, else by
+// SAT), or a counterexample input found by SAT. maxConflicts bounds the SAT
+// search (0 = unlimited).
 func ProveEquivalent(a, b *Circuit, maxConflicts int64) (*EquivResult, error) {
 	return equiv.Check(a, b, equiv.Options{MaxConflicts: maxConflicts})
 }
@@ -343,8 +346,9 @@ func ProveEquivalent(a, b *Circuit, maxConflicts int64) (*EquivResult, error) {
 type ProvenResult = diagnose.ProvenResult
 
 // RepairProven runs DEDC in a counterexample-guided loop: repair on V,
-// SAT-check against the specification circuit, fold any counterexample back
-// into V and retry — returning a formally certified repair.
+// check against the specification circuit (proved by exhaustive simulation
+// or SAT), fold any counterexample back into V and retry — returning a
+// formally certified repair.
 func RepairProven(impl, spec *Circuit, v Vectors, o Options) (*ProvenResult, error) {
 	return diagnose.RepairProven(impl, spec, v.PI, v.N, o, 0, 0)
 }

@@ -2,7 +2,8 @@
 // certification. A weak vector set makes the first repair plausible-but-
 // wrong; the built-in SAT equivalence checker produces counterexample
 // inputs that are folded back into V until the repair is PROVEN equivalent
-// to the specification — counterexample-guided refinement over the paper's
+// to the specification (here by exhaustive simulation, the ALU having few
+// enough inputs) — counterexample-guided refinement over the paper's
 // engine.
 package main
 
@@ -50,5 +51,5 @@ func main() {
 	if !eq.Equivalent {
 		log.Fatal("certification failed")
 	}
-	fmt.Printf("\nPROVEN equivalent to the specification (SAT proof: %d conflicts)\n", eq.Conflicts)
+	fmt.Printf("\nPROVEN equivalent to the specification (proof by %v, %d SAT conflicts)\n", eq.Method, eq.Conflicts)
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // Distinguish decides whether two fault tuples are functionally equivalent
-// explanations on netlist c: it SAT-checks the two faulty machines against
-// each other. When they differ, the returned vector drives them apart — a
+// explanations on netlist c: it checks the two faulty machines against each
+// other with equiv.Check (proved by exhaustive simulation or SAT). When they
+// differ, the returned vector — found by SAT — drives them apart: a
 // diagnostic test pattern in the classical sense. maxConflicts bounds the
-// proof (0 = unlimited).
+// SAT proof (0 = unlimited).
 func Distinguish(c *circuit.Circuit, a, b fault.Tuple, maxConflicts int64) (vector []bool, equivalent bool, err error) {
 	ca := fault.Inject(c, a...)
 	cb := fault.Inject(c, b...)

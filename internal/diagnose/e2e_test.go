@@ -3,7 +3,6 @@ package diagnose
 import (
 	"testing"
 
-	"dedc/internal/equiv"
 	"dedc/internal/errmodel"
 	"dedc/internal/fault"
 	"dedc/internal/gen"
@@ -33,14 +32,11 @@ func TestE2ERandomizedCertifiedRepair(t *testing.T) {
 			continue // bounded-search failure is acceptable; certification is not
 		}
 		solved++
-		eq, err := equiv.Check(rep.Repaired, spec, equiv.Options{MaxConflicts: 500000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eq.Aborted {
+		eq, aborted := satEquivalent(t, rep.Repaired, spec, 500000)
+		if aborted {
 			continue
 		}
-		if !eq.Equivalent {
+		if !eq {
 			// The repair matches V but not the function: this is possible in
 			// principle with weak vectors, but with PODEM-topped vectors it
 			// should be rare; treat frequent occurrences as a bug signal.

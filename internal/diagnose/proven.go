@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"fmt"
+	"time"
 
 	"dedc/internal/circuit"
 	"dedc/internal/equiv"
@@ -13,9 +14,13 @@ type ProvenResult struct {
 	// RepairResult is the final round's repair. Its Stats cover every
 	// round: each round's search is folded in with Stats.Merge.
 	*RepairResult
-	// Proven is set when the final repair was SAT-certified equivalent to
-	// the specification (not merely matching on the vector set).
+	// Proven is set when the final repair was proved equivalent to the
+	// specification by exhaustive simulation or SAT (not merely matching
+	// on the vector set).
 	Proven bool
+	// ProofTime is the wall-clock time of the equivalence checks, summed
+	// over all rounds. Stats does not include it.
+	ProofTime time.Duration
 	// Iterations counts repair rounds (1 = the first repair already proved).
 	Iterations int
 	// AddedVectors counts counterexamples folded back into V.
@@ -23,11 +28,12 @@ type ProvenResult struct {
 }
 
 // RepairProven runs DEDC with formal certification: repair on the vector
-// set, then SAT-check the repaired netlist against the specification
-// circuit. A counterexample becomes a new vector in V and the loop repeats —
-// the classic counterexample-guided refinement that upgrades the paper's
+// set, then check the repaired netlist against the specification circuit
+// (equiv.Session: proved by exhaustive simulation or SAT, refuted by SAT). A
+// counterexample becomes a new vector in V and the loop repeats — the
+// classic counterexample-guided refinement that upgrades the paper's
 // simulation-based method into a proof-producing one. maxIters bounds the
-// loop; satConflicts bounds each proof attempt (0 = unlimited). Malformed
+// loop; satConflicts bounds each SAT proof attempt (0 = unlimited). Malformed
 // inputs, or a spec whose interface differs from impl's, return a sentinel
 // error (circuit.ErrInvalidNetlist, circuit.ErrCombinationalCycle,
 // ErrInvalidVectors).
@@ -40,10 +46,10 @@ func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options
 	}
 	curPI, curN := pi, n
 	res := &ProvenResult{}
-	// One incremental SAT session spans the whole refinement loop: the spec
-	// is encoded once, each iteration's repaired candidate rides its own
-	// activation-literal group, and clauses learnt refuting round k's repair
-	// still prune round k+1's search.
+	// One equivalence session spans the whole refinement loop: the spec is
+	// encoded (and, if narrow, simulated) once, each iteration's refuted
+	// candidate rides its own activation-literal group, and clauses learnt
+	// refuting round k's repair still prune round k+1's search.
 	session, err := equiv.NewSession(spec)
 	if err != nil {
 		return nil, err
@@ -59,7 +65,9 @@ func RepairProven(impl, spec *circuit.Circuit, pi [][]uint64, n int, opt Options
 		total = total.Merge(rep.Stats)
 		rep.Stats = total
 		res.RepairResult = rep
+		t0 := time.Now()
 		eq, err := session.Check(rep.Repaired, equiv.Options{MaxConflicts: satConflicts})
+		res.ProofTime += time.Since(t0)
 		if err != nil {
 			return nil, err
 		}

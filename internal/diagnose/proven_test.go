@@ -3,10 +3,48 @@ package diagnose
 import (
 	"testing"
 
+	"dedc/internal/circuit"
 	"dedc/internal/equiv"
 	"dedc/internal/gen"
+	"dedc/internal/sat"
 	"dedc/internal/sim"
 )
+
+// satEquivalent decides a ≡ b with a fresh miter that only the SAT solver
+// sees, so a certification here never rests on the exhaustive simulation
+// that equiv proves narrow pairs with. aborted reports that maxConflicts
+// (0 = unlimited) ran out first.
+func satEquivalent(t *testing.T, a, b *circuit.Circuit, maxConflicts int64) (equivalent, aborted bool) {
+	t.Helper()
+	if len(a.PIs) != len(b.PIs) || len(a.POs) != len(b.POs) {
+		t.Fatalf("interfaces differ: %d/%d PIs, %d/%d POs", len(a.PIs), len(b.PIs), len(a.POs), len(b.POs))
+	}
+	s := sat.NewSolver(0)
+	piVars := make([]int, len(a.PIs))
+	for i := range piVars {
+		piVars[i] = s.NewVar()
+	}
+	constTrue := sat.Lit(-1)
+	la := sat.EncodeCircuit(s, a, piVars, -1, &constTrue)
+	lb := sat.EncodeCircuit(s, b, piVars, -1, &constTrue)
+	diffs := make([]sat.Lit, len(a.POs))
+	for i := range a.POs {
+		x, y := la[a.POs[i]], lb[b.POs[i]]
+		d := sat.MkLit(s.NewVar(), true) // d implies x != y
+		s.AddClause(d.Neg(), x, y)
+		s.AddClause(d.Neg(), x.Neg(), y.Neg())
+		diffs[i] = d
+	}
+	s.AddClause(diffs...)
+	s.MaxConflicts = maxConflicts
+	switch s.Solve() {
+	case sat.Unsat:
+		return true, false
+	case sat.Sat:
+		return false, false
+	}
+	return false, true
+}
 
 func TestAppendPattern(t *testing.T) {
 	pi := [][]uint64{{0b01}, {0b10}}
@@ -44,10 +82,12 @@ func TestRepairProvenConverges(t *testing.T) {
 		if !res.Proven {
 			t.Fatalf("seed %d: repair not proven after %d iterations", seed, res.Iterations)
 		}
+		if res.ProofTime <= 0 {
+			t.Fatalf("seed %d: ProofTime %v over %d rounds", seed, res.ProofTime, res.Iterations)
+		}
 		// Certify independently.
-		eq, err := equiv.Check(res.Repaired, spec, equiv.Options{})
-		if err != nil || !eq.Equivalent {
-			t.Fatalf("seed %d: final repair not equivalent (%v)", seed, err)
+		if eq, aborted := satEquivalent(t, res.Repaired, spec, 0); aborted || !eq {
+			t.Fatalf("seed %d: final repair not equivalent (aborted %v)", seed, aborted)
 		}
 		proved++
 		if res.AddedVectors > 0 {
@@ -117,6 +157,11 @@ func TestRepairProvenStatsCumulative(t *testing.T) {
 				t.Fatal(err)
 			}
 			if eq.Equivalent {
+				// The session may have proved this by simulation;
+				// certify it by SAT alone.
+				if ok, aborted := satEquivalent(t, rep.Repaired, spec, 0); aborted || !ok {
+					t.Fatalf("seed %d round %d: session proof not confirmed by SAT (aborted %v)", seed, iter, aborted)
+				}
 				break
 			}
 			curPI, curN, _ = foldCounterexample(curPI, curN, eq.Counterexample, iter)

@@ -12,14 +12,37 @@ import (
 	"dedc/internal/sim"
 )
 
+// checkSAT is the package-level Check with every verdict left to the
+// solver, for the tests whose subject is the SAT encoding.
+func checkSAT(a, b *circuit.Circuit, opt Options) (*Result, error) {
+	ss, err := NewSession(a)
+	if err != nil {
+		return nil, err
+	}
+	return ss.check(b, opt, false)
+}
+
+// mustCheck decides a ≡ b by SAT and by Check, which may simulate, and
+// returns the SAT result after checking that the two verdicts agree.
 func mustCheck(t *testing.T, a, b *circuit.Circuit) *Result {
 	t.Helper()
-	res, err := Check(a, b, Options{})
+	res, err := checkSAT(a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Aborted {
 		t.Fatal("solver aborted")
+	}
+	if res.Method != MethodSAT {
+		t.Fatalf("SAT-only check decided by %v", res.Method)
+	}
+	pub, err := Check(a, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub.Aborted || pub.Equivalent != res.Equivalent {
+		t.Fatalf("Check says equivalent=%v aborted=%v (%v), SAT says %v",
+			pub.Equivalent, pub.Aborted, pub.Method, res.Equivalent)
 	}
 	return res
 }
@@ -120,7 +143,7 @@ func TestPropertyAgreesWithExhaustiveSim(t *testing.T) {
 			}
 			b = bb
 		}
-		res, err := Check(a, b, Options{})
+		res, err := checkSAT(a, b, Options{})
 		if err != nil || res.Aborted {
 			return false
 		}
@@ -208,7 +231,7 @@ func TestConflictBudgetAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Check(a, bb, Options{MaxConflicts: 1})
+	res, err := checkSAT(a, bb, Options{MaxConflicts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +250,7 @@ func TestMultiplierEquivalenceScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Check(c, oc, Options{MaxConflicts: 2_000_000})
+	res, err := checkSAT(c, oc, Options{MaxConflicts: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"dedc/internal/cache"
 	"dedc/internal/circuit"
 	"dedc/internal/sat"
+	"dedc/internal/sim"
 	"dedc/internal/telemetry"
 )
 
@@ -16,15 +17,45 @@ import (
 // accrete dead clauses without bound.
 const sessionRebuildAfter = 32
 
+// exhaustiveMaxPIs and exhaustiveMaxWords bound the exhaustive simulation
+// that decides a check before SAT: the reference has at most
+// exhaustiveMaxPIs inputs, and 2^PIs/64 words times the larger line count
+// of the two circuits (the size of one value matrix) is at most
+// exhaustiveMaxWords, 8 MB. BenchmarkProofMethods set them: within the
+// bounds a simulated proof took 10 µs (8 PIs) to 5.4 ms (16 PIs, 1,016
+// lines), and a SAT proof of the same circuit against its own clone, SAT's
+// easiest equivalent candidate, took from 2 times as long on random logic
+// to over 1,000 times on multipliers (16 inputs: 2.9 ms against 86 s). Past
+// them simulation stops paying: at 20 PIs and 1,020 lines it took 85 ms and
+// 134 MB against SAT's 25 ms.
+const (
+	exhaustiveMaxPIs   = 16
+	exhaustiveMaxWords = 1 << 20
+)
+
 // Session is an incremental equivalence checker anchored to one reference
-// circuit: the reference is Tseitin-encoded once into a persistent
-// sat.Solver, and every Check encodes only the candidate — gated on a fresh
-// activation literal — then solves under that single assumption
-// (sat.SolveUnderAssumptions). Learnt clauses, VSIDS activity and saved
-// phases survive across checks, so proving the same or a similar candidate
-// again costs a fraction of a from-scratch miter proof; when a candidate is
-// replaced, its whole clause group is retired by asserting the activation
-// literal's negation.
+// circuit. Each check is proved by exhaustive simulation or SAT:
+//
+//   - A reference with at most exhaustiveMaxPIs inputs (and a simulation
+//     within exhaustiveMaxWords) is first compared over all 2^PIs input
+//     patterns, 64 to a word. The reference's outputs over them are
+//     simulated once and kept, so each candidate costs one simulation and
+//     one output comparison. When no output differs that is the proof: the
+//     result says MethodSimulation, and nothing is encoded into the solver,
+//     so the proof adds no clauses, learnt or otherwise, to the session.
+//   - Every other check, and every candidate whose outputs differ, goes to
+//     SAT exactly as if the simulation had not run. Until a session's first
+//     simulated proof, its counterexamples and solver state are those of a
+//     SAT-only session; diagnose.RepairProven stops at its first proof.
+//
+// The SAT side is incremental: the reference is Tseitin-encoded once into a
+// persistent sat.Solver, and every SAT check encodes only the candidate —
+// gated on a fresh activation literal — then solves under that single
+// assumption (sat.SolveUnderAssumptions). Learnt clauses, VSIDS activity and
+// saved phases survive across checks, so proving the same or a similar
+// candidate again costs a fraction of a from-scratch miter proof; when a
+// candidate is replaced, its whole clause group is retired by asserting the
+// activation literal's negation.
 //
 // Two reuse levels fall out of the design:
 //
@@ -48,10 +79,19 @@ type Session struct {
 	lastFP    string  // fingerprint of the encoded candidate
 	encodes   int     // candidate groups since the last solver (re)build
 
-	// Checks and Reused count Check calls and how many of them reused the
-	// previous candidate encoding (fingerprint match).
-	Checks int
-	Reused int
+	// exPI holds the reference's exhaustive input patterns (exN of them)
+	// and exOut its PO rows over them. All stay unset until the first check
+	// that simulates.
+	exPI  [][]uint64
+	exN   int
+	exOut [][]uint64
+
+	// Checks counts Check calls, Reused how many of them reused the
+	// previous candidate encoding (fingerprint match), and Simulated how
+	// many were proved by exhaustive simulation without the solver.
+	Checks    int
+	Reused    int
+	Simulated int
 }
 
 // NewSession prepares an incremental checker against the given reference
@@ -83,8 +123,15 @@ func (ss *Session) build() {
 
 // Check decides whether b is equivalent to the session's reference circuit,
 // under the same contract as the package-level Check. Candidates sharing the
-// previous call's structural fingerprint reuse its encoding outright.
+// previous SAT check's structural fingerprint reuse its encoding outright.
 func (ss *Session) Check(b *circuit.Circuit, opt Options) (*Result, error) {
+	return ss.check(b, opt, true)
+}
+
+// check is Check with the exhaustive simulation optional: simulate=false
+// sends every check to SAT, which the package's tests use to keep the
+// solver under test.
+func (ss *Session) check(b *circuit.Circuit, opt Options, simulate bool) (*Result, error) {
 	if b.IsSequential() {
 		return nil, fmt.Errorf("equiv: sequential circuits; scan-convert or unroll first")
 	}
@@ -95,6 +142,47 @@ func (ss *Session) Check(b *circuit.Circuit, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("equiv: PO counts differ (%d vs %d)", len(ss.spec.POs), len(b.POs))
 	}
 	ss.Checks++
+	if simulate && ss.simulable(b) {
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			return &Result{Method: MethodSimulation, Aborted: true, Cancelled: true}, nil
+		}
+		if ss.sameOnAllInputs(b) {
+			ss.Simulated++
+			return &Result{Method: MethodSimulation, Equivalent: true}, nil
+		}
+	}
+	return ss.solve(b, opt), nil
+}
+
+// simulable reports whether the reference and b are narrow and small enough
+// to compare over every input pattern.
+func (ss *Session) simulable(b *circuit.Circuit) bool {
+	if len(ss.spec.PIs) > exhaustiveMaxPIs {
+		return false
+	}
+	w := sim.Words(1 << len(ss.spec.PIs))
+	return w*max(ss.spec.NumLines(), b.NumLines()) <= exhaustiveMaxWords
+}
+
+// sameOnAllInputs simulates b over every input pattern and compares its
+// outputs with the reference's, which it simulates on first use.
+func (ss *Session) sameOnAllInputs(b *circuit.Circuit) bool {
+	if ss.exOut == nil {
+		ss.exPI, ss.exN, _ = sim.ExhaustivePatterns(len(ss.spec.PIs))
+		ss.exOut = sim.Outputs(ss.spec, sim.Simulate(ss.spec, ss.exPI, ss.exN))
+	}
+	out := sim.Outputs(b, sim.Simulate(b, ss.exPI, ss.exN))
+	for _, word := range sim.DiffMask(ss.exOut, out, ss.exN) {
+		if word != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// solve decides the check by SAT under b's activation literal, encoding b
+// first unless it repeats the previous candidate's structure.
+func (ss *Session) solve(b *circuit.Circuit, opt Options) *Result {
 	fp := cache.Fingerprint(b)
 	if fp != "" && fp == ss.lastFP && ss.act >= 0 {
 		ss.Reused++
@@ -110,7 +198,7 @@ func (ss *Session) Check(b *circuit.Circuit, opt Options) (*Result, error) {
 	}
 	c0, d0 := s.Conflicts, s.Decisions
 	st := s.SolveUnderAssumptions(ss.act)
-	res := &Result{Conflicts: s.Conflicts - c0, Decisions: s.Decisions - d0}
+	res := &Result{Method: MethodSAT, Conflicts: s.Conflicts - c0, Decisions: s.Decisions - d0}
 	switch st {
 	case sat.Unsat:
 		res.Equivalent = true
@@ -123,7 +211,7 @@ func (ss *Session) Check(b *circuit.Circuit, opt Options) (*Result, error) {
 		res.Aborted = true
 		res.Cancelled = s.Cancelled
 	}
-	return res, nil
+	return res
 }
 
 // encodeCandidate retires the current candidate group (if any), rebuilds the

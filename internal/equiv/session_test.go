@@ -10,11 +10,12 @@ import (
 	"dedc/internal/sim"
 )
 
-// TestSessionMatchesFreshCheck is the incremental-vs-fresh parity contract:
-// over a corpus of candidates — optimizer rewrites (equivalent) and injected
-// errors (not) — one long-lived Session must return the same verdict as a
-// from-scratch Check, and every counterexample must actually distinguish the
-// circuits.
+// TestSessionMatchesFreshCheck is the incremental-vs-fresh parity contract
+// of the solver: over a corpus of candidates — optimizer rewrites
+// (equivalent) and injected errors (not) — one long-lived Session must
+// return the same SAT verdict as a from-scratch SAT check, and every
+// counterexample must actually distinguish the circuits. Both sides skip the
+// exhaustive simulation so that the comparison with it stays meaningful.
 func TestSessionMatchesFreshCheck(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		spec := gen.Random(gen.RandomOptions{PIs: 6, Gates: 40, Seed: seed})
@@ -32,11 +33,11 @@ func TestSessionMatchesFreshCheck(t *testing.T) {
 			}
 		}
 		for ci, cand := range candidates {
-			inc, err := ss.Check(cand, Options{})
+			inc, err := ss.check(cand, Options{}, false)
 			if err != nil {
 				t.Fatalf("seed %d cand %d: session: %v", seed, ci, err)
 			}
-			fresh, err := Check(spec, cand, Options{})
+			fresh, err := checkSAT(spec, cand, Options{})
 			if err != nil {
 				t.Fatalf("seed %d cand %d: fresh: %v", seed, ci, err)
 			}
@@ -82,14 +83,14 @@ func TestSessionReusesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ss.Check(spec.Clone(), Options{})
+	first, err := ss.check(spec.Clone(), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Equivalent {
 		t.Fatal("ALU not equivalent to its clone")
 	}
-	again, err := ss.Check(spec.Clone(), Options{})
+	again, err := ss.check(spec.Clone(), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSessionRebuild(t *testing.T) {
 			cand = bad
 			wantEq = sim.EquivalentExhaustive(spec, cand) // injection may be masked
 		}
-		res, err := ss.Check(cand, Options{})
+		res, err := ss.check(cand, Options{}, false)
 		if err != nil {
 			t.Fatalf("check %d: %v", i, err)
 		}
@@ -180,7 +181,7 @@ func TestSessionLearntCounter(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for ci, cand := range candidates {
-			res, err := ss.Check(cand, Options{})
+			res, err := ss.check(cand, Options{}, false)
 			if err != nil {
 				t.Fatalf("round %d cand %d: %v", round, ci, err)
 			}

@@ -137,3 +137,23 @@ func BenchmarkVectorKernels(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExhaustivePatterns times the word-level pattern rows at the PI
+// counts the exhaustive equivalence check runs at, with the per-bit
+// reference alongside.
+func BenchmarkExhaustivePatterns(b *testing.B) {
+	for _, nPI := range []int{8, 14, 16} {
+		b.Run(fmt.Sprintf("pi%d", nPI), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ExhaustivePatterns(nPI)
+			}
+		})
+		b.Run(fmt.Sprintf("pi%d/serial", nPI), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				exhaustivePatternsSerial(nPI)
+			}
+		})
+	}
+}

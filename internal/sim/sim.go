@@ -54,9 +54,21 @@ func RandomPatterns(nPI, n int, seed int64) [][]uint64 {
 	return rows
 }
 
+// exhaustiveMasks[i] has bit b set iff bit i of b is set (b in 0..63): the
+// word that ExhaustivePatterns repeats in the row of PI i < 6.
+var exhaustiveMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
 // ExhaustivePatterns returns all 2^nPI input combinations (nPI <= 20), one
-// row per PI, and the pattern count. Pattern p assigns bit (p>>i)&1 to PI i.
-// nPI outside [0, 20] returns ErrTooManyInputs instead of panicking.
+// row per PI, and the pattern count. Pattern p assigns bit (p>>i)&1 to PI i;
+// bits past the pattern count are zero. nPI outside [0, 20] returns
+// ErrTooManyInputs instead of panicking.
+//
+// Rows are built a word at a time: pattern p = 64j+b sits at bit b of word
+// j, so PI i < 6 repeats exhaustiveMasks[i] in every word and PI i >= 6 is
+// all ones in word j exactly when bit i-6 of j is set.
 func ExhaustivePatterns(nPI int) ([][]uint64, int, error) {
 	if nPI < 0 || nPI > 20 {
 		return nil, 0, ErrTooManyInputs
@@ -64,15 +76,22 @@ func ExhaustivePatterns(nPI int) ([][]uint64, int, error) {
 	n := 1 << nPI
 	w := Words(n)
 	rows := make([][]uint64, nPI)
+	storage := make([]uint64, nPI*w)
 	for i := range rows {
-		rows[i] = make([]uint64, w)
-	}
-	for p := 0; p < n; p++ {
-		for i := 0; i < nPI; i++ {
-			if (p>>i)&1 == 1 {
-				rows[i][p/64] |= 1 << (p % 64)
+		row := storage[i*w : (i+1)*w : (i+1)*w]
+		if i < len(exhaustiveMasks) {
+			for j := range row {
+				row[j] = exhaustiveMasks[i]
+			}
+		} else {
+			for j := range row {
+				if j>>(i-len(exhaustiveMasks))&1 == 1 {
+					row[j] = ^uint64(0)
+				}
 			}
 		}
+		row[w-1] &= TailMask(n)
+		rows[i] = row
 	}
 	return rows, n, nil
 }

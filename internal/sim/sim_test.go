@@ -267,6 +267,56 @@ func TestExhaustivePatterns(t *testing.T) {
 	}
 }
 
+// exhaustivePatternsSerial is the per-bit reference for ExhaustivePatterns:
+// one bit set per (pattern, PI).
+func exhaustivePatternsSerial(nPI int) ([][]uint64, int) {
+	n := 1 << nPI
+	w := Words(n)
+	rows := make([][]uint64, nPI)
+	for i := range rows {
+		rows[i] = make([]uint64, w)
+	}
+	for p := 0; p < n; p++ {
+		for i := 0; i < nPI; i++ {
+			if (p>>i)&1 == 1 {
+				rows[i][p/64] |= 1 << (p % 64)
+			}
+		}
+	}
+	return rows, n
+}
+
+// TestExhaustivePatternsMatchesSerial: the word-level rows equal the per-bit
+// reference bit for bit, tail bits included, for fewer than 64 patterns,
+// exactly 64 and many words.
+func TestExhaustivePatternsMatchesSerial(t *testing.T) {
+	for nPI := 0; nPI <= 16; nPI++ {
+		got, n, err := ExhaustivePatterns(nPI)
+		if err != nil {
+			t.Fatalf("nPI %d: %v", nPI, err)
+		}
+		want, wantN := exhaustivePatternsSerial(nPI)
+		if n != wantN || len(got) != len(want) {
+			t.Fatalf("nPI %d: n=%d rows=%d, want n=%d rows=%d", nPI, n, len(got), wantN, len(want))
+		}
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("nPI %d PI %d: %d words, want %d", nPI, i, len(got[i]), len(want[i]))
+			}
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("nPI %d PI %d word %d: %#x, want %#x", nPI, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+	for _, bad := range []int{-1, 21} {
+		if _, _, err := ExhaustivePatterns(bad); err != ErrTooManyInputs {
+			t.Errorf("nPI %d: err = %v, want ErrTooManyInputs", bad, err)
+		}
+	}
+}
+
 func TestPopcountAndEqualRows(t *testing.T) {
 	row := []uint64{^uint64(0), ^uint64(0)}
 	if got := Popcount(row, 70); got != 70 {

@@ -15,7 +15,8 @@ import (
 
 // generateChecked runs PODEM on ft and checks the verdict against oracles
 // that share no code with PODEM: every Untestable fault must leave the
-// circuit equivalent to the fault-free one under a SAT miter proof, and
+// circuit equivalent to the fault-free one under an equiv.Check proof
+// (exhaustive simulation for narrow circuits, a SAT miter otherwise), and
 // every TestFound assignment, with its don't-cares filled either way, must
 // detect the fault under bit-parallel fault simulation.
 func generateChecked(t *testing.T, p *tpg.Podem, ft fault.Fault) tpg.PodemResult {
@@ -43,8 +44,9 @@ func generateChecked(t *testing.T, p *tpg.Podem, ft fault.Fault) tpg.PodemResult
 }
 
 // checkEquivalent checks a fault the redundancy proof flagged: injecting it
-// must leave c equivalent to the fault-free circuit under a SAT miter proof,
-// which shares no code with the proof's rules.
+// must leave c equivalent to the fault-free circuit under an equiv.Check
+// proof (exhaustive simulation or a SAT miter), which shares no code with
+// the proof's rules.
 func checkEquivalent(t *testing.T, c *circuit.Circuit, ft fault.Fault) {
 	t.Helper()
 	r, err := equiv.Check(c, fault.Inject(c, ft), equiv.Options{})
@@ -60,8 +62,8 @@ func checkEquivalent(t *testing.T, c *circuit.Circuit, ft fault.Fault) {
 // random circuits and of two XOR-bearing circuits and checks each verdict
 // with generateChecked. It also runs the redundancy proof on every fault,
 // with candidates from 16 and from 1024 random patterns (16 makes many lines
-// look constant that are not), and checks each fault it proves against the
-// SAT miter; PODEM must not have found a test for any of them.
+// look constant that are not), and checks each fault it proves with
+// checkEquivalent; PODEM must not have found a test for any of them.
 func TestPodemVerdictOracle(t *testing.T) {
 	cs := []*circuit.Circuit{gen.ECC(8, false), gen.Alu(4)}
 	for s := int64(1); s <= 8; s++ {
