@@ -286,16 +286,34 @@ func (c *Circuit) invalidate() {
 	c.topo = nil
 }
 
+// cloneSpare is the Gates capacity Clone leaves past the copied gates, so
+// the few lines a correction adds (an inverter, a stuck-at constant) append
+// without copying the gate array again.
+const cloneSpare = 8
+
 // Clone returns a deep structural copy of the circuit. Derived data is not
-// copied and will be rebuilt on demand.
+// copied and will be rebuilt on demand. All fanins are copied into one
+// slab, each gate's capped at its length, so appending a pin to one gate
+// reallocates that gate's fanins rather than overwriting the next gate's.
 func (c *Circuit) Clone() *Circuit {
+	pins := 0
+	for _, g := range c.Gates {
+		pins += len(g.Fanin)
+	}
+	slab := make([]Line, 0, pins)
 	nc := &Circuit{
-		Gates: make([]Gate, len(c.Gates)),
+		Gates: make([]Gate, len(c.Gates), len(c.Gates)+cloneSpare),
 		PIs:   append([]Line(nil), c.PIs...),
 		POs:   append([]Line(nil), c.POs...),
 	}
 	for i, g := range c.Gates {
-		nc.Gates[i] = Gate{Type: g.Type, Fanin: append([]Line(nil), g.Fanin...), Name: g.Name}
+		var fin []Line
+		if len(g.Fanin) > 0 {
+			at := len(slab)
+			slab = append(slab, g.Fanin...)
+			fin = slab[at:len(slab):len(slab)]
+		}
+		nc.Gates[i] = Gate{Type: g.Type, Fanin: fin, Name: g.Name}
 	}
 	return nc
 }

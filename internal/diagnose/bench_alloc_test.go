@@ -50,3 +50,25 @@ func BenchmarkExpandRootErrorModel(b *testing.B) {
 			Options{MaxErrors: 3, Workers: 1}, params)
 	}
 }
+
+// BenchmarkExactSearch is the whole-run allocation guard: the exact
+// two-fault diagnosis of BenchmarkExpandRootScreen's alu, searched to
+// completion over many nodes, so the per-node engine storage a run
+// recycles shows in B/op and allocs/op. Run with -benchmem.
+func BenchmarkExactSearch(b *testing.B) {
+	c := gen.Alu(4)
+	vecs := tpg.BuildVectors(c, tpg.Options{Random: 256, Seed: 1, Deterministic: true})
+	sites := fault.Sites(c)
+	device := fault.Inject(c,
+		fault.Fault{Site: sites[20], Value: true},
+		fault.Fault{Site: sites[33], Value: false})
+	devOut := DeviceOutputs(device, vecs.PI, vecs.N)
+	opt := Options{MaxErrors: 2, Exact: true, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		nodes += Run(c, devOut, vecs.PI, vecs.N, StuckAtModel{}, opt).Stats.Nodes
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}

@@ -165,7 +165,7 @@ func (r *runState) restore(cp *Checkpoint) error {
 		frontier = append(frontier, nd)
 	}
 	for _, nd := range memo {
-		nd.release()
+		r.release(nd)
 	}
 	r.seen = make(map[string]bool, len(cp.Seen))
 	for _, k := range cp.Seen {

@@ -97,16 +97,26 @@ func (nd *node) awaiting() int {
 	return len(nd.rank.pending) + len(nd.rank.ready)
 }
 
-// release drops the node's engines at the end of a visit; a later visit
-// that needs a full-width trial re-simulates the node.
-func (nd *node) release() {
-	if nd.rank != nil {
+// release drops the node's engines at the end of a visit and puts them on
+// the run's free list; a later visit that needs a full-width trial
+// re-simulates the node. Engines go back at the exact points where their
+// last reference is dropped:
+//   - expand, for a solved node or one at the depth limit, and at the end
+//     of an expansion whose ranking keeps no view (every exact node, and a
+//     first-solution node with nothing pending);
+//   - screenLazy, for a Verr engine that is not the full view's;
+//   - release, at the end of a visit and for a node the search drops;
+//   - ensure, when it drains or caps a node's ranking.
+func (r *runState) release(nd *node) {
+	if nd.rank != nil && nd.rank.ec != nil {
+		r.releaseCtx(nd.rank.ec)
 		nd.rank.ec = nil
 	}
 }
 
 // ensure reports whether nd has a ranked correction at index i, ranking
-// pending survivors exactly until the i-th is known.
+// pending survivors exactly until the i-th is known. A node it drains or
+// caps releases its engines with its survivors.
 func (r *runState) ensure(nd *node, i int) bool {
 	for i >= len(nd.cands) {
 		if nd.rank == nil {
@@ -114,6 +124,7 @@ func (r *runState) ensure(nd *node, i int) bool {
 		}
 		rc, ok := r.nextRanked(nd)
 		if !ok || len(nd.cands)+1 >= r.opt.MaxCorrectionsPerNode {
+			r.release(nd)
 			nd.rank = nil // drained or capped: free the survivors
 		}
 		if !ok {
@@ -211,6 +222,9 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 			sr := r.verrTrial(ec, corr)
 			pending = append(pending, pendingCorr{c: corr, idx: idx, bound: r.rankCorrection(ec, corr, sr).Rank})
 		}
+	}
+	if ec.verr.e != ec.full.e {
+		r.releaseEngine(ec.verr.e)
 	}
 	ec.verr = vecView{} // the Verr engine and its rows are done with
 	return r.newRanking(ec, ready, pending)

@@ -168,6 +168,12 @@ type runState struct {
 	hRect       *telemetry.Histogram // diagnose.h1_rect — per-suspect rectified bits
 
 	rows trialRows // reusable value rows of the per-node trial loops
+
+	// free holds the engines the run's nodes have released; newEngine
+	// rebuilds the next engine in one of them (see releaseEngine). built
+	// counts the engines allocated because the list was empty.
+	free  []*sim.Engine
+	built int
 }
 
 // trialRows are the reusable value-row buffers consumed by the per-node
@@ -274,7 +280,7 @@ func (r *runState) search() {
 						return
 					}
 				} else if len(child.corrs) < r.maxDepth() {
-					child.release()
+					r.release(child)
 					frontier = append(frontier, child)
 				}
 				break
@@ -282,7 +288,7 @@ func (r *runState) search() {
 			if r.ensure(nd, nd.next) {
 				frontier = append(frontier, nd)
 			}
-			nd.release()
+			r.release(nd)
 			if nodesThisStep >= r.opt.MaxNodes {
 				return
 			}
@@ -304,6 +310,7 @@ func (r *runState) searchDFS(root *node) {
 		}
 		nd := stack[len(stack)-1]
 		if r.minDepth > 0 && len(nd.corrs)+1 > r.minDepth {
+			r.release(nd)
 			stack = stack[:len(stack)-1]
 			continue
 		}
@@ -333,7 +340,7 @@ func (r *runState) searchDFS(root *node) {
 			continue
 		}
 		if len(child.corrs) < r.maxDepth() {
-			nd.release() // only the top of the stack keeps its engine
+			r.release(nd) // only the top of the stack keeps its engine
 			stack = append(stack, child)
 		}
 	}
@@ -375,11 +382,11 @@ func (r *runState) searchBFS(root *node) {
 				continue
 			}
 			if len(child.corrs) < r.maxDepth() {
-				child.release()
+				r.release(child)
 				queue = append(queue, child)
 			}
 		}
-		nd.release()
+		r.release(nd)
 	}
 }
 
@@ -521,14 +528,16 @@ func (r *runState) expand(corrs []Correction) *node {
 	r.res.Stats.Simulations++
 	ec := r.newExpandCtx(e)
 	nd.fails = ec.fails
-	if nd.fails == 0 {
+	if nd.fails == 0 || len(corrs) >= r.maxDepth() {
+		// Solved, or at the depth limit: no candidates needed.
+		r.releaseEngine(e)
 		return nd
-	}
-	if len(corrs) >= r.maxDepth() {
-		return nd // depth limit: no candidates needed
 	}
 	ec.verr = r.failSpace(ec.full, ec.fails)
 	nd.rank = r.candidates(ec)
+	if nd.rank.ec == nil {
+		r.releaseCtx(ec) // the ranking keeps no view: the expansion is done with both
+	}
 	return nd
 }
 
@@ -540,9 +549,51 @@ func (r *runState) simulate(corrs []Correction) (*sim.Engine, error) {
 			return nil, err
 		}
 	}
-	e := sim.NewEngine(ckt, r.pi, r.n)
+	return r.newEngine(ckt, r.pi, r.n), nil
+}
+
+// newEngine simulates c over the n patterns in pi, in the storage of an
+// engine the run has released when it holds one.
+func (r *runState) newEngine(c *circuit.Circuit, pi [][]uint64, n int) *sim.Engine {
+	var e *sim.Engine
+	if k := len(r.free); k > 0 {
+		e, r.free = r.free[k-1], r.free[:k-1]
+		e.Reset(c, pi, n)
+	} else {
+		e = sim.NewEngine(c, pi, n)
+		r.built++
+	}
 	e.CTrials, e.CEvents = r.cTrials, r.cEvents
-	return e, nil
+	return e
+}
+
+// poisonReleased, when nonzero, is written over every value and scratch
+// row of an engine as it is released, so a read of a released engine
+// yields garbage instead of the values it held. Only tests set it.
+var poisonReleased uint64
+
+// releaseEngine puts e on the run's free list, for the next newEngine to
+// rebuild. The caller drops its last reference to e here; nothing read
+// from e may be used afterwards. A node's two engines simulate the same
+// circuit, but circuits are never recycled, so releasing one view's engine
+// leaves the other's circuit intact.
+func (r *runState) releaseEngine(e *sim.Engine) {
+	if poisonReleased != 0 {
+		e.Poison(poisonReleased)
+	}
+	r.free = append(r.free, e)
+}
+
+// releaseCtx releases the engines of ec's views (one when the Verr view is
+// the full view) and clears both views.
+func (r *runState) releaseCtx(ec *expandCtx) {
+	if ec.verr.e != nil && ec.verr.e != ec.full.e {
+		r.releaseEngine(ec.verr.e)
+	}
+	if ec.full.e != nil {
+		r.releaseEngine(ec.full.e)
+	}
+	ec.full, ec.verr = vecView{}, vecView{}
 }
 
 // candidates runs a node's diagnosis (path trace, then heuristic 1) and
@@ -702,8 +753,7 @@ func (r *runState) failSpace(full vecView, fails int) vecView {
 	np, ns := len(r.pi), len(full.spec)
 	rows := make([][]uint64, 0, np+ns+len(full.diff))
 	g := sim.GatherMask(append(append(append(rows, r.pi...), full.spec...), full.diff...), full.mask)
-	e := sim.NewEngine(full.e.C, g[:np:np], fails)
-	e.CTrials, e.CEvents = full.e.CTrials, full.e.CEvents
+	e := r.newEngine(full.e.C, g[:np:np], fails)
 	mask := make([]uint64, e.W)
 	for w := range mask {
 		mask[w] = ^uint64(0)

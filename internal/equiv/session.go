@@ -27,7 +27,10 @@ const sessionRebuildAfter = 32
 // easiest equivalent candidate, took from 2 times as long on random logic
 // to over 1,000 times on multipliers (16 inputs: 2.9 ms against 86 s). Past
 // them simulation stops paying: at 20 PIs and 1,020 lines it took 85 ms and
-// 134 MB against SAT's 25 ms.
+// 134 MB against SAT's 25 ms. Simulating into a matrix the session keeps
+// (exVal) later removed the per-check allocation: on a 2-CPU host rnd14
+// went from 238 to 55 µs and the 20-PI case from 60 to 44 ms, against
+// SAT's 18 ms there, so the bounds stand.
 const (
 	exhaustiveMaxPIs   = 16
 	exhaustiveMaxWords = 1 << 20
@@ -81,10 +84,12 @@ type Session struct {
 
 	// exPI holds the reference's exhaustive input patterns (exN of them)
 	// and exOut its PO rows over them. All stay unset until the first check
-	// that simulates.
+	// that simulates. exVal is the value matrix every candidate is
+	// simulated into, kept across checks.
 	exPI  [][]uint64
 	exN   int
 	exOut [][]uint64
+	exVal sim.Matrix
 
 	// Checks counts Check calls, Reused how many of them reused the
 	// previous candidate encoding (fingerprint match), and Simulated how
@@ -164,16 +169,26 @@ func (ss *Session) simulable(b *circuit.Circuit) bool {
 	return w*max(ss.spec.NumLines(), b.NumLines()) <= exhaustiveMaxWords
 }
 
-// sameOnAllInputs simulates b over every input pattern and compares its
-// outputs with the reference's, which it simulates on first use.
+// sameOnAllInputs simulates b over every input pattern, into the matrix
+// the session keeps, and compares its outputs with the reference's, which
+// it simulates on first use and copies out of the matrix.
 func (ss *Session) sameOnAllInputs(b *circuit.Circuit) bool {
 	if ss.exOut == nil {
 		ss.exPI, ss.exN, _ = sim.ExhaustivePatterns(len(ss.spec.PIs))
-		ss.exOut = sim.Outputs(ss.spec, sim.Simulate(ss.spec, ss.exPI, ss.exN))
+		w := sim.Words(ss.exN)
+		val := ss.exVal.Rows(ss.spec.NumLines(), w)
+		sim.SimulateInto(val, ss.spec, ss.exPI, ss.exN)
+		ss.exOut = make([][]uint64, len(ss.spec.POs))
+		slab := make([]uint64, len(ss.spec.POs)*w)
+		for i, po := range ss.spec.POs {
+			ss.exOut[i] = slab[i*w : (i+1)*w : (i+1)*w]
+			copy(ss.exOut[i], val[po])
+		}
 	}
-	out := sim.Outputs(b, sim.Simulate(b, ss.exPI, ss.exN))
-	for _, word := range sim.DiffMask(ss.exOut, out, ss.exN) {
-		if word != 0 {
+	val := ss.exVal.Rows(b.NumLines(), sim.Words(ss.exN))
+	sim.SimulateInto(val, b, ss.exPI, ss.exN)
+	for i, po := range b.POs {
+		if !sim.EqualRows(val[po], ss.exOut[i], ss.exN) {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"dedc/internal/circuit"
 	"dedc/internal/telemetry"
 )
@@ -13,13 +15,20 @@ import (
 // Trials are the inner loop of the diagnosis algorithm (thousands per
 // iteration), so the engine avoids allocation: scratch rows are carved from
 // one slab and reused across trials via epoch stamps.
+//
+// An engine owns its value and scratch rows. Reset rebuilds an engine for
+// another circuit in the same storage, so any row or slice read from it
+// before the Reset (BaseVal, Values, TrialVal, Changed, ConstRow) may be
+// overwritten by the rebuild. An owner that hands an engine on to be
+// Reset has released it and must not read it, or anything read from it,
+// again.
 type Engine struct {
 	C *circuit.Circuit
 	N int // pattern count
 	W int // words per row
 
-	val     [][]uint64 // base values, one row per line
-	scratch [][]uint64 // trial values, one row per line (carved from one slab)
+	val     Matrix // base values, one row per line
+	scratch Matrix // trial values, one row per line
 
 	stamp   []uint32 // epoch when scratch[l] was last written
 	queued  []uint32 // epoch when l was last enqueued
@@ -38,7 +47,7 @@ type Engine struct {
 
 	// Trial-loop telemetry. Both are nil by default (a nil *Counter no-ops),
 	// so the only disabled-path cost is one predictable branch per trial —
-	// never per event. Wire them with Instrument.
+	// never per event. Wire them with Instrument; Reset keeps them.
 	CTrials *telemetry.Counter // trials run (all Trial* entry points): propagations, not screened candidates
 	CEvents *telemetry.Counter // lines re-evaluated across all trials
 }
@@ -71,48 +80,84 @@ func (e *Engine) ConstRow(v bool) []uint64 {
 // NewEngine simulates the circuit over the given input patterns and returns
 // an engine ready for trials. pi has one row per PI in circuit PI order.
 func NewEngine(c *circuit.Circuit, pi [][]uint64, n int) *Engine {
-	w := Words(n)
-	e := &Engine{
-		C:       c,
-		N:       n,
-		W:       w,
-		val:     Simulate(c, pi, n),
-		scratch: make([][]uint64, c.NumLines()),
-		stamp:   make([]uint32, c.NumLines()),
-		queued:  make([]uint32, c.NumLines()),
-		pinned:  make([]uint32, c.NumLines()),
-		levels:  c.Levels(),
-		fanout:  c.Fanout(),
+	e := &Engine{}
+	e.Reset(c, pi, n)
+	return e
+}
+
+// epochLimit is the epoch past which Reset clears the stamps and restarts
+// the count, far below the point where a uint32 epoch would wrap onto
+// stamps still in the arrays.
+const epochLimit = 1 << 31
+
+// Reset rebuilds e as NewEngine(c, pi, n) would, in e's own storage: the
+// value and scratch slabs, the stamp, queue and pin marks, the level
+// buckets and the fanin buffer are reused, and grow only when c has more
+// lines or n needs more words than they hold. The result matches a fresh
+// engine bit for bit, tail bits included, because the simulation
+// overwrites every value word and a scratch row is read only after a trial
+// writes it. The epoch carries forward, so no stamp, queue mark or pin left
+// by an earlier trial equals the new epoch. Everything read from e before
+// the call is invalid after it (see Engine).
+func (e *Engine) Reset(c *circuit.Circuit, pi [][]uint64, n int) {
+	lines, w := c.NumLines(), Words(n)
+	if w != e.W {
+		e.zeroRow, e.onesRow, e.comp = nil, nil, nil
 	}
-	slab := make([]uint64, c.NumLines()*w)
-	for i := range e.scratch {
-		e.scratch[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	e.C, e.N, e.W = c, n, w
+	simulateRows(nil, c, e.val.Rows(lines, w), pi, w)
+	e.scratch.Rows(lines, w)
+	if e.epoch >= epochLimit {
+		clear(e.stamp[:cap(e.stamp)])
+		clear(e.queued[:cap(e.queued)])
+		clear(e.pinned[:cap(e.pinned)])
+		e.epoch = 0
 	}
+	e.epoch++
+	// Reused marks keep their old epochs, all below the new one.
+	e.stamp = slices.Grow(e.stamp[:0], lines)[:lines]
+	e.queued = slices.Grow(e.queued[:0], lines)[:lines]
+	e.pinned = slices.Grow(e.pinned[:0], lines)[:lines]
+	e.changed = e.changed[:0]
+	e.levels = c.Levels()
+	e.fanout = c.Fanout()
 	maxLevel := int32(0)
 	for _, lv := range e.levels {
 		if lv > maxLevel {
 			maxLevel = lv
 		}
 	}
-	e.buckets = make([][]circuit.Line, maxLevel+1)
-	return e
+	e.buckets = slices.Grow(e.buckets[:0], int(maxLevel)+1)[:maxLevel+1] // drained buckets are empty
+}
+
+// Poison overwrites every value and scratch row of e with word. It exists
+// for owners that recycle engines: poisoning an engine as it is released
+// makes any later read of it visible as garbage.
+func (e *Engine) Poison(word uint64) {
+	for _, rows := range [][][]uint64{e.val.rows, e.scratch.rows} {
+		for _, row := range rows {
+			for i := range row {
+				row[i] = word
+			}
+		}
+	}
 }
 
 // BaseVal returns the base (no-trial) value row of line l. Callers must not
 // mutate it.
-func (e *Engine) BaseVal(l circuit.Line) []uint64 { return e.val[l] }
+func (e *Engine) BaseVal(l circuit.Line) []uint64 { return e.val.rows[l] }
 
 // Values returns the full base value matrix (one row per line). Callers must
 // not mutate it.
-func (e *Engine) Values() [][]uint64 { return e.val }
+func (e *Engine) Values() [][]uint64 { return e.val.rows }
 
 // TrialVal returns the value row of l under the current trial: the forced or
 // propagated trial value when l changed, the base value otherwise.
 func (e *Engine) TrialVal(l circuit.Line) []uint64 {
 	if e.stamp[l] == e.epoch {
-		return e.scratch[l]
+		return e.scratch.rows[l]
 	}
-	return e.val[l]
+	return e.val.rows[l]
 }
 
 // Changed returns the lines whose value differs from base under the current
@@ -138,10 +183,10 @@ func (e *Engine) Trial(l circuit.Line, forced []uint64) []circuit.Line {
 func (e *Engine) trial(l circuit.Line, forced []uint64) []circuit.Line {
 	e.epoch++
 	e.changed = e.changed[:0]
-	if equalWords(forced, e.val[l], e.W) {
+	if equalWords(forced, e.val.rows[l], e.W) {
 		return e.changed
 	}
-	copy(e.scratch[l], forced[:e.W])
+	copy(e.scratch.rows[l], forced[:e.W])
 	e.stamp[l] = e.epoch
 	e.changed = append(e.changed, l)
 	e.enqueueFanout(l)
@@ -161,10 +206,10 @@ func (e *Engine) TrialMulti(lines []circuit.Line, forced [][]uint64) []circuit.L
 		// Pin every forced line — even one whose forced value equals its
 		// base value must not be re-evaluated when propagation from another
 		// forced line washes over it.
-		copy(e.scratch[l], forced[i][:e.W])
+		copy(e.scratch.rows[l], forced[i][:e.W])
 		e.stamp[l] = e.epoch
 		e.pinned[l] = e.epoch
-		if equalWords(forced[i], e.val[l], e.W) {
+		if equalWords(forced[i], e.val.rows[l], e.W) {
 			continue
 		}
 		e.changed = append(e.changed, l)
@@ -193,10 +238,10 @@ func (e *Engine) TrialMulti(lines []circuit.Line, forced [][]uint64) []circuit.L
 func (e *Engine) TrialEval(l circuit.Line, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) []circuit.Line {
 	e.epoch++
 	e.changed = e.changed[:0]
-	out := e.scratch[l]
+	out := e.scratch.rows[l]
 	e.evalInto(out, t, fin, finComp, outComp)
 	e.CTrials.Inc()
-	if equalWords(out, e.val[l], e.W) {
+	if equalWords(out, e.val.rows[l], e.W) {
 		return e.changed
 	}
 	e.stamp[l] = e.epoch
@@ -223,10 +268,10 @@ func (e *Engine) TrialEvalPin(l circuit.Line, t circuit.GateType, fin []circuit.
 			e.faninV = append(e.faninV, e.TrialVal(f))
 		}
 	}
-	out := e.scratch[l]
+	out := e.scratch.rows[l]
 	EvalGateInto(t, out, e.W, e.faninV...)
 	e.CTrials.Inc()
-	if equalWords(out, e.val[l], e.W) {
+	if equalWords(out, e.val.rows[l], e.W) {
 		return e.changed
 	}
 	e.stamp[l] = e.epoch
@@ -246,7 +291,7 @@ func (e *Engine) TrialEvalPin(l circuit.Line, t circuit.GateType, fin []circuit.
 func (e *Engine) EvalCandidate(dst []uint64, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) {
 	e.faninV = e.faninV[:0]
 	for _, f := range fin {
-		e.faninV = append(e.faninV, e.val[f])
+		e.faninV = append(e.faninV, e.val.rows[f])
 	}
 	e.complementPins(finComp)
 	EvalGateInto(t, dst, e.W, e.faninV...)
@@ -288,7 +333,7 @@ func (e *Engine) EvalCandidatePin(dst []uint64, t circuit.GateType, fin []circui
 		if p == pin {
 			e.faninV = append(e.faninV, row)
 		} else {
-			e.faninV = append(e.faninV, e.val[f])
+			e.faninV = append(e.faninV, e.val.rows[f])
 		}
 	}
 	EvalGateInto(t, dst, e.W, e.faninV...)
@@ -325,13 +370,13 @@ func (e *Engine) drain(from int) {
 				continue // force-pinned lines keep their trial value
 			}
 			g := &e.C.Gates[l]
-			out := e.scratch[l]
+			out := e.scratch.rows[l]
 			e.faninV = e.faninV[:0]
 			for _, f := range g.Fanin {
 				e.faninV = append(e.faninV, e.TrialVal(f))
 			}
 			EvalGateInto(g.Type, out, e.W, e.faninV...)
-			if equalWords(out, e.val[l], e.W) {
+			if equalWords(out, e.val.rows[l], e.W) {
 				continue
 			}
 			e.stamp[l] = e.epoch

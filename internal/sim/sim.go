@@ -12,6 +12,15 @@
 // Values are stored one row per line, packed 64 patterns per uint64 word.
 // Bits beyond the pattern count are unspecified garbage; every counting and
 // comparison helper therefore takes the pattern count n and masks the tail.
+//
+// Storage can outlive a simulation. SimulateInto writes into rows the caller
+// owns (a Matrix keeps them between calls), and Engine.Reset rebuilds an
+// engine for another circuit in the engine's own rows. Either way the
+// simulation overwrites every word it computes, tail bits included, so a
+// result never depends on what the storage held before; and either way
+// the rows belong to their owner, so a row read before the storage is
+// reused is overwritten by the reuse. A caller that hands an engine over
+// to be Reset has released it and must not read it again.
 package sim
 
 import (
@@ -272,20 +281,33 @@ const simCheckInterval = 4096
 // filled value matrix is returned along with ctx.Err(). A nil ctx skips the
 // polling entirely (the Simulate fast path).
 func SimulateContext(ctx context.Context, c *circuit.Circuit, pi [][]uint64, n int) ([][]uint64, error) {
-	w := Words(n)
-	val := make([][]uint64, c.NumLines())
-	storage := make([]uint64, c.NumLines()*w)
-	for i := range val {
-		val[i] = storage[i*w : (i+1)*w]
-	}
+	var m Matrix // fresh storage: the caller owns the result
+	val := m.Rows(c.NumLines(), Words(n))
+	return val, simulateRows(ctx, c, val, pi, Words(n))
+}
+
+// SimulateInto is Simulate into caller-owned rows: val holds one row of at
+// least Words(n) words per line, and every row's first Words(n) words are
+// overwritten, tail bits included, so the result does not depend on what
+// the rows held before. A Matrix keeps such rows across simulations.
+func SimulateInto(val [][]uint64, c *circuit.Circuit, pi [][]uint64, n int) {
+	simulateRows(nil, c, val, pi, Words(n))
+}
+
+// simulateRows is the one simulation body: it copies the first w words of
+// the PI rows into val and evaluates every gate over w words in
+// topological order, polling ctx (when non-nil) every simCheckInterval
+// gates.
+func simulateRows(ctx context.Context, c *circuit.Circuit, val, pi [][]uint64, w int) error {
 	for i, p := range c.PIs {
-		copy(val[p], pi[i][:w])
+		copy(val[p][:w], pi[i][:w])
 	}
-	scratch := make([][]uint64, 0, 8)
+	var buf [8][]uint64
+	scratch := buf[:0]
 	for k, l := range c.Topo() {
 		if ctx != nil && k%simCheckInterval == simCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
-				return val, err
+				return err
 			}
 		}
 		g := &c.Gates[l]
@@ -298,7 +320,33 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, pi [][]uint64, n i
 		}
 		EvalGateInto(g.Type, val[l], w, scratch...)
 	}
-	return val, nil
+	return nil
+}
+
+// Matrix is value-matrix storage that outlives one simulation: Rows carves
+// rows from a slab it keeps, growing it only when a larger matrix is asked
+// for, so a caller that simulates circuit after circuit of similar size
+// allocates once.
+type Matrix struct {
+	rows [][]uint64
+	slab []uint64
+}
+
+// Rows returns lines rows of w words each. Their contents are whatever the
+// storage last held, and every slice Rows returned before is invalidated:
+// the rows share its storage.
+func (m *Matrix) Rows(lines, w int) [][]uint64 {
+	if need := lines * w; cap(m.slab) < need {
+		m.slab = make([]uint64, need)
+	}
+	if cap(m.rows) < lines {
+		m.rows = make([][]uint64, lines)
+	}
+	m.rows = m.rows[:lines]
+	for i := range m.rows {
+		m.rows[i] = m.slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return m.rows
 }
 
 // simParallelMinWords is the smallest word count per worker that makes
@@ -307,10 +355,10 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, pi [][]uint64, n i
 const simParallelMinWords = 8
 
 // SimulateParallel is Simulate with the pattern words sharded across
-// workers: each worker runs the full topological walk over its own word
-// range, so the result is bit-identical to Simulate for any worker count
-// (per-pattern values never depend on other patterns). Narrow batches fall
-// back to the sequential path.
+// workers: each worker runs the full topological walk over views of its
+// own word range, so the result is bit-identical to Simulate for any worker
+// count (per-pattern values never depend on other patterns). Narrow batches
+// fall back to the sequential path.
 func SimulateParallel(c *circuit.Circuit, pi [][]uint64, n, workers int) [][]uint64 {
 	w := Words(n)
 	if workers > w/simParallelMinWords {
@@ -319,37 +367,29 @@ func SimulateParallel(c *circuit.Circuit, pi [][]uint64, n, workers int) [][]uin
 	if workers <= 1 {
 		return Simulate(c, pi, n)
 	}
-	val := make([][]uint64, c.NumLines())
-	storage := make([]uint64, c.NumLines()*w)
-	for i := range val {
-		val[i] = storage[i*w : (i+1)*w]
-	}
-	for i, p := range c.PIs {
-		copy(val[p], pi[i][:w])
-	}
-	topo := c.Topo() // warm the cache on the calling goroutine
+	var m Matrix
+	val := m.Rows(c.NumLines(), w)
+	c.Topo() // warm the cache on the calling goroutine
 	var wg sync.WaitGroup
 	for sh := 0; sh < workers; sh++ {
 		lo, hi := sh*w/workers, (sh+1)*w/workers
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			scratch := make([][]uint64, 0, 8)
-			for _, l := range topo {
-				g := &c.Gates[l]
-				if g.Type == circuit.Input {
-					continue
-				}
-				scratch = scratch[:0]
-				for _, f := range g.Fanin {
-					scratch = append(scratch, val[f][lo:hi])
-				}
-				EvalGateInto(g.Type, val[l][lo:hi], hi-lo, scratch...)
-			}
+			simulateRows(nil, c, shard(val, lo, hi), shard(pi, lo, hi), hi-lo)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return val
+}
+
+// shard returns views of words [lo, hi) of rows.
+func shard(rows [][]uint64, lo, hi int) [][]uint64 {
+	out := make([][]uint64, len(rows))
+	for i, row := range rows {
+		out[i] = row[lo:hi:hi]
+	}
+	return out
 }
 
 // Outputs extracts the PO rows of a value matrix, in circuit PO order.
