@@ -6,7 +6,7 @@
 //
 //	atpg -in ckt.bench -random 4096 -det -o ckt.vec
 //	atpg ... -journal atpg.jsonl -cpuprofile cpu.out -v
-//	atpg ... -debug-addr localhost:6060   # live /metrics, /debug/vars, /debug/pprof/
+//	atpg ... -debug-addr localhost:6060   # live /metrics, /debug/pprof/
 package main
 
 import (

@@ -17,8 +17,8 @@
 // runtime profiles; -v enables debug logging and -log-format selects
 // text or json log lines on stderr. -debug-addr serves live debugging
 // endpoints for the duration of the run: /metrics (Prometheus text
-// exposition of the engine counters and span-duration histograms),
-// /debug/vars (expvar) and /debug/pprof/ — e.g.
+// exposition of the engine counters and span-duration histograms) and
+// /debug/pprof/ — e.g.
 //
 //	dedc ... -debug-addr localhost:6060 &
 //	curl localhost:6060/metrics
@@ -107,7 +107,6 @@ func run(args []string) int {
 		}
 	}()
 	log := rt.Logger
-	telemetry.Default.Publish("dedc.metrics")
 
 	fail := func(format string, args ...any) int {
 		log.Error(fmt.Sprintf(format, args...))

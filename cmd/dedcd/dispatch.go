@@ -178,8 +178,7 @@ func (s *server) runAttempt(jctx context.Context, cancel context.CancelFunc, j s
 		return nil
 	}
 
-	// Live progress rides every attempt, journaled or not.
-	env := runEnv{OnCheckpoint: s.progressHook(j), Resume: s.resumePoint(j)}
+	env := runEnv{Resume: s.resumePoint(j)}
 	runCtx, closeJournal := s.attemptJournal(jctx, j)
 	defer closeJournal()
 
@@ -274,15 +273,27 @@ func (s *server) attemptJournal(ctx context.Context, j store.Job) (context.Conte
 		return ctx, func() {}
 	}
 	jl := telemetry.NewJournal(f)
-	// Solution events tee to the live event stream as the journal records
-	// them (the mirror sees the exact persisted line).
-	jl.SetMirror(s.mirrorSolutions(j.ID))
 	tr := telemetry.NewTracer(telemetry.Options{Journal: jl})
 	return telemetry.WithTracer(ctx, tr), func() {
 		if cerr := jl.Close(); cerr != nil {
 			s.log.Warn("closing attempt journal", "id", j.ID, "err", cerr)
 		}
 		f.Close()
+	}
+}
+
+// watchEvictions removes the attempt journals of every job the store evicts
+// while the daemon runs. Runs until ctx ends or the store closes.
+func (s *server) watchEvictions(ctx context.Context, sub *telemetry.Sub[store.Update]) {
+	defer sub.Cancel()
+	for {
+		u, ok := sub.Next(ctx)
+		if !ok {
+			return
+		}
+		if u.Evicted {
+			s.removeJournals(u.JobID, u.Attempt)
+		}
 	}
 }
 

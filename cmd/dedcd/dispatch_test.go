@@ -102,8 +102,8 @@ func TestStartupSweepRemovesEvictedJournals(t *testing.T) {
 
 // TestDispatchNoGoroutineLeak: a burst of real diagnosis submissions, some
 // shed by the admission cap and the rest run to terminal through the
-// worker loops with journals and progress hooks, leaves the
-// goroutine count where it was before the burst.
+// worker loops with journals, leaves the goroutine count where it was
+// before the burst.
 func TestDispatchNoGoroutineLeak(t *testing.T) {
 	c := gen.Alu(2)
 	var good, bad bytes.Buffer

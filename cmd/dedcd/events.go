@@ -1,147 +1,64 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"dedc/internal/cache"
-	"dedc/internal/diagnose"
 	"dedc/internal/store"
 	"dedc/internal/stream"
 	"dedc/internal/telemetry"
 )
 
-// This file is the live-introspection layer of dedcd: GET /v1/jobs/{id}/events
-// streams one job's lifecycle and search progress as Server-Sent Events, and
-// GET /v1/stats serves a one-shot daemon summary (dedctop's poll target).
+// This file serves dedcd's read-only views of its jobs: GET
+// /v1/jobs/{id}/events streams one job's lifecycle as Server-Sent Events, and
+// GET /v1/stats serves a one-shot daemon summary.
 //
-// Every frame flows through one bounded fan-out bus (telemetry.Bus): the store
-// watch pump publishes persisted timeline transitions, and running attempts
-// publish checkpoint progress and solution events teed from their run
-// journals. A slow stream never blocks the diagnosis hot path — its ring
-// overflows oldest-first, counted on telemetry.stream_dropped, and the
-// handler heals lifecycle gaps from the persisted timeline.
+// A stream reads the store's watch for its job (store.Watch): every frame is
+// one persisted timeline transition. The watch is a bounded ring, so a slow
+// stream never blocks the store — its ring overflows oldest-first, counted on
+// telemetry.stream_dropped, and the handler heals the gap from the persisted
+// timeline.
 //
-// Resume contract: lifecycle frames carry the job's timeline index as the SSE
+// Resume contract: every frame carries the job's timeline index as the SSE
 // event ID. A client reconnecting with Last-Event-ID: N gets timeline[N+1:]
 // replayed from the store — which survives daemon restarts — then the live
-// tail. Progress and solution frames are ephemeral (no ID): they are
-// deliberately absent from resume, since the state they describe is
-// recoverable from the next checkpoint anyway.
-
-// streamItem is one frame on the events bus, pre-marshalled once at publish
-// so N subscribers cost N ring slots, not N encodings.
-type streamItem struct {
-	job      string
-	kind     string // stream.TypeLifecycle / TypeProgress / TypeSolution
-	index    int    // timeline index (lifecycle only; -1 otherwise)
-	terminal bool
-	data     []byte
-}
+// tail.
 
 // defaultHeartbeat is the idle-stream comment interval. It keeps
 // intermediaries from idling the connection out and bounds how long a
 // vanished client holds a handler goroutine.
 const defaultHeartbeat = 15 * time.Second
 
-// subBuf is the per-stream ring size: enough for the checkpoint cadence of a
-// busy attempt, small enough that a stalled client wastes little.
-const subBuf = 256
+// subBuf is the per-stream watch ring size. A job's whole timeline under the
+// default -max-attempts (submitted, a claim and a requeue per attempt, the
+// terminal entry) fits; a longer burst while the client is slow is healed
+// from the persisted timeline.
+const subBuf = 16
 
-// watchPump converts store watch updates into lifecycle frames on the events
-// bus. It is the only lifecycle publisher, so per-job frame order matches
-// timeline order. An eviction update publishes no frame; it removes the
-// job's attempt journals instead. Runs until ctx ends or the store closes.
-func (s *server) watchPump(ctx context.Context, sub *telemetry.Sub[store.Update]) {
-	defer sub.Cancel()
-	for {
-		u, ok := sub.Next(ctx)
-		if !ok {
-			return
-		}
-		if u.Evicted {
-			s.removeJournals(u.JobID, u.Attempt)
-			continue
-		}
-		if u.Terminal() {
-			s.progressMu.Lock()
-			delete(s.progress, u.JobID)
-			s.progressMu.Unlock()
-		}
-		lc := stream.Lifecycle{
-			Job:      u.JobID,
-			Index:    u.Index,
-			Type:     u.Entry.Type,
-			TS:       u.Entry.TS,
-			Attempt:  u.Entry.Attempt,
-			Worker:   u.Entry.Worker,
-			Reason:   u.Entry.Reason,
-			State:    string(u.State),
-			Terminal: u.Terminal(),
-			Error:    u.Error,
-		}
-		data, err := json.Marshal(lc)
-		if err != nil {
-			continue
-		}
-		s.events.Publish(streamItem{job: u.JobID, kind: stream.TypeLifecycle,
-			index: u.Index, terminal: lc.Terminal, data: data})
-	}
-}
-
-// progressHook is an attempt's checkpoint callback: it publishes live
-// progress. satStart anchors the per-attempt sat.conflicts delta.
-func (s *server) progressHook(j store.Job) func(*diagnose.Checkpoint) {
-	satConflicts := telemetry.Default.Counter("sat.conflicts")
-	satStart := satConflicts.Value()
-	return func(cp *diagnose.Checkpoint) {
-		p := stream.Progress{
-			Job:          j.ID,
-			Attempt:      j.Attempt,
-			Step:         cp.Step,
-			Round:        cp.Round,
-			Frontier:     len(cp.Frontier),
-			Solutions:    len(cp.Solutions),
-			Candidates:   cp.Stats.Candidates,
-			Simulations:  cp.Stats.Simulations,
-			SatConflicts: satConflicts.Value() - satStart,
-			TS:           time.Now(),
-		}
-		s.progressMu.Lock()
-		s.progress[j.ID] = p
-		s.progressMu.Unlock()
-		if data, err := json.Marshal(p); err == nil {
-			s.events.Publish(streamItem{job: j.ID, kind: stream.TypeProgress, index: -1, data: data})
-		}
-	}
-}
-
-// solutionMarker identifies solution events in journal lines without a full
-// parse — the mirror runs under the journal lock on the engine's hot path.
-var solutionMarker = []byte(`"event":"solution"`)
-
-// mirrorSolutions publishes an attempt's journaled solution events to the
-// events bus as they land. The frame payload is the journal line itself
-// (schema v2), so stream consumers see exactly what the journal persisted.
-func (s *server) mirrorSolutions(jobID string) func([]byte) {
-	return func(line []byte) {
-		if !bytes.Contains(line, solutionMarker) {
-			return
-		}
-		s.events.Publish(streamItem{job: jobID, kind: stream.TypeSolution, index: -1, data: line})
+// lifecycleFrom is the lifecycle frame payload of a live watch update.
+func lifecycleFrom(u store.Update) stream.Lifecycle {
+	return stream.Lifecycle{
+		Job:      u.JobID,
+		Index:    u.Index,
+		Type:     u.Entry.Type,
+		TS:       u.Entry.TS,
+		Attempt:  u.Entry.Attempt,
+		Worker:   u.Entry.Worker,
+		Reason:   u.Entry.Reason,
+		State:    string(u.State),
+		Terminal: u.Terminal(),
+		Error:    u.Error,
 	}
 }
 
 // lifecycleOf reconstructs a lifecycle frame payload from a persisted
-// timeline entry — the replay half of Last-Event-ID resume. jobErr is the
-// job's current error, attached only to the entry it describes (the final
-// one when terminal).
+// timeline entry — the replay half of Last-Event-ID resume. The job's error
+// is attached only to the entry it describes (the final one when terminal).
 func lifecycleOf(j store.Job, idx int) stream.Lifecycle {
 	e := j.Timeline[idx]
 	st := store.TimelineState(e.Type)
@@ -192,10 +109,9 @@ func (s *server) replayTimeline(sw *stream.Writer, id string, sent int) (int, bo
 }
 
 // handleEvents serves GET /v1/jobs/{id}/events: an SSE stream of the job's
-// lifecycle (persisted timeline transitions, resumable via Last-Event-ID)
-// merged with live attempt progress and solution events. The stream ends at
-// the job's terminal transition or when the client disconnects; heartbeat
-// comments flow while nothing happens.
+// lifecycle (persisted timeline transitions, resumable via Last-Event-ID).
+// The stream ends at the job's terminal transition or when the client
+// disconnects; heartbeat comments flow while nothing happens.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -214,7 +130,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the replay snapshot: a transition landing during
 	// replay waits in the ring and is deduped by index below, so the merge
 	// is gapless without ever blocking the store.
-	sub := s.events.Subscribe(subBuf, func(it streamItem) bool { return it.job == j.ID })
+	sub := s.st.Watch(j.ID, subBuf)
 	defer sub.Cancel()
 
 	sw, err := stream.NewWriter(w)
@@ -233,7 +149,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		wctx, cancel := context.WithTimeout(r.Context(), hb)
-		it, ok := sub.Next(wctx)
+		u, ok := sub.Next(wctx)
 		cancel()
 		if !ok {
 			switch {
@@ -245,34 +161,34 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			default:
-				return // bus closed: daemon shutting down
+				return // watch closed: the store is shutting down
 			}
 		}
-		if it.kind == stream.TypeLifecycle {
-			if it.index <= sent {
-				continue // already sent during replay
-			}
-			if it.index > sent+1 {
-				// The ring dropped transitions while we were slow; the
-				// persisted timeline has them all.
-				var terminal bool
-				if sent, terminal, err = s.replayTimeline(sw, j.ID, sent); err != nil || terminal {
-					return
-				}
-				if it.index <= sent {
-					continue
-				}
-			}
-			sent = it.index
+		if u.Index <= sent {
+			// Already sent during replay. An eviction update (index -1)
+			// lands here too: it follows the terminal frame, which ends
+			// the stream.
+			continue
 		}
-		var id string
-		if it.kind == stream.TypeLifecycle {
-			id = strconv.Itoa(it.index)
+		if u.Index > sent+1 {
+			// The ring dropped transitions while we were slow; the
+			// persisted timeline has them all.
+			if sent, terminal, err = s.replayTimeline(sw, j.ID, sent); err != nil || terminal {
+				return
+			}
+			if u.Index <= sent {
+				continue
+			}
 		}
-		if sw.Send(stream.Event{ID: id, Type: it.kind, Data: it.data}) != nil {
+		sent = u.Index
+		data, err := json.Marshal(lifecycleFrom(u))
+		if err != nil {
 			return
 		}
-		if it.terminal {
+		if sw.Send(stream.Event{ID: strconv.Itoa(u.Index), Type: stream.TypeLifecycle, Data: data}) != nil {
+			return
+		}
+		if u.Terminal() {
 			return
 		}
 	}
@@ -317,9 +233,8 @@ var statsCounters = map[string]string{
 }
 
 // handleStats serves GET /v1/stats: per-state job counts, worker occupancy,
-// daemon counters, phase latency quantiles, stream fan-out health, and the
-// latest checkpoint of every running attempt. One bounded JSON object —
-// dedctop polls it once per frame.
+// daemon counters, phase latency quantiles and the parse/ATPG cache. One
+// bounded JSON object.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	jobs := map[string]int{}
 	for st, n := range s.st.Counts() {
@@ -329,14 +244,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for wire, name := range statsCounters {
 		counters[wire] = telemetry.Default.Counter(name).Value()
 	}
-	s.progressMu.Lock()
-	running := make([]stream.Progress, 0, len(s.progress))
-	for _, p := range s.progress {
-		running = append(running, p)
-	}
-	s.progressMu.Unlock()
-	sort.Slice(running, func(i, k int) bool { return running[i].Job < running[k].Job })
-
 	writeJSON(w, http.StatusOK, stream.Stats{
 		TS:       time.Now(),
 		Jobs:     jobs,
@@ -347,12 +254,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"attempt":    quantilesOf(telemetry.Default.Histogram("store.attempt_ns")),
 			"e2e":        quantilesOf(telemetry.Default.Histogram("store.e2e_ns")),
 		},
-		Stream: stream.StreamStats{
-			Subscribers: s.events.Subscribers(),
-			Dropped:     telemetry.StreamDropped.Value(),
-		},
-		Cache:   cacheStatsOf(s.cache),
-		Running: running,
+		Cache: cacheStatsOf(s.cache),
 	})
 }
 

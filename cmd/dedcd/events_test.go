@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,15 +16,15 @@ import (
 	"testing"
 	"time"
 
-	"dedc/internal/diagnose"
 	"dedc/internal/store"
 	"dedc/internal/stream"
 	"dedc/internal/telemetry"
 )
 
 // streamServer is testServer with a configurable store (retry tests need
-// MaxAttempts > 1) and a fast stream heartbeat.
-func streamServer(t *testing.T, sopt store.Options, workers int, run runner) (*server, *httptest.Server) {
+// MaxAttempts > 1) and a fast stream heartbeat. configure, if any, runs
+// before the workers start.
+func streamServer(t *testing.T, sopt store.Options, workers int, run runner, configure ...func(*server)) (*server, *httptest.Server) {
 	t.Helper()
 	if sopt.BackoffBase == 0 {
 		sopt.BackoffBase = 5 * time.Millisecond
@@ -35,6 +36,9 @@ func streamServer(t *testing.T, sopt store.Options, workers int, run runner) (*s
 	s.streamHeartbeat = 50 * time.Millisecond
 	if run != nil {
 		s.run = run
+	}
+	for _, c := range configure {
+		c(s)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.start(ctx)
@@ -133,30 +137,35 @@ func lifecycleTypes(t *testing.T, events []stream.Event, from int) []string {
 	return types
 }
 
-// TestEventsStreamLifecycleAndProgress: the stream carries the full lifecycle
-// in timeline order, interleaved with live progress frames from the attempt's
-// checkpoint callback, and ends cleanly at the terminal transition.
-func TestEventsStreamLifecycleAndProgress(t *testing.T) {
-	// Progress frames are ephemeral (no resume), so the checkpoints must not
-	// fire until the stream is attached: the runner waits for attached,
-	// which the test closes once it has read the claimed frame.
+// TestEventsStreamLifecycleOnly pins the stream contract clients rely on to
+// learn that a job ended: while the attempt journals checkpoints and
+// solutions, the stream carries only lifecycle frames, each frame's SSE ID is
+// its timeline index, and the stream closes right after the terminal frame.
+func TestEventsStreamLifecycleOnly(t *testing.T) {
+	// The runner journals nothing until the stream is attached: it waits
+	// for attached, which the test closes once it has read the claimed
+	// frame.
 	attached := make(chan struct{})
-	_, ts := streamServer(t, store.Options{MaxAttempts: 1}, 1,
+	s, ts := streamServer(t, store.Options{MaxAttempts: 1}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
 			select {
 			case <-attached:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
+			tr := telemetry.FromContext(ctx)
 			for i := 1; i <= 3; i++ {
-				env.OnCheckpoint(&diagnose.Checkpoint{Step: 1, Round: i,
-					Frontier: make([]diagnose.FrontierEntry, i)})
+				tr.Event(ctx, telemetry.EventCheckpoint, telemetry.Int("step", 1), telemetry.Int("round", i))
+				tr.Event(ctx, "solution", telemetry.Int("size", i))
 			}
 			return &jobResult{Mode: "stuckat", Status: "FirstSolution", Solved: true}, nil
-		})
+		}, func(s *server) { s.journalDir = t.TempDir() })
 	id := submitJob(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,47 +178,37 @@ func TestEventsStreamLifecycleAndProgress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading stream after %d events: %v", len(events), err)
 		}
-		events = append(events, e)
-		if e.Type == stream.TypeLifecycle {
-			var lc stream.Lifecycle
-			if jerr := json.Unmarshal(e.Data, &lc); jerr != nil {
-				t.Fatal(jerr)
-			}
-			if lc.Type == store.TLClaimed && !opened {
-				opened = true
-				close(attached)
-			}
-			if lc.Terminal {
-				break
-			}
+		if e.Type != stream.TypeLifecycle {
+			t.Fatalf("frame of type %q (%s) on the stream; only lifecycle frames may flow", e.Type, e.Data)
 		}
+		events = append(events, e)
+		var lc stream.Lifecycle
+		if jerr := json.Unmarshal(e.Data, &lc); jerr != nil {
+			t.Fatal(jerr)
+		}
+		if lc.Type == store.TLClaimed && !opened {
+			opened = true
+			close(attached)
+		}
+		if lc.Terminal {
+			break
+		}
+	}
+	if e, err := r.Next(); err != io.EOF {
+		t.Fatalf("stream still open after the terminal frame: next frame %+v, err %v", e, err)
 	}
 
 	types := lifecycleTypes(t, events, 0)
 	want := []string{store.TLSubmitted, store.TLClaimed, store.TLCompleted}
-	if len(types) != len(want) {
+	if fmt.Sprint(types) != fmt.Sprint(want) {
 		t.Fatalf("lifecycle sequence %v, want %v", types, want)
 	}
-	for i := range want {
-		if types[i] != want[i] {
-			t.Fatalf("lifecycle sequence %v, want %v", types, want)
-		}
+	journal, err := os.ReadFile(s.journalPath(id, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var progress int
-	for _, e := range events {
-		if e.Type == stream.TypeProgress {
-			progress++
-			var p stream.Progress
-			if err := json.Unmarshal(e.Data, &p); err != nil || p.Job != id || p.Round < 1 || p.Frontier != p.Round {
-				t.Fatalf("progress frame %s: %v", e.Data, err)
-			}
-			if e.ID != "" {
-				t.Fatalf("progress frame carries SSE ID %q; progress must not disturb resume positions", e.ID)
-			}
-		}
-	}
-	if progress == 0 {
-		t.Error("no progress frames on the stream")
+	if n := strings.Count(string(journal), `"event":"checkpoint"`); n != 3 {
+		t.Fatalf("attempt journal holds %d checkpoints, want 3: the attempt did not checkpoint under the stream", n)
 	}
 }
 
@@ -407,18 +406,13 @@ func TestEventsNoGoroutineLeak(t *testing.T) {
 }
 
 // TestStatsEndpoint: /v1/stats carries job counts, pool occupancy, phase
-// quantiles, stream health, and the running-attempt progress table.
+// quantiles, counters and the cache block, and no running or stream block.
 func TestStatsEndpoint(t *testing.T) {
 	release := make(chan struct{})
-	checkpointed := make(chan struct{})
-	var once atomic.Bool
+	started := make(chan struct{})
 	_, ts := streamServer(t, store.Options{}, 1,
 		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
-			env.OnCheckpoint(&diagnose.Checkpoint{Step: 1, Round: 2,
-				Frontier: make([]diagnose.FrontierEntry, 5)})
-			if once.CompareAndSwap(false, true) {
-				close(checkpointed)
-			}
+			close(started)
 			select {
 			case <-release:
 			case <-ctx.Done():
@@ -427,9 +421,9 @@ func TestStatsEndpoint(t *testing.T) {
 		})
 	id := submitJob(t, ts.URL)
 	select {
-	case <-checkpointed:
+	case <-started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("attempt never checkpointed")
+		t.Fatal("attempt never started")
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -437,8 +431,12 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st stream.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Jobs["running"] != 1 {
@@ -447,37 +445,32 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Pool.Workers != 1 {
 		t.Errorf("pool workers = %d, want 1", st.Pool.Workers)
 	}
-	if len(st.Running) != 1 || st.Running[0].Job != id || st.Running[0].Frontier != 5 {
-		t.Errorf("running table = %+v, want one entry for %s with frontier 5", st.Running, id)
-	}
 	if _, ok := st.Phases["queue_wait"]; !ok {
 		t.Errorf("phases missing queue_wait: %v", st.Phases)
 	}
 	if _, ok := st.Counters["submissions"]; !ok {
 		t.Errorf("counters missing submissions: %v", st.Counters)
 	}
+	var blocks map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &blocks); err != nil {
+		t.Fatal(err)
+	}
+	// The cache block is what load clients read: its hit and miss counts
+	// must decode by name.
+	var cache struct {
+		Hits   *int64 `json:"hits"`
+		Misses *int64 `json:"misses"`
+	}
+	if err := json.Unmarshal(blocks["cache"], &cache); err != nil || cache.Hits == nil || cache.Misses == nil {
+		t.Errorf("cache block %s lacks hits/misses (err %v)", blocks["cache"], err)
+	}
+	for _, gone := range []string{"running", "stream"} {
+		if b, ok := blocks[gone]; ok {
+			t.Errorf("stats carries a %q block: %s", gone, b)
+		}
+	}
 	close(release)
 	waitState(t, ts.URL, id, "done")
-
-	// After the terminal transition the running table drains.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp2, _ := http.Get(ts.URL + "/v1/stats")
-		var st2 stream.Stats
-		json.NewDecoder(resp2.Body).Decode(&st2)
-		resp2.Body.Close()
-		if len(st2.Running) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("running table still holds %+v after terminal", st2.Running)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestReadyzDrainWindow: /readyz is 503 before start, 200 while serving, and

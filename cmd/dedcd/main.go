@@ -21,14 +21,14 @@
 //	GET  /v1/jobs             list retained jobs + worker counters (?state=queued&limit=100)
 //	GET  /v1/jobs/{id}        job status + lifecycle timeline (404 never submitted, 410 evicted)
 //	GET  /v1/jobs/{id}/result terminal result (409 while queued/running)
-//	GET  /v1/jobs/{id}/events SSE stream: lifecycle + live search progress (resumable via Last-Event-ID)
+//	GET  /v1/jobs/{id}/events SSE stream of lifecycle transitions (resumable via Last-Event-ID)
 //	POST /v1/jobs/{id}/cancel cancel a queued or running job
-//	GET  /v1/stats            daemon summary: job counts, worker occupancy, latency quantiles, running attempts
+//	GET  /v1/stats            daemon summary: job counts, worker occupancy, latency quantiles, cache
 //	GET  /healthz             liveness + worker counters + job counts
 //	GET  /readyz              readiness: 503 while starting or draining
 //
-// The standard telemetry debug endpoints (/metrics, /debug/vars,
-// /debug/pprof/*) share the same listener.
+// The standard telemetry debug endpoints (/metrics, /debug/pprof/*) share
+// the same listener.
 //
 // Exit status: 0 on clean (signal-initiated) shutdown with all jobs drained,
 // 1 on startup errors or a drain that exceeded -drain-timeout. Jobs still
@@ -85,7 +85,6 @@ func run(args []string) int {
 	}
 	defer rt.Close()
 	log := rt.Logger
-	telemetry.Default.Publish("dedc.metrics")
 
 	sopt := store.Options{
 		MaxAttempts: *maxAttempts,

@@ -19,7 +19,6 @@ import (
 	"dedc/internal/circuit"
 	"dedc/internal/diagnose"
 	"dedc/internal/store"
-	"dedc/internal/stream"
 	"dedc/internal/telemetry"
 	"dedc/internal/tpg"
 )
@@ -64,12 +63,9 @@ type jobResult struct {
 	Stats       diagnose.Stats `json:"stats"`
 }
 
-// runEnv carries the per-attempt execution context a worker provides: an
-// earlier attempt's checkpoint to resume from, and the checkpoint hook that
-// publishes the search's progress at every checkpoint boundary.
+// runEnv carries the per-attempt execution context a worker provides.
 type runEnv struct {
-	Resume       *diagnose.Checkpoint // earlier attempt's checkpoint (nil = fresh run)
-	OnCheckpoint func(*diagnose.Checkpoint)
+	Resume *diagnose.Checkpoint // earlier attempt's checkpoint (nil = fresh run)
 	// Cache, when non-nil and enabled, lets the attempt reuse parsed
 	// netlists and ATPG vector sets across jobs sharing a circuit
 	// (-cache-bytes). A nil pipeline recomputes everything.
@@ -161,21 +157,14 @@ type server struct {
 
 	wake chan struct{} // wakes an idle worker after a submit, a requeue or a claim
 
-	// events fans lifecycle, progress and solution frames out to SSE
-	// streams (see events.go); streamHeartbeat is the idle-stream comment
-	// interval (0 = defaultHeartbeat; tests shrink it).
-	events          *telemetry.Bus[streamItem]
+	// streamHeartbeat is the idle SSE stream comment interval (see
+	// events.go; 0 = defaultHeartbeat; tests shrink it).
 	streamHeartbeat time.Duration
 
 	// ready/draining back /readyz: ready flips on once the workers are
 	// live, draining flips on at the first shutdown signal.
 	ready    atomic.Bool
 	draining atomic.Bool
-
-	// progress holds the latest checkpoint per running attempt, for the
-	// /v1/stats running table. Cleared on the job's terminal transition.
-	progressMu sync.Mutex
-	progress   map[string]stream.Progress
 
 	mu      sync.Mutex
 	running map[string]*attempt // attempts executing in this process, by job ID
@@ -205,8 +194,6 @@ func newServer(log *slog.Logger, st *store.Store, workers int) *server {
 		retryBackoff: 250 * time.Millisecond,
 		workers:      workers,
 		wake:         make(chan struct{}, 1),
-		events:       telemetry.NewBus[streamItem](nil),
-		progress:     map[string]stream.Progress{},
 		running:      map[string]*attempt{},
 	}
 	s.run = func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
@@ -217,27 +204,27 @@ func newServer(log *slog.Logger, st *store.Store, workers int) *server {
 	return s
 }
 
-// start launches the worker loops and the watch pump. ctx bounds both and
-// every attempt's lifetime (shutdown cancellation); drain ends the workers'
-// claiming earlier. After start, /readyz reports ready.
+// start launches the worker loops and the eviction watch. ctx bounds both
+// and every attempt's lifetime (shutdown cancellation); drain ends the
+// workers' claiming earlier. After start, /readyz reports ready.
 func (s *server) start(ctx context.Context) {
 	s.baseCtx = ctx
 	claimCtx, stopClaims := context.WithCancel(ctx)
 	s.stopClaims = stopClaims
 	// Subscribe before the sweep, so a job evicted after it is seen by the
-	// pump.
+	// watch.
 	watch := s.st.WatchAll(1024)
 	s.sweepJournals()
 	s.loops.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
 		go s.work(claimCtx)
 	}
-	go s.watchPump(ctx, watch)
+	go s.watchEvictions(ctx, watch)
 	s.ready.Store(true)
 }
 
 // handler builds the service mux on top of the standard telemetry debug mux,
-// so /metrics, /debug/vars and /debug/pprof ride along on the same listener.
+// so /metrics and /debug/pprof ride along on the same listener.
 func (s *server) handler(reg *telemetry.Registry) http.Handler {
 	mux := telemetry.DebugMux(reg)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -469,7 +456,7 @@ func runDiagnosis(ctx context.Context, req jobRequest, env runEnv) (*jobResult, 
 	vecs := env.Cache.Vectors(ctx, impl, tpg.Options{Random: random, Seed: seed, Deterministic: true})
 	refOut := diagnose.DeviceOutputs(ref, vecs.PI, vecs.N)
 	opt := diagnose.Options{MaxErrors: maxErrors, NoVerify: req.NoVerify, Seed: seed,
-		Workers: env.Workers, OnCheckpoint: env.OnCheckpoint}
+		Workers: env.Workers}
 
 	if mode == "stuckat" {
 		if env.Resume != nil {

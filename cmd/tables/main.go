@@ -8,7 +8,7 @@
 //	tables -table masking                 # §4.1 fault-masking observation
 //	tables -ckts 'c432*,c880*' -trials 10 -vectors 4096
 //	tables ... -journal tables.jsonl -cpuprofile cpu.out
-//	tables ... -debug-addr localhost:6060   # live /metrics, /debug/vars, /debug/pprof/
+//	tables ... -debug-addr localhost:6060   # live /metrics, /debug/pprof/
 package main
 
 import (

@@ -457,7 +457,7 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 func TracerFromContext(ctx context.Context) *Tracer { return telemetry.FromContext(ctx) }
 
 // DebugServer is a live debugging HTTP server: /metrics (Prometheus text
-// exposition of a registry), /debug/vars (expvar) and /debug/pprof/.
+// exposition of a registry) and /debug/pprof/.
 type DebugServer = telemetry.DebugServer
 
 // ServeDebug starts a DebugServer on addr (use ":0" for an ephemeral port,

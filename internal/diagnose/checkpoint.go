@@ -52,7 +52,7 @@ type FrontierEntry struct {
 // SIGKILL at any later point loses at most one round. The write is not
 // fsync'd, so it does not survive a power loss.
 func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
-	if r.tr == nil && r.opt.OnCheckpoint == nil {
+	if r.tr == nil {
 		return
 	}
 	cp := Checkpoint{
@@ -80,18 +80,10 @@ func (r *runState) emitCheckpoint(round int, frontier []*node, nodesStep int) {
 		cp.Seen = append(cp.Seen, k)
 	}
 	sort.Strings(cp.Seen)
-	if r.tr != nil {
-		r.tr.Event(r.ctx, telemetry.EventCheckpoint,
-			telemetry.Int("step", cp.Step),
-			telemetry.Int("round", cp.Round),
-			telemetry.Attr{Key: "state", Value: cp})
-	}
-	// Notify after the journal write: the flush-on-checkpoint policy means
-	// the state has reached the journal's writer by the time the host acts
-	// on it (e.g. publishes the search's progress).
-	if r.opt.OnCheckpoint != nil {
-		r.opt.OnCheckpoint(&cp)
-	}
+	r.tr.Event(r.ctx, telemetry.EventCheckpoint,
+		telemetry.Int("step", cp.Step),
+		telemetry.Int("round", cp.Round),
+		telemetry.Attr{Key: "state", Value: cp})
 }
 
 // DecodeCheckpoint extracts the Checkpoint payload from a parsed journal

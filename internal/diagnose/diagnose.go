@@ -141,12 +141,6 @@ type Options struct {
 	// checkpoints so a resume can reject a journal written under different
 	// vectors. It does not influence the search itself.
 	Seed int64
-	// OnCheckpoint, when set, is called synchronously with each checkpoint as
-	// it is journaled (after the journal flush, so the state it describes
-	// would survive the death of the process, though not a power loss). A
-	// job host uses it to report progress at every checkpoint boundary. The
-	// callback must not retain cp past the call.
-	OnCheckpoint func(cp *Checkpoint)
 }
 
 // Defaults fills unset options.

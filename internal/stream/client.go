@@ -15,8 +15,7 @@ var ErrStop = errors.New("stream: handler stopped")
 // Client consumes an SSE endpoint with automatic reconnect-and-resume: every
 // (re)connection sends the last seen event ID as Last-Event-ID, which the
 // daemon answers by replaying the persisted timeline after that position.
-// Used by dedctop's per-job tail and by the chaos harness that kills the
-// daemon mid-stream.
+// Used by the chaos harness that kills the daemon mid-stream.
 type Client struct {
 	// URL is the SSE endpoint.
 	URL string

@@ -1,8 +1,9 @@
-// Package stream is the live-introspection wire layer of dedcd: Server-Sent
-// Events framing (writer and reader), a reconnecting client that resumes via
-// Last-Event-ID, and the JSON schemas carried on the /v1/jobs/{id}/events and
-// /v1/stats endpoints. It is stdlib-only, like everything else in the stack,
-// so dedctop and test harnesses consume the same code the daemon serves with.
+// Package stream is the wire layer of dedcd's job event stream and stats:
+// Server-Sent Events framing (writer and reader), a reconnecting client that
+// resumes via Last-Event-ID, and the JSON schemas carried on the
+// /v1/jobs/{id}/events and /v1/stats endpoints. It is stdlib-only, like
+// everything else in the stack, so test harnesses consume the same code the
+// daemon serves with.
 package stream
 
 import (

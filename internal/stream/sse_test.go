@@ -13,7 +13,7 @@ import (
 func TestWriterReaderRoundTrip(t *testing.T) {
 	sent := []Event{
 		{ID: "0", Type: TypeLifecycle, Data: []byte(`{"job":"job-1"}`)},
-		{Type: TypeProgress, Data: []byte("line1\nline2")},
+		{Type: "other", Data: []byte("line1\nline2")},
 		{ID: "1", Data: []byte(`{"terminal":true}`)},
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -2,16 +2,11 @@ package stream
 
 import "time"
 
-// SSE event types on /v1/jobs/{id}/events. Lifecycle frames carry an "id:"
-// field (the timeline index) and drive Last-Event-ID resume; progress and
-// solution frames are live-only telemetry teed from the attempt's journal and
-// carry no ID — they cannot be replayed after a restart, and a resuming
-// client's position always references the persisted timeline.
-const (
-	TypeLifecycle = "lifecycle"
-	TypeProgress  = "progress"
-	TypeSolution  = "solution"
-)
+// TypeLifecycle is the one SSE event type on /v1/jobs/{id}/events. Every
+// frame carries an "id:" field (the timeline index) that drives Last-Event-ID
+// resume, so a resuming client's position always references the persisted
+// timeline.
+const TypeLifecycle = "lifecycle"
 
 // Lifecycle is the data payload of a "lifecycle" frame: one persisted
 // timeline transition. Index is the entry's position in the job's timeline —
@@ -28,23 +23,6 @@ type Lifecycle struct {
 	State    string    `json:"state"`
 	Terminal bool      `json:"terminal,omitempty"`
 	Error    string    `json:"error,omitempty"`
-}
-
-// Progress is the data payload of a "progress" frame: one checkpoint of a
-// running attempt's diagnosis search, straight from the engine's checkpoint
-// callback. SatConflicts is the delta since the attempt started, not the
-// process-lifetime counter.
-type Progress struct {
-	Job          string    `json:"job"`
-	Attempt      int       `json:"attempt"`
-	Step         int       `json:"step"`
-	Round        int       `json:"round"`
-	Frontier     int       `json:"frontier"`
-	Solutions    int       `json:"solutions"`
-	Candidates   int64     `json:"candidates,omitempty"`
-	Simulations  int64     `json:"simulations,omitempty"`
-	SatConflicts int64     `json:"sat_conflicts,omitempty"`
-	TS           time.Time `json:"ts"`
 }
 
 // Quantiles summarizes one latency histogram on /v1/stats. Quantile values
@@ -69,14 +47,6 @@ type PoolStats struct {
 	Panics    int64 `json:"panics"`
 }
 
-// StreamStats reports the event-bus side of the daemon: how many live
-// subscribers it is fanning out to and how many frames were dropped to slow
-// consumers instead of blocking the diagnosis hot path.
-type StreamStats struct {
-	Subscribers int   `json:"subscribers"`
-	Dropped     int64 `json:"dropped"`
-}
-
 // CacheStats reports the daemon's content-addressed circuit/ATPG cache on
 // /v1/stats: occupancy against the -cache-bytes budget and lifetime
 // hit/miss/eviction counts (HitRate = hits/(hits+misses), 0 when unused).
@@ -89,16 +59,14 @@ type CacheStats struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// Stats is the GET /v1/stats payload: a one-shot daemon summary for dedctop
-// and monitoring scrapes that want structure rather than the Prometheus text
-// on /metrics.
+// Stats is the GET /v1/stats payload: a one-shot daemon summary for
+// monitoring scrapes that want structure rather than the Prometheus text on
+// /metrics.
 type Stats struct {
 	TS       time.Time            `json:"ts"`
 	Jobs     map[string]int       `json:"jobs"` // per-state retained job counts
 	Pool     PoolStats            `json:"pool"`
 	Counters map[string]int64     `json:"counters,omitempty"` // daemon counters (submissions, sheds, requeues, ...)
 	Phases   map[string]Quantiles `json:"phases,omitempty"`   // queue_wait/attempt/e2e latency, nanoseconds
-	Stream   StreamStats          `json:"stream"`
-	Cache    CacheStats           `json:"cache"`             // content-addressed parse/ATPG cache
-	Running  []Progress           `json:"running,omitempty"` // latest checkpoint per running attempt
+	Cache    CacheStats           `json:"cache"`              // content-addressed parse/ATPG cache
 }

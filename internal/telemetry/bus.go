@@ -16,8 +16,8 @@ var StreamDropped = Default.Counter("telemetry.stream_dropped",
 // subscriber's private ring buffer and never blocks, no matter how slow any
 // subscriber is. A subscriber that falls more than its buffer behind loses
 // the oldest undelivered values (counted on StreamDropped or the counter
-// given to NewBus) — the hot path publishing diagnosis progress must never
-// wait on an observer.
+// given to NewBus) — a publisher such as the job store, which publishes
+// under its write lock, must never wait on an observer.
 //
 // The zero value is not usable; create with NewBus. All methods are safe for
 // concurrent use.
@@ -68,13 +68,6 @@ func (b *Bus[T]) Publish(v T) {
 	for s := range b.subs {
 		s.push(v, b.dropped)
 	}
-}
-
-// Subscribers returns the number of live subscriptions.
-func (b *Bus[T]) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
 }
 
 // Close ends every subscription: each subscriber drains what its ring still

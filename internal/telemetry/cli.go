@@ -43,7 +43,7 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 // Register installs the flags on fs.
 func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Journal, "journal", "", "write a JSONL run journal to this file")
-	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.StringVar(&c.TracePath, "trace", "", "write a runtime execution trace to this file")
@@ -116,9 +116,6 @@ func (c *CLI) Build(logw io.Writer) (*Runtime, error) {
 		rt.stopProfiles = stop
 	}
 	if c.DebugAddr != "" {
-		// Make the default registry visible on /debug/vars too; pubOnce makes
-		// a later explicit Publish by the command a no-op.
-		Default.Publish("dedc.metrics")
 		srv, err := Serve(c.DebugAddr, Default)
 		if err != nil {
 			rt.Close()

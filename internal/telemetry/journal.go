@@ -44,11 +44,10 @@ type Event struct {
 // by the event's attrs in emission order. Safe for concurrent use; a nil
 // *Journal no-ops.
 type Journal struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	c      io.Closer
-	mirror func([]byte)
-	err    error
+	mu  sync.Mutex
+	w   *bufio.Writer
+	c   io.Closer
+	err error
 }
 
 // NewJournal returns a Journal writing to w. If w is also an io.Closer,
@@ -95,31 +94,6 @@ func (j *Journal) Emit(e Event) {
 		// immediately instead of waiting for the 4KB bufio threshold.
 		j.err = j.w.Flush()
 	}
-	if j.mirror != nil && j.err == nil {
-		// Mirrored after the write (and after the checkpoint flush), so an
-		// observer never sees an event the journal does not yet hold. The
-		// mirror gets its own copy of the serialized line, not the Event:
-		// handing `e` to an unknown function would leak Emit's parameter and
-		// force every Span.Event caller to heap-allocate its variadic attrs
-		// — including the disabled nil-tracer path, which must stay
-		// zero-alloc.
-		j.mirror(append([]byte(nil), buf[:len(buf)-1]...))
-	}
-}
-
-// SetMirror registers fn to observe every line Emit records, in emission
-// order, after it is written. fn receives its own copy of the serialized
-// JSONL line (without the trailing newline); decode it with ParseEvent when
-// fields are needed. The journal's lock is held during the call: fn must be
-// fast and non-blocking (publish to a Bus, bump a counter) and must not call
-// back into the journal. A nil fn removes the mirror.
-func (j *Journal) SetMirror(fn func(line []byte)) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.mirror = fn
-	j.mu.Unlock()
 }
 
 // Flush writes buffered lines through to the underlying writer.

@@ -1,7 +1,7 @@
 // Package telemetry is the zero-dependency observability layer of the
 // diagnosis stack: hierarchical spans carried via context.Context, typed
-// counters/gauges/histograms in a process-wide registry with an
-// expvar-compatible export, a structured JSONL run journal, and profiling
+// counters/gauges/histograms in a process-wide registry with a Prometheus
+// text export, a structured JSONL run journal, and profiling
 // hooks (CPU/heap/trace files plus pprof labels on span boundaries).
 //
 // The disabled state is the default and costs ~nothing: a nil *Tracer,
@@ -12,12 +12,7 @@
 package telemetry
 
 import (
-	"expvar"
-	"fmt"
 	"math/bits"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -168,7 +163,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
-	pubOnce  sync.Once
 }
 
 // NewRegistry returns an empty metric registry.
@@ -271,46 +265,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// String renders the registry as a JSON object with sorted keys, satisfying
-// the expvar.Var interface.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, name := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(strconv.Quote(name))
-		b.WriteString(": ")
-		switch v := snap[name].(type) {
-		case int64:
-			b.WriteString(strconv.FormatInt(v, 10))
-		case map[string]any:
-			b.WriteString(fmt.Sprintf(`{"count": %d, "sum": %d, "mean": %.1f, "p50": %d, "p90": %d, "p99": %d, "max": %d}`,
-				v["count"], v["sum"], v["mean"], v["p50"], v["p90"], v["p99"], v["max"]))
-		default:
-			b.WriteString(fmt.Sprintf("%v", v))
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// Publish registers the registry with package expvar under the given name
-// (e.g. "dedc.metrics"), making it visible on /debug/vars when the process
-// serves HTTP. Safe to call more than once; only the first call takes effect
-// for a given registry.
-func (r *Registry) Publish(name string) {
-	if r == nil {
-		return
-	}
-	r.pubOnce.Do(func() { expvar.Publish(name, r) })
 }

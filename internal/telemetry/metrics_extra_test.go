@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"expvar"
-	"testing"
-)
+import "testing"
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
 	var empty Histogram
@@ -94,73 +90,4 @@ func populate(reg *Registry) {
 	h.Observe(0)
 	h.Observe(1500)
 	h.Observe(3)
-}
-
-// TestRegistryStringRoundTrip guards the hand-rolled JSON encoder behind
-// Registry.String: the output must parse with encoding/json and carry
-// exactly the Snapshot keys (including every histogram sub-field).
-func TestRegistryStringRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	populate(reg)
-
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(reg.String()), &decoded); err != nil {
-		t.Fatalf("String() is not valid JSON: %v\n%s", err, reg.String())
-	}
-	snap := reg.Snapshot()
-	if len(decoded) != len(snap) {
-		t.Fatalf("decoded %d keys, snapshot has %d", len(decoded), len(snap))
-	}
-	for name, want := range snap {
-		got, ok := decoded[name]
-		if !ok {
-			t.Errorf("key %q missing from String()", name)
-			continue
-		}
-		switch w := want.(type) {
-		case int64:
-			if got != float64(w) {
-				t.Errorf("%s = %v, want %d", name, got, w)
-			}
-		case map[string]any:
-			gm, ok := got.(map[string]any)
-			if !ok {
-				t.Fatalf("%s decoded as %T, want object", name, got)
-			}
-			if len(gm) != len(w) {
-				t.Errorf("%s has %d fields, snapshot has %d", name, len(gm), len(w))
-			}
-			for f := range w {
-				if _, ok := gm[f]; !ok {
-					t.Errorf("%s missing field %q", name, f)
-				}
-			}
-			if gm["count"] != float64(3) || gm["max"] != float64(1500) {
-				t.Errorf("%s count/max = %v/%v, want 3/1500", name, gm["count"], gm["max"])
-			}
-		}
-	}
-}
-
-// TestRegistryPublish verifies the expvar integration: the published var
-// renders the same JSON as String, and re-publishing is a no-op rather than
-// an expvar duplicate-name panic.
-func TestRegistryPublish(t *testing.T) {
-	reg := NewRegistry()
-	populate(reg)
-	const name = "test.metrics.publish"
-	reg.Publish(name)
-	reg.Publish(name) // second call must not panic
-
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar.Get(%q) = nil", name)
-	}
-	if v.String() != reg.String() {
-		t.Errorf("published var = %s\nregistry     = %s", v.String(), reg.String())
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("published var is not valid JSON: %v", err)
-	}
 }

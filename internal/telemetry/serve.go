@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -10,9 +9,9 @@ import (
 )
 
 // DebugServer is the live-ops HTTP endpoint of a run: /metrics (Prometheus
-// text exposition of a Registry), /debug/vars (expvar) and /debug/pprof/*
-// (runtime profiles). It binds eagerly in Serve — so a bad address fails the
-// run up front — and serves until Shutdown.
+// text exposition of a Registry) and /debug/pprof/* (runtime profiles). It
+// binds eagerly in Serve — so a bad address fails the run up front — and
+// serves until Shutdown.
 type DebugServer struct {
 	ln   net.Listener
 	srv  *http.Server
@@ -20,7 +19,7 @@ type DebugServer struct {
 }
 
 // DebugMux returns the standard debug mux over a registry: /metrics
-// (Prometheus text exposition), /debug/vars (expvar) and /debug/pprof/*.
+// (Prometheus text exposition) and /debug/pprof/*.
 // Services that add their own endpoints (cmd/dedcd) build on this mux and
 // serve it with ServeMux.
 func DebugMux(reg *Registry) *http.ServeMux {
@@ -29,7 +28,6 @@ func DebugMux(reg *Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteProm(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
@@ -39,8 +37,8 @@ func DebugMux(reg *Registry) *http.ServeMux {
 }
 
 // Serve starts a debug server on addr (host:port; an explicit port 0 picks a
-// free one — read it back with Addr). The registry backs /metrics; expvar
-// and pprof expose whatever the process has published or is doing.
+// free one — read it back with Addr). The registry backs /metrics; pprof
+// exposes whatever the process is doing.
 func Serve(addr string, reg *Registry) (*DebugServer, error) {
 	return ServeMux(addr, DebugMux(reg))
 }
