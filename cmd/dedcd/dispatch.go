@@ -282,41 +282,31 @@ func (s *server) attemptJournal(ctx context.Context, j store.Job) (context.Conte
 	}
 }
 
-// watchEvictions removes the attempt journals of every job the store evicts
-// while the daemon runs. Runs until ctx ends or the store closes.
-func (s *server) watchEvictions(ctx context.Context, sub *telemetry.Sub[store.Update]) {
-	defer sub.Cancel()
+// watchEvictions removes the attempt journals of the jobs the store evicts
+// while the daemon runs: it sweeps the journal dir whenever the store's
+// eviction count moves past seen. Runs until ctx ends or the store closes.
+func (s *server) watchEvictions(ctx context.Context, seen int) {
 	for {
-		u, ok := sub.Next(ctx)
-		if !ok {
+		changed, open := s.st.Changed()
+		if n := s.st.Evictions(); n != seen {
+			seen = n
+			s.sweepJournals()
+		}
+		if !open {
 			return
 		}
-		if u.Evicted {
-			s.removeJournals(u.JobID, u.Attempt)
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return
 		}
 	}
 }
 
-// removeJournals deletes the attempt journals of a job the store evicted:
-// attempts are numbered 1..attempts, so no directory listing is needed.
-// Removal is best-effort; a failure is logged and the file stays until the
-// next startup sweep.
-func (s *server) removeJournals(id string, attempts int) {
-	if s.journalDir == "" {
-		return
-	}
-	for a := 1; a <= attempts; a++ {
-		path := s.journalPath(id, a)
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.log.Warn("removing evicted job's journal", "id", id, "path", path, "err", err)
-		}
-	}
-}
-
-// sweepJournals removes, at startup, every attempt journal whose job the
-// store has evicted: evictions made while no daemon watched (or whose watch
-// update was dropped) leave their journals behind. Journals of jobs the store
-// still holds, and files that are not <id>.a<N>.jsonl, are left alone.
+// sweepJournals removes every attempt journal whose job the store has
+// evicted, at startup (evictions made while no daemon ran left theirs
+// behind) and after each live eviction. Journals of jobs the store still
+// holds, and files that are not <id>.a<N>.jsonl, are left alone.
 func (s *server) sweepJournals() {
 	if s.journalDir == "" {
 		return

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,47 +17,25 @@ import (
 // /v1/jobs/{id}/events streams one job's lifecycle as Server-Sent Events, and
 // GET /v1/stats serves a one-shot daemon summary.
 //
-// A stream reads the store's watch for its job (store.Watch): every frame is
-// one persisted timeline transition. The watch is a bounded ring, so a slow
-// stream never blocks the store — its ring overflows oldest-first, counted on
-// telemetry.stream_dropped, and the handler heals the gap from the persisted
-// timeline.
+// A stream reads the job's persisted timeline and nothing else: every frame
+// is one timeline entry, sent once, in index order. The handler takes the
+// store's change signal (store.Changed) before each read, sends the entries
+// it has not sent yet, and waits for the next change. A slow client holds
+// only its own position, never a copy of the timeline, and never delays the
+// store.
 //
 // Resume contract: every frame carries the job's timeline index as the SSE
 // event ID. A client reconnecting with Last-Event-ID: N gets timeline[N+1:]
-// replayed from the store — which survives daemon restarts — then the live
-// tail.
+// from the store — which survives daemon restarts — then the live tail.
 
 // defaultHeartbeat is the idle-stream comment interval. It keeps
 // intermediaries from idling the connection out and bounds how long a
 // vanished client holds a handler goroutine.
 const defaultHeartbeat = 15 * time.Second
 
-// subBuf is the per-stream watch ring size. A job's whole timeline under the
-// default -max-attempts (submitted, a claim and a requeue per attempt, the
-// terminal entry) fits; a longer burst while the client is slow is healed
-// from the persisted timeline.
-const subBuf = 16
-
-// lifecycleFrom is the lifecycle frame payload of a live watch update.
-func lifecycleFrom(u store.Update) stream.Lifecycle {
-	return stream.Lifecycle{
-		Job:      u.JobID,
-		Index:    u.Index,
-		Type:     u.Entry.Type,
-		TS:       u.Entry.TS,
-		Attempt:  u.Entry.Attempt,
-		Worker:   u.Entry.Worker,
-		Reason:   u.Entry.Reason,
-		State:    string(u.State),
-		Terminal: u.Terminal(),
-		Error:    u.Error,
-	}
-}
-
-// lifecycleOf reconstructs a lifecycle frame payload from a persisted
-// timeline entry — the replay half of Last-Event-ID resume. The job's error
-// is attached only to the entry it describes (the final one when terminal).
+// lifecycleOf builds the lifecycle frame payload of persisted timeline entry
+// idx. The job's error is attached only to the newest entry at read time
+// (the final one when terminal).
 func lifecycleOf(j store.Job, idx int) stream.Lifecycle {
 	e := j.Timeline[idx]
 	st := store.TimelineState(e.Type)
@@ -89,14 +66,12 @@ func sendLifecycleAt(sw *stream.Writer, j store.Job, idx int) error {
 }
 
 // replayTimeline sends every persisted entry after `sent`, returning the new
-// high-water index and whether the job is terminal. This is both the resume
-// path on connect and the gap-heal path when a stream ring overflowed.
+// high-water index and whether the stream is finished: the job is terminal,
+// or it was evicted (the frames already sent include the terminal entry, or
+// the client re-fetches through the jobs API).
 func (s *server) replayTimeline(sw *stream.Writer, id string, sent int) (int, bool, error) {
 	j, p := s.st.Lookup(id)
 	if p != store.Found {
-		// Evicted mid-stream (terminal + compaction raced us): nothing more
-		// to say; the frames already sent include the terminal transition or
-		// the client re-fetches via the jobs API.
 		return sent, true, nil
 	}
 	for idx := sent + 1; idx < len(j.Timeline); idx++ {
@@ -109,9 +84,10 @@ func (s *server) replayTimeline(sw *stream.Writer, id string, sent int) (int, bo
 }
 
 // handleEvents serves GET /v1/jobs/{id}/events: an SSE stream of the job's
-// lifecycle (persisted timeline transitions, resumable via Last-Event-ID).
-// The stream ends at the job's terminal transition or when the client
-// disconnects; heartbeat comments flow while nothing happens.
+// lifecycle (persisted timeline entries, resumable via Last-Event-ID). The
+// stream ends at the job's terminal entry, at its eviction, when the store
+// closes (after the entries it holds) or when the client disconnects;
+// heartbeat comments flow while nothing is sent.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -126,20 +102,9 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		sent = n
 	}
-
-	// Subscribe before the replay snapshot: a transition landing during
-	// replay waits in the ring and is deduped by index below, so the merge
-	// is gapless without ever blocking the store.
-	sub := s.st.Watch(j.ID, subBuf)
-	defer sub.Cancel()
-
 	sw, err := stream.NewWriter(w)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	sent, terminal, err := s.replayTimeline(sw, j.ID, sent)
-	if err != nil || terminal {
 		return
 	}
 
@@ -147,49 +112,28 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if hb <= 0 {
 		hb = defaultHeartbeat
 	}
+	idle := time.NewTicker(hb)
+	defer idle.Stop()
 	for {
-		wctx, cancel := context.WithTimeout(r.Context(), hb)
-		u, ok := sub.Next(wctx)
-		cancel()
-		if !ok {
-			switch {
-			case r.Context().Err() != nil:
-				return // client gone
-			case wctx.Err() == context.DeadlineExceeded:
-				if sw.Comment("hb") != nil {
-					return
-				}
-				continue
-			default:
-				return // watch closed: the store is shutting down
-			}
+		// Take the signal before the read: a change that lands after the
+		// read closes this channel, so the wait below cannot miss it.
+		changed, open := s.st.Changed()
+		prev := sent
+		var done bool
+		if sent, done, err = s.replayTimeline(sw, j.ID, sent); err != nil || done || !open {
+			return
 		}
-		if u.Index <= sent {
-			// Already sent during replay. An eviction update (index -1)
-			// lands here too: it follows the terminal frame, which ends
-			// the stream.
-			continue
+		if sent != prev {
+			idle.Reset(hb)
 		}
-		if u.Index > sent+1 {
-			// The ring dropped transitions while we were slow; the
-			// persisted timeline has them all.
-			if sent, terminal, err = s.replayTimeline(sw, j.ID, sent); err != nil || terminal {
+		select {
+		case <-changed:
+		case <-r.Context().Done():
+			return // client gone
+		case <-idle.C:
+			if sw.Comment("hb") != nil {
 				return
 			}
-			if u.Index <= sent {
-				continue
-			}
-		}
-		sent = u.Index
-		data, err := json.Marshal(lifecycleFrom(u))
-		if err != nil {
-			return
-		}
-		if sw.Send(stream.Event{ID: strconv.Itoa(u.Index), Type: stream.TypeLifecycle, Data: data}) != nil {
-			return
-		}
-		if u.Terminal() {
-			return
 		}
 	}
 }

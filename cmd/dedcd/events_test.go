@@ -249,6 +249,64 @@ func TestEventsRequeueBeforeNewAttempt(t *testing.T) {
 	}
 }
 
+// TestEventsLongTimelineStalledClient: a job whose timeline grows to 21
+// entries (nine failed attempts, then a completion) while its client reads
+// nothing still reaches that client whole: every entry exactly once, in index
+// order, then EOF.
+func TestEventsLongTimelineStalledClient(t *testing.T) {
+	const attempts = 10
+	release := make(chan struct{})
+	var calls atomic.Int32
+	_, ts := streamServer(t, store.Options{MaxAttempts: attempts}, 1,
+		func(ctx context.Context, req jobRequest, env runEnv) (*jobResult, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if calls.Add(1) < attempts {
+				return nil, fmt.Errorf("transient failure")
+			}
+			return &jobResult{Mode: "stuckat", Status: "FirstSolution", Solved: true}, nil
+		})
+	id := submitJob(t, ts.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// The handler answered, so the stream is attached before any attempt
+	// ends; the client then reads nothing until the job is done.
+	close(release)
+	waitState(t, ts.URL, id, "done")
+
+	r := stream.NewReader(resp.Body)
+	var events []stream.Event
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("reading stream after %d events: %v", len(events), err)
+		}
+		events = append(events, e)
+	}
+	types := lifecycleTypes(t, events, 0)
+	want := []string{store.TLSubmitted}
+	for a := 1; a < attempts; a++ {
+		want = append(want, store.TLClaimed, store.TLRequeued)
+	}
+	want = append(want, store.TLClaimed, store.TLCompleted)
+	if fmt.Sprint(types) != fmt.Sprint(want) {
+		t.Fatalf("lifecycle sequence %v (%d entries), want %v (%d)", types, len(types), want, len(want))
+	}
+}
+
 // TestEventsResumeFromLastEventID: a client that saw a prefix reconnects with
 // Last-Event-ID and receives exactly the remaining entries — against a fresh
 // store incarnation, proving resume is served from the persisted timeline,

@@ -211,15 +211,15 @@ func (s *server) start(ctx context.Context) {
 	s.baseCtx = ctx
 	claimCtx, stopClaims := context.WithCancel(ctx)
 	s.stopClaims = stopClaims
-	// Subscribe before the sweep, so a job evicted after it is seen by the
-	// watch.
-	watch := s.st.WatchAll(1024)
+	// Read the eviction count before the sweep, so a job evicted after it
+	// moves the count past the one watchEvictions starts from.
+	evicted := s.st.Evictions()
 	s.sweepJournals()
 	s.loops.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
 		go s.work(claimCtx)
 	}
-	go s.watchEvictions(ctx, watch)
+	go s.watchEvictions(ctx, evicted)
 	s.ready.Store(true)
 }
 

@@ -232,9 +232,8 @@ func (m Mod) Apply(c *circuit.Circuit) error {
 	return nil
 }
 
-// stackFanin is the fanin count up to which NewValues and Trial build a
-// mod's fanin list and pin complements in stack buffers; wider gates spill
-// to the heap.
+// stackFanin is the fanin count up to which NewValues builds a mod's fanin
+// list and pin complements in stack buffers; wider gates spill to the heap.
 const stackFanin = 16
 
 // NewValues computes, into dst, the value row the target line would carry
@@ -247,16 +246,6 @@ func (m Mod) NewValues(e *sim.Engine, dst []uint64) {
 	var compBuf [stackFanin]bool
 	t, fin, comp, outComp := m.gate(&e.C.Gates[m.Line], finBuf[:0], compBuf[:0])
 	e.EvalCandidate(dst, t, fin, comp, outComp)
-}
-
-// Trial evaluates the mod on the engine without touching the circuit and
-// returns the changed lines. The engine's circuit must be the one the mod
-// addresses. Like NewValues it builds the modified gate on the stack.
-func (m Mod) Trial(e *sim.Engine) []circuit.Line {
-	var finBuf [stackFanin]circuit.Line
-	var compBuf [stackFanin]bool
-	t, fin, comp, outComp := m.gate(&e.C.Gates[m.Line], finBuf[:0], compBuf[:0])
-	return e.TrialEval(m.Line, t, fin, comp, outComp)
 }
 
 // gate describes the gate the target evaluates as under the mod, given its

@@ -150,9 +150,9 @@ func TestRemoveOnlyInputRejected(t *testing.T) {
 	}
 }
 
-// TestTrialMatchesApply is the central consistency property: Trial on the
-// engine must predict exactly the values a full simulation of the applied
-// mod produces.
+// TestTrialMatchesApply is the central consistency property: the mod's
+// NewValues row forced by Engine.Trial must predict exactly the values a
+// full simulation of the applied mod produces.
 func TestTrialMatchesApply(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -160,6 +160,7 @@ func TestTrialMatchesApply(t *testing.T) {
 		n := 192
 		pats := sim.RandomPatterns(len(c.PIs), n, rng.Int63())
 		e := sim.NewEngine(c, pats, n)
+		row := make([]uint64, e.W)
 		dist := DefaultDistribution()
 		for tries := 0; tries < 30; tries++ {
 			m, ok := randomMod(c, rng, dist)
@@ -167,7 +168,8 @@ func TestTrialMatchesApply(t *testing.T) {
 				continue
 			}
 			e.C = c // ensure engine sees the unmodified circuit
-			changed := m.Trial(e)
+			m.NewValues(e, row)
+			changed := e.Trial(m.Line, row)
 			applied := c.Clone()
 			if err := m.Apply(applied); err != nil {
 				return false

@@ -11,7 +11,7 @@ import (
 
 func TestNewValuesMatchesTrialTarget(t *testing.T) {
 	// For every mod kind, NewValues (local, no propagation) must equal the
-	// target-line value the full Trial computes.
+	// target-line value a full simulation of the applied mod computes.
 	c := gen.Alu(4)
 	n := 192
 	pi := sim.RandomPatterns(len(c.PIs), n, 3)
@@ -32,14 +32,12 @@ func TestNewValuesMatchesTrialTarget(t *testing.T) {
 			continue
 		}
 		m.NewValues(e, dst)
-		want := append([]uint64(nil), dst...)
-		m.Trial(e)
-		if !sim.EqualRows(e.TrialVal(m.Line), want, n) {
-			// A no-change trial leaves TrialVal at base, which must then
-			// equal want as well.
-			if !sim.EqualRows(e.BaseVal(m.Line), want, n) {
-				t.Fatalf("%v: NewValues disagrees with Trial", m)
-			}
+		applied := c.Clone()
+		if err := m.Apply(applied); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if want := sim.Simulate(applied, pi, n)[m.Line]; !sim.EqualRows(dst, want, n) {
+			t.Fatalf("%v: NewValues disagrees with the applied mod", m)
 		}
 	}
 }
@@ -154,8 +152,9 @@ func TestKindStringOutOfRange(t *testing.T) {
 }
 
 // TestNewValuesTrialAllocFree guards the correction screen's inner loop:
-// NewValues and Trial build the modified gate in stack buffers, so neither
-// allocates for any Kind.
+// NewValues builds the modified gate in stack buffers and Engine.Trial
+// propagates its row in engine-owned storage, so neither allocates for any
+// Kind.
 func TestNewValuesTrialAllocFree(t *testing.T) {
 	c := gen.Alu(4)
 	n := 192
@@ -181,7 +180,7 @@ func TestNewValuesTrialAllocFree(t *testing.T) {
 		if a := testing.AllocsPerRun(50, func() { m.NewValues(e, dst) }); a != 0 {
 			t.Errorf("%v NewValues: %.1f allocs, want 0", m, a)
 		}
-		if a := testing.AllocsPerRun(50, func() { m.Trial(e) }); a != 0 {
+		if a := testing.AllocsPerRun(50, func() { e.Trial(m.Line, dst) }); a != 0 {
 			t.Errorf("%v Trial: %.1f allocs, want 0", m, a)
 		}
 	}

@@ -227,36 +227,13 @@ func (e *Engine) TrialMulti(lines []circuit.Line, forced [][]uint64) []circuit.L
 	return e.changed
 }
 
-// TrialEval is like Trial but computes the forced value by evaluating a
-// hypothetical gate (type t, fanins fin) over the current base values. It is
-// the entry point for trying a structural correction without mutating the
-// circuit: every correction in the paper's models changes the function of
-// exactly one line.
-//
-// finComp, when non-nil, marks pins whose value must be complemented before
-// evaluation (models input-inverter corrections).
-func (e *Engine) TrialEval(l circuit.Line, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) []circuit.Line {
-	e.epoch++
-	e.changed = e.changed[:0]
-	out := e.scratch.rows[l]
-	e.evalInto(out, t, fin, finComp, outComp)
-	e.CTrials.Inc()
-	if equalWords(out, e.val.rows[l], e.W) {
-		return e.changed
-	}
-	e.stamp[l] = e.epoch
-	e.changed = append(e.changed, l)
-	e.enqueueFanout(l)
-	e.drain(int(e.levels[l]) + 1)
-	e.CEvents.Add(int64(len(e.changed)))
-	return e.changed
-}
-
-// TrialEvalPin is like TrialEval but substitutes an explicit value row for
-// one pin. It models fanout-branch stuck-at faults: pin of the gate driving
-// l reads a constant while the stem keeps its true value. The dense
-// (pin, row) form replaces an earlier map-valued argument that allocated on
-// every call of the correction-screening hot loop.
+// TrialEvalPin is like Trial but computes the forced value by evaluating
+// the gate driving l (type t, fanins fin) over the base values with an
+// explicit value row substituted for one pin. It models fanout-branch
+// stuck-at faults: pin of that gate reads a constant while the stem keeps
+// its true value. The dense (pin, row) form replaces an earlier map-valued
+// argument that allocated on every call of the correction-screening hot
+// loop.
 func (e *Engine) TrialEvalPin(l circuit.Line, t circuit.GateType, fin []circuit.Line, pin int, row []uint64) []circuit.Line {
 	e.epoch++
 	e.changed = e.changed[:0]
@@ -337,18 +314,6 @@ func (e *Engine) EvalCandidatePin(dst []uint64, t circuit.GateType, fin []circui
 		}
 	}
 	EvalGateInto(t, dst, e.W, e.faninV...)
-}
-
-func (e *Engine) evalInto(out []uint64, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) {
-	e.faninV = e.faninV[:0]
-	for _, f := range fin {
-		e.faninV = append(e.faninV, e.TrialVal(f))
-	}
-	e.complementPins(finComp)
-	EvalGateInto(t, out, e.W, e.faninV...)
-	if outComp {
-		invertRow(out[:e.W])
-	}
 }
 
 func (e *Engine) enqueueFanout(l circuit.Line) {

@@ -459,6 +459,15 @@ func TestEngineTrialNoChangeWhenForcedEqualsBase(t *testing.T) {
 	}
 }
 
+// trialGate tries a structural correction of line l the way the diagnosis
+// screen does: EvalCandidate computes the row the hypothetical gate would
+// produce, and Trial forces it and propagates.
+func trialGate(e *Engine, l circuit.Line, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) []circuit.Line {
+	row := make([]uint64, e.W)
+	e.EvalCandidate(row, t, fin, finComp, outComp)
+	return e.Trial(l, row)
+}
+
 func TestEngineTrialEvalGateReplacement(t *testing.T) {
 	c := circuit.New(4)
 	a := c.AddPI("a")
@@ -468,7 +477,7 @@ func TestEngineTrialEvalGateReplacement(t *testing.T) {
 	pi, n, _ := ExhaustivePatterns(2)
 	e := NewEngine(c, pi, n)
 	// Try replacing AND with OR.
-	changed := e.TrialEval(g, circuit.Or, c.Fanin(g), nil, false)
+	changed := trialGate(e, g, circuit.Or, c.Fanin(g), nil, false)
 	if len(changed) != 1 || changed[0] != g {
 		t.Fatalf("changed = %v, want [g]", changed)
 	}
@@ -486,12 +495,12 @@ func TestEngineTrialEvalInputInverter(t *testing.T) {
 	c.MarkPO(g)
 	pi, n, _ := ExhaustivePatterns(2)
 	e := NewEngine(c, pi, n)
-	e.TrialEval(g, circuit.And, c.Fanin(g), []bool{true, false}, false)
+	trialGate(e, g, circuit.And, c.Fanin(g), []bool{true, false}, false)
 	want := []uint64{0b0100} // AND(NOT a, b)
 	if !EqualRows(e.TrialVal(g), want, n) {
 		t.Fatalf("TrialVal = %04b, want 0100", e.TrialVal(g)[0]&0xf)
 	}
-	e.TrialEval(g, circuit.And, c.Fanin(g), nil, true)
+	trialGate(e, g, circuit.And, c.Fanin(g), nil, true)
 	want = []uint64{0b0111} // NAND
 	if !EqualRows(e.TrialVal(g), want, n) {
 		t.Fatalf("output-complement TrialVal = %04b, want 0111", e.TrialVal(g)[0]&0xf)
@@ -507,7 +516,7 @@ func TestEngineTrialEvalAddedWire(t *testing.T) {
 	c.MarkPO(g)
 	pi, n, _ := ExhaustivePatterns(3)
 	e := NewEngine(c, pi, n)
-	e.TrialEval(g, circuit.And, []circuit.Line{a, b, d}, nil, false)
+	trialGate(e, g, circuit.And, []circuit.Line{a, b, d}, nil, false)
 	// AND(a,b,d): only pattern 7 (a=b=d=1) is 1.
 	want := []uint64{0x80}
 	if !EqualRows(e.TrialVal(g), want, n) {

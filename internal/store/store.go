@@ -302,8 +302,10 @@ type Store struct {
 	nextID uint64        // last assigned numeric job ID
 	since  int           // events appended since the last snapshot
 	rng    *rand.Rand
-	watch  *telemetry.Bus[Update] // live timeline transitions (see Watch)
 	closed bool
+
+	changed   chan struct{} // closed at the next live change; nil until Changed asks
+	evictions int           // jobs evicted so far (see Evictions)
 }
 
 // NewMemory returns a Store with no durable backing: state lives (and dies)
@@ -325,7 +327,6 @@ func newStore(w wal, opt Options) (*Store, error) {
 		jobs:   map[string]*Job{},
 		counts: map[State]int{},
 		rng:    rand.New(rand.NewSource(seed)),
-		watch:  telemetry.NewBus[Update](nil),
 	}, nil
 }
 
@@ -357,17 +358,12 @@ func (s *Store) append(ev Event) error {
 	// Observe against the pre-apply state: queue-wait and attempt durations
 	// need the job as it was before this transition mutates it.
 	s.observeLocked(ev)
-	tlBefore := 0
-	if j := s.jobs[ev.Job]; j != nil {
-		tlBefore = len(j.Timeline)
-	}
 	if err := s.apply(ev); err != nil {
 		return err
 	}
-	// Watchers see the transition only on this live path — replay and
-	// validation fold through apply alone — and before compaction below can
-	// evict the job.
-	s.publishWatchLocked(ev, tlBefore)
+	// Changed waiters wake only on this live path: replay and validation
+	// fold through apply alone.
+	s.signalLocked()
 	s.since++
 	if s.since >= s.opt.CompactEvery {
 		if err := s.compactLocked(); err != nil {
@@ -836,12 +832,13 @@ func (s *Store) compactLocked() error {
 }
 
 // evictLocked removes a terminal job from the retained table (compaction's
-// retention bound) and tells watchers. Callers hold s.mu.
+// retention bound) and wakes Changed waiters. Callers hold s.mu.
 func (s *Store) evictLocked(j *Job) {
 	delete(s.jobs, j.ID)
 	s.counts[j.State]--
+	s.evictions++
 	cEvictions.Inc()
-	s.publishEvictionLocked(j)
+	s.signalLocked()
 }
 
 func (s *Store) snapshotLocked() snapshot {
@@ -853,8 +850,8 @@ func (s *Store) snapshotLocked() snapshot {
 	return snapshot{V: snapshotVersion, LastSeq: s.seq, NextID: s.nextID, Jobs: jobs}
 }
 
-// Close releases the backing log (and its lock file) and ends every watch
-// subscription once its buffered updates drain.
+// Close releases the backing log (and its lock file) and wakes every
+// Changed waiter.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -862,7 +859,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.watch.Close()
+	s.signalLocked()
 	return s.wal.Close()
 }
 
