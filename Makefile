@@ -9,8 +9,10 @@
 #                          word-parallel path trace, the lazy correction
 #                          ranking (checked against eager ranking), the
 #                          observability-row scores (checked against
-#                          propagation) and the exhaustive-simulation
-#                          equivalence verdict (checked against SAT)
+#                          propagation), the exhaustive-simulation
+#                          equivalence verdict (checked against SAT) and
+#                          the word-op Theorem-1 screen of design-error
+#                          candidates (checked against their NewValues rows)
 #   make chaos           — fault-injection trials under the race detector
 #   make chaos-resume    — SIGKILL/resume convergence trials (race build)
 #   make chaos-store     — SIGKILL dedcd mid-workload; the durable store must
@@ -65,8 +67,10 @@ race:
 # oracles, of the word-parallel path trace against the per-vector reference,
 # of first-solution search with lazy correction ranking against eager
 # ranking, of observability-row correction scores against propagating
-# each candidate row, and of equiv's exhaustive-simulation verdict against
-# the SAT verdict on random circuits up to one input past its bound.
+# each candidate row, of equiv's exhaustive-simulation verdict against
+# the SAT verdict on random circuits up to one input past its bound, and of
+# errmodel.Screen's complement counts against each candidate's NewValues row
+# on random circuits, widths and masks.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveEdgeCases -fuzztime $(FUZZTIME) ./internal/bench
@@ -75,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLazyRanking$$' -fuzztime $(FUZZTIME) ./internal/diagnose
 	$(GO) test -run '^$$' -fuzz '^FuzzObservability$$' -fuzztime $(FUZZTIME) ./internal/diagnose
 	$(GO) test -run '^$$' -fuzz '^FuzzExhaustiveVerdict$$' -fuzztime $(FUZZTIME) ./internal/equiv
+	$(GO) test -run '^$$' -fuzz '^FuzzScreen$$' -fuzztime $(FUZZTIME) ./internal/errmodel
 
 # The chaos harness: corrupted-input and randomized-cancellation trials must
 # hold "no panic, well-formed partial results" under the race detector.

@@ -14,7 +14,8 @@
 //     rectify.
 //  2. Correction: candidates from the fault/error model are screened by the
 //     Theorem-1 test (complement at least h2·|Verr| bits at the target — a
-//     single local gate evaluation) and the Vcorr test (create at most
+//     single local gate evaluation, or one word op for the design-error
+//     model's wire candidates) and the Vcorr test (create at most
 //     (1−h3) newly failing vectors — one fanout-cone propagation), then
 //     ranked by (1−Vratio)·h3score + Vratio·h1score.
 //  3. Search: a decision tree traversed in rounds (the BFS/DFS trade-off of

@@ -99,8 +99,9 @@ func (StuckAtModel) Enumerate(c *circuit.Circuit, l circuit.Line) []Correction {
 // ("the algorithm exhaustively compiles a list of corrections from the
 // design error model"), wire-source candidates for missing/wrong-wire
 // corrections default to every line in the circuit — the Theorem-1 screen
-// disposes of unsuitable sources with one cheap gate evaluation each. A
-// sampling cap exists as a performance knob for very large netlists.
+// disposes of unsuitable sources with one word op each (errmodel.Screen),
+// building only the survivors. A sampling cap exists as a performance knob
+// for very large netlists.
 type ErrorModel struct {
 	// WireSources holds the candidate source lines for wire corrections.
 	WireSources []circuit.Line
@@ -142,7 +143,11 @@ func NewErrorModel(c *circuit.Circuit, maxSources int, seed int64) *ErrorModel {
 
 // Enumerate implements Model. errmodel.Mod is itself a Correction, so the
 // corrections are pointers into the enumerated slice: one allocation per
-// Enumerate call instead of one per correction.
+// Enumerate call instead of one per correction. A search whose model is an
+// *ErrorModel does not call it: it walks the candidates with
+// errmodel.Screen, which counts each wire candidate's Theorem-1 complement
+// with one word op and builds only the survivors, in the same order and
+// with the same counts. Inside another Model (a ModelSet) it is called.
 func (em *ErrorModel) Enumerate(c *circuit.Circuit, l circuit.Line) []Correction {
 	mods := errmodel.Enumerate(c, l, em.WireSources)
 	out := make([]Correction, len(mods))

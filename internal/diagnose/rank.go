@@ -200,15 +200,7 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 		if r.halted {
 			break
 		}
-		for _, corr := range r.model.Enumerate(ec.ckt, sl.l) {
-			if r.stop() {
-				break
-			}
-			r.res.Stats.Candidates++
-			if !r.theorem1(ec, corr) {
-				r.res.Stats.Screened++
-				continue
-			}
+		r.screenLine(ec, sl.l, func(corr Correction) {
 			r.res.Stats.Simulations++
 			idx++
 			if inPlace {
@@ -217,11 +209,11 @@ func (r *runState) screenLazy(ec *expandCtx, lines []scoredLine) *ranking {
 				if sr.outcome == screenKept {
 					ready = append(ready, rankEntry{rc: r.rankCorrection(ec, corr, sr), idx: idx})
 				}
-				continue
+				return
 			}
 			sr := r.verrTrial(ec, corr)
 			pending = append(pending, pendingCorr{c: corr, idx: idx, bound: r.rankCorrection(ec, corr, sr).Rank})
-		}
+		})
 	}
 	if ec.verr.e != ec.full.e {
 		r.releaseEngine(ec.verr.e)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dedc/internal/circuit"
+	"dedc/internal/errmodel"
 	"dedc/internal/pathtrace"
 	"dedc/internal/sim"
 	"dedc/internal/telemetry"
@@ -168,6 +169,12 @@ type runState struct {
 	hRect       *telemetry.Histogram // diagnose.h1_rect — per-suspect rectified bits
 
 	rows trialRows // reusable value rows of the per-node trial loops
+
+	// screen is the Theorem-1 screen of ErrorModel candidates, reset per
+	// suspect line; mods is the current chunk of the slab its survivors
+	// are boxed in (see box).
+	screen errmodel.Screen
+	mods   []errmodel.Mod
 
 	// free holds the engines the run's nodes have released; newEngine
 	// rebuilds the next engine in one of them (see releaseEngine). built
@@ -832,8 +839,8 @@ type screenResult struct {
 
 // screenCorrections is the exact runs' correction screen: it enumerates the
 // correction model at every ranked suspect and screens each candidate — the
-// Theorem-1 complement test (one local gate evaluation on the Verr engine),
-// then a full-width trial propagation for the Vcorr screen and the ranking
+// Theorem-1 complement test on the Verr engine (see screenLine), then a
+// full-width trial propagation for the Vcorr screen and the ranking
 // metrics — ranking every survivor.
 func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []rankEntry {
 	var cands []rankEntry
@@ -841,24 +848,75 @@ func (r *runState) screenCorrections(ec *expandCtx, lines []scoredLine) []rankEn
 		if r.halted {
 			break
 		}
-		for _, corr := range r.model.Enumerate(ec.ckt, sl.l) {
-			if r.stop() {
-				break
-			}
-			r.res.Stats.Candidates++
-			if !r.theorem1(ec, corr) {
-				r.res.Stats.Screened++
-				continue
-			}
+		r.screenLine(ec, sl.l, func(corr Correction) {
 			r.res.Stats.Simulations++
 			sr := r.screenTrial(ec, corr)
 			r.countTrial(sr)
 			if sr.outcome == screenKept {
 				cands = append(cands, rankEntry{rc: r.rankCorrection(ec, corr, sr), idx: len(cands)})
 			}
-		}
+		})
 	}
 	return cands
+}
+
+// screenLine enumerates the correction model at line l and runs the
+// Theorem-1 screen on each candidate, calling keep for each survivor with
+// its candidate row on the Verr engine in r.rows.cand. Every candidate
+// polls stop once before it is counted, so counted budgets and wall-clock
+// polls cut at the same candidate whichever path screens it.
+//
+// An *ErrorModel is walked and screened by errmodel.Screen: its wire
+// candidates, nearly all of them, are counted with a word op each and only
+// survivors are built. Other models are enumerated and each candidate's row
+// evaluated (theorem1).
+func (r *runState) screenLine(ec *expandCtx, l circuit.Line, keep func(Correction)) {
+	em, ok := r.model.(*ErrorModel)
+	if !ok {
+		for _, corr := range r.model.Enumerate(ec.ckt, l) {
+			if r.stop() {
+				return
+			}
+			r.res.Stats.Candidates++
+			if !r.theorem1(ec, corr) {
+				r.res.Stats.Screened++
+				continue
+			}
+			keep(corr)
+		}
+		return
+	}
+	v := &ec.verr
+	sc := &r.screen
+	sc.Reset(v.e, l, v.mask)
+	sc.Walk(em.WireSources, func(m errmodel.Mod) bool {
+		if r.stop() {
+			return false
+		}
+		r.res.Stats.Candidates++
+		if !r.complements(ec, sc.Complement(m)) {
+			r.res.Stats.Screened++
+			return true
+		}
+		corr := r.box(m)
+		corr.NewValues(v.e, r.rows.cand[:v.e.W])
+		keep(corr)
+		return true
+	})
+}
+
+// modChunk is the number of survivors a run's mod slab holds per chunk.
+const modChunk = 256
+
+// box copies a Theorem-1 survivor into the run's mod slab and returns a
+// pointer to it. A full chunk is left to its survivors and a fresh one
+// started, so a pointer box handed out stays valid.
+func (r *runState) box(m errmodel.Mod) *errmodel.Mod {
+	if len(r.mods) == cap(r.mods) {
+		r.mods = make([]errmodel.Mod, 0, modChunk)
+	}
+	r.mods = append(r.mods, m)
+	return &r.mods[len(r.mods)-1]
 }
 
 // countTrial accounts one full-width screen: Trials counts the screens of a
@@ -874,10 +932,11 @@ func (r *runState) countTrial(sr screenResult) {
 	}
 }
 
-// theorem1 is the Theorem-1 screen: the correction must complement at least
-// h2·|Verr| bits of its target's Verr bit-list. It evaluates the correction
-// on the node's Verr engine, so the local evaluation spans the failing
-// vectors alone, and leaves the candidate row in r.rows.cand.
+// theorem1 is the Theorem-1 screen of models other than *ErrorModel (see
+// screenLine): the correction must complement at least h2·|Verr| bits of
+// its target's Verr bit-list. It evaluates the correction on the node's
+// Verr engine, so the local evaluation spans the failing vectors alone,
+// and leaves the candidate row in r.rows.cand.
 func (r *runState) theorem1(ec *expandCtx, corr Correction) bool {
 	e := ec.verr.e
 	cand := r.rows.cand[:e.W]
@@ -888,6 +947,12 @@ func (r *runState) theorem1(ec *expandCtx, corr Correction) bool {
 	for w := range cand {
 		comp += bits.OnesCount64((cand[w] ^ base[w]) & mask[w])
 	}
+	return r.complements(ec, comp)
+}
+
+// complements is the Theorem-1 threshold: comp complemented Verr bits
+// reach h2·|Verr|.
+func (r *runState) complements(ec *expandCtx, comp int) bool {
 	return float64(comp) >= r.params.H2*float64(ec.fails)-1e-9
 }
 

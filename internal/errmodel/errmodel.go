@@ -5,9 +5,13 @@
 // Mod: a change to the function of exactly one line. The package provides
 //
 //   - Apply: structural application of a Mod to a netlist,
-//   - Trial: non-destructive evaluation of a Mod on a sim.Engine (the form
-//     the diagnosis algorithm's screening tests consume),
-//   - Enumerate: the correction candidates at a line,
+//   - NewValues: the value row a Mod gives its target line, one local gate
+//     evaluation over a sim.Engine's base values (the form the diagnosis
+//     algorithm's screening tests consume),
+//   - Walk: the correction candidates at a line, in the model's one
+//     enumeration order (Enumerate collects them into a slice),
+//   - Screen: the Theorem-1 complement count of the candidates at a line,
+//     one word op per wire candidate instead of building its row,
 //   - Inject: random error injection following the Campenhout-style type
 //     frequency distribution, with observability guarantees.
 //
@@ -187,7 +191,7 @@ func (m Mod) Check(c *circuit.Circuit) error {
 
 // inFanoutCone reports whether x lies in the fanout cone of l (inclusive).
 func inFanoutCone(c *circuit.Circuit, l, x circuit.Line) bool {
-	return fanoutConeSet(c, l)[x/64]&(1<<(x%64)) != 0
+	return fanoutConeSet(c, l, nil)[x/64]&(1<<(x%64)) != 0
 }
 
 // Apply structurally applies the mod to c (mutating it). The caller should
@@ -238,9 +242,10 @@ const stackFanin = 16
 
 // NewValues computes, into dst, the value row the target line would carry
 // under this mod — one local gate evaluation over base values, with no
-// propagation. This is the cheap form the diagnosis algorithm's Theorem-1
-// screen consumes before paying for a full Trial. It does not allocate for
-// gates of up to stackFanin inputs.
+// propagation. The diagnosis algorithm's screens force this row onto the
+// target; the Theorem-1 screen (Screen) evaluates it only for kinds other
+// than wire additions and replacements. It does not allocate for gates of
+// up to stackFanin inputs.
 func (m Mod) NewValues(e *sim.Engine, dst []uint64) {
 	var finBuf [stackFanin]circuit.Line
 	var compBuf [stackFanin]bool

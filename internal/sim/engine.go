@@ -262,9 +262,10 @@ func (e *Engine) TrialEvalPin(l circuit.Line, t circuit.GateType, fin []circuit.
 // EvalCandidate computes, into dst, the output row a hypothetical gate
 // (type t, fanins fin, optional per-pin complements, optional output
 // complement) would produce over the current BASE values — one local
-// simulation step with no propagation. It is the cheap Theorem-1 screening
-// primitive: callers check the complement count before paying for a full
-// Trial.
+// simulation step with no propagation. It builds the candidate rows of the
+// Theorem-1 screen and of its survivors' trials; the design-error model's
+// wire candidates, most of all candidates, are screened without it by one
+// word op each over base rows (errmodel.Screen).
 func (e *Engine) EvalCandidate(dst []uint64, t circuit.GateType, fin []circuit.Line, finComp []bool, outComp bool) {
 	e.faninV = e.faninV[:0]
 	for _, f := range fin {

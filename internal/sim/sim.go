@@ -5,7 +5,8 @@
 // the paper's heuristics. Package diagnose runs two engines per search node:
 // one over the failing vectors alone (gathered with GatherMask), which
 // carries heuristic 1 (invert Verr and propagate) and the Theorem-1 screen
-// (a local gate evaluation over Verr), and one over all of V, which carries
+// (a local gate evaluation over Verr, or for a design-error wire candidate
+// one word op over its base rows), and one over all of V, which carries
 // the Vcorr screen (fanout-cone propagation of a candidate correction) and
 // the ranking.
 //
